@@ -11,9 +11,7 @@ import argparse
 import csv
 import io
 import sys
-from fractions import Fraction
 
-from sbseries import expr as ex
 from sbseries import trees as T
 from sbseries.elementary import get_problem, problem_names
 from sbseries.expr import ExprError, parse_expr
@@ -67,6 +65,13 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="named general-model table (langevin)")
 
 
+def _order_cap(text: str) -> HalfInt:
+    cap = HalfInt.parse(text)
+    if cap.twice < 0:
+        raise CLIError(f"--cap must not be negative, got {text!r}")
+    return cap
+
+
 def _write_rows(out, header, rows) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -80,7 +85,7 @@ def _float_repr(x: float) -> str:
 def cmd_trees(args, out) -> int:
     if args.tree_cmd == "enum":
         model = _model_from_flags(args)
-        trees = enumerate_trees(model, HalfInt.parse(args.cap))
+        trees = enumerate_trees(model, _order_cap(args.cap))
         _write_rows(out, ["tree", "rho", "alpha"],
                     [[format_tree(t), str(rho(t)), str(alpha(t))] for t in trees])
         return 0
@@ -109,7 +114,7 @@ def cmd_series(args, out) -> int:
     if args.series_cmd != "exact":
         raise CLIError(f"unknown series subcommand {args.series_cmd!r}")
     model = _model_from_flags(args)
-    series = exact_solution_series(model, HalfInt.parse(args.cap))
+    series = exact_solution_series(model, _order_cap(args.cap))
     rows = [[format_tree(t), str(rho(t)), str(alpha(t)), str(series.weight(t))]
             for t in series.trees()]
     _write_rows(out, ["tree", "rho", "alpha", "weight"], rows)
@@ -120,7 +125,7 @@ def cmd_erk(args, out) -> int:
     if args.erk_cmd != "residuals":
         raise CLIError(f"unknown erk subcommand {args.erk_cmd!r}")
     method = resolve_method(args.method)
-    residuals = order_residuals(method, HalfInt.parse(args.cap))
+    residuals = order_residuals(method, _order_cap(args.cap))
     rows = []
     for r in residuals:
         text = str(r.residual)
@@ -136,6 +141,8 @@ def cmd_erk(args, out) -> int:
 def cmd_weights(args, out) -> int:
     if args.weights_cmd != "mc":
         raise CLIError(f"unknown weights subcommand {args.weights_cmd!r}")
+    if args.paths < 1 or args.N < 1:
+        raise CLIError("--paths and --N must be at least 1")
     expr = parse_expr(args.expr)
     stats = mc_moments(expr, args.h, args.N, args.paths,
                        normalize_interpretation(args.interp), args.seed)

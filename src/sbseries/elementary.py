@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from sbseries import expr as ex
 from sbseries import trees as T
 from sbseries.paths import PathGrid, PathTooShort, eval_weight
 from sbseries.series import BSeries

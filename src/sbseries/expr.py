@@ -19,12 +19,17 @@ Normalization is applied by every constructor:
   powers of h;
 * ``Int_m[1]`` for m > 0 becomes the increment atom ``dW_m``;
 * equal atom structures merge, zero terms vanish.
+
+Sums of many products are accumulated, then normalized once: callers add
+``scale * f1 * .. * fk`` into a ``dict[Mono, Fraction]`` with
+:func:`accumulate` and call :func:`from_acc` once per output weight, never
+``total = total + term``.  ``Mono`` and ``IntAtom`` hash once, at construction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -36,21 +41,47 @@ class ExprParseError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class IntAtom:
     """Irreducible integral of a monomial integrand against driver ``color``."""
 
     color: int
     integrand: "Mono"
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.color, self.integrand)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntAtom):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.color == other.color
+                                 and self.integrand == other.integrand)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mono:
     """Coefficient-free monomial: time power, increment powers, integral powers."""
 
     hpow: int = 0
     dws: tuple[tuple[int, int], ...] = ()
     ints: tuple[tuple[IntAtom, int], ...] = ()
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.hpow, self.dws, self.ints)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mono):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.hpow == other.hpow
+                                 and self.dws == other.dws and self.ints == other.ints)
 
     @property
     def is_one(self) -> bool:
@@ -130,7 +161,7 @@ class WeightExpr:
     def __add__(self, other: "WeightExpr") -> "WeightExpr":
         if not isinstance(other, WeightExpr):
             return NotImplemented
-        return _from_term_list(list(self.terms) + list(other.terms))
+        return _from_term_list(self.terms + other.terms)
 
     def __neg__(self) -> "WeightExpr":
         return WeightExpr(tuple((-c, m) for c, m in self.terms))
@@ -140,11 +171,9 @@ class WeightExpr:
 
     def __mul__(self, other):
         if isinstance(other, WeightExpr):
-            out: list[tuple[Fraction, Mono]] = []
-            for c1, m1 in self.terms:
-                for c2, m2 in other.terms:
-                    out.append((c1 * c2, mono_mul(m1, m2)))
-            return _from_term_list(out)
+            acc: dict[Mono, Fraction] = {}
+            accumulate(acc, (self, other))
+            return from_acc(acc)
         if isinstance(other, (int, Fraction)):
             return self.scaled(Fraction(other))
         return NotImplemented
@@ -168,13 +197,32 @@ class WeightExpr:
         return format_expr(self)
 
 
-def _from_term_list(raw: list[tuple[Fraction, Mono]]) -> WeightExpr:
+def accumulate(acc: dict[Mono, Fraction], factors,
+               scale: Fraction = Fraction(1)) -> None:
+    """Add ``scale * f1 * .. * fk`` to the accumulator ``acc`` without
+    normalizing; a zero factor adds nothing and multiplies nothing."""
+    if any(f.is_zero for f in factors):
+        return
+    terms = [(scale, ONE_MONO)]
+    for f in factors:
+        terms = [(c1 * c2, mono_mul(m1, m2))
+                 for c1, m1 in terms for c2, m2 in f.terms]
+    for c, mono in terms:
+        acc[mono] = acc.get(mono, 0) + c
+
+
+def from_acc(acc: dict[Mono, Fraction]) -> WeightExpr:
+    """The normalized sum held by an accumulator: zero coefficients dropped,
+    terms sorted by :func:`mono_key`."""
+    return WeightExpr(tuple(sorted(((c, m) for m, c in acc.items() if c != 0),
+                                   key=lambda cm: mono_key(cm[1]))))
+
+
+def _from_term_list(raw) -> WeightExpr:
     acc: dict[Mono, Fraction] = {}
     for c, mono in raw:
-        acc[mono] = acc.get(mono, Fraction(0)) + c
-    terms = tuple(sorted(((c, m) for m, c in acc.items() if c != 0),
-                         key=lambda cm: mono_key(cm[1])))
-    return WeightExpr(terms)
+        acc[mono] = acc.get(mono, 0) + c
+    return from_acc(acc)
 
 
 ZERO = WeightExpr(())
@@ -204,20 +252,10 @@ def integral(color: int, factors) -> WeightExpr:
     color-``color`` driver, normalized."""
     if color < 0:
         raise ExprError(f"invalid color {color}")
-    factor_list = list(factors) or [ONE]
-    out: list[tuple[Fraction, Mono]] = []
-    stack = [(Fraction(1), ONE_MONO, 0)]
-    while stack:
-        coeff, mono, idx = stack.pop()
-        if idx == len(factor_list):
-            out.extend(_reduced_integral(color, coeff, mono))
-            continue
-        fac = factor_list[idx]
-        if fac.is_zero:
-            continue
-        for c, m in fac.terms:
-            stack.append((coeff * c, mono_mul(mono, m), idx + 1))
-    return _from_term_list(out)
+    product: dict[Mono, Fraction] = {}
+    accumulate(product, list(factors))
+    return _from_term_list(term for mono, c in product.items()
+                           for term in _reduced_integral(color, c, mono))
 
 
 def _reduced_integral(color: int, coeff: Fraction, mono: Mono):
@@ -371,7 +409,10 @@ class _ExprParser:
                 raise ExprParseError("expected ']'")
             return integral(color, factors)
         if re.fullmatch(r"\d+(/\d+)?", tok):
-            return rational(Fraction(tok))
+            try:
+                return rational(Fraction(tok))
+            except ZeroDivisionError:
+                raise ExprParseError(f"zero denominator in {tok!r}") from None
         raise ExprParseError(f"unexpected token {tok!r}")
 
 

@@ -19,6 +19,7 @@ derivative product by phi(empty) = 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,6 @@ from itertools import product
 from sbseries.trees import (
     Tree,
     TreeError,
-    canonicalize,
     empty_tree,
     partition_of,
     tree_key,
@@ -59,25 +59,20 @@ class SubtreePair:
 def _st_table(tau: Tree) -> tuple[tuple[Tree, tuple[Tree, ...], int], ...]:
     """All (theta, omega, gamma) for tau, gamma accumulated over markings."""
     if tau.is_empty:
-        e = tau
-        return ((e, (e,), 1),)
+        return ((tau, (tau,), 1),)
     root_empty = empty_tree(partition_of(tau.label))
     if tau.is_leaf:
         return ((root_empty, (tau,), 1), (tau, (root_empty,), 1))
     acc: dict[tuple[Tree, tuple[Tree, ...]], int] = {}
     child_tables = [_st_table(c) for c in tau.children]
     for choice in product(*child_tables):
-        kept = tuple(th for th, _, _ in choice if not th.is_empty)
-        theta = canonicalize(Tree(tau.label, kept))
-        rem: list[Tree] = []
-        for _, om, _ in choice:
-            rem.extend(t for t in om if not t.is_empty)
-        omega = tuple(sorted(rem, key=tree_key))
-        gamma_prod = 1
-        for _, _, g in choice:
-            gamma_prod *= g
+        # children and kept prefixes are canonical: sorting them suffices
+        kept = [th for th, _, _ in choice if not th.is_empty]
+        theta = Tree(tau.label, tuple(sorted(kept, key=tree_key)))
+        omega = tuple(sorted((t for _, om, _ in choice for t in om if not t.is_empty),
+                             key=tree_key))
         key = (theta, omega)
-        acc[key] = acc.get(key, 0) + gamma_prod
+        acc[key] = acc.get(key, 0) + math.prod(g for _, _, g in choice)
     acc[(root_empty, (tau,))] = acc.get((root_empty, (tau,)), 0) + 1
     items = sorted(acc.items(), key=lambda kv: (tree_key(kv[0][0]),
                                                 tuple(tree_key(t) for t in kv[0][1])))

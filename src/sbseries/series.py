@@ -22,21 +22,14 @@ from sbseries.expr import WeightExpr
 from sbseries.forest_ops import split_pairs, subtree_pairs
 from sbseries.trees import (
     FLabel,
-    GeneralPartitioned,
     HalfInt,
-    NonAutonomous,
-    SemiLinear,
     Tree,
     TreeError,
     TreeModel,
-    alpha,
-    canonicalize,
     enumerate_trees,
     label_color,
-    rho,
     rho2,
     tree_key,
-    w_leaf,
 )
 
 
@@ -78,11 +71,6 @@ class BSeries:
         return BSeries(self.model, cap, kept, self.empty_weight)
 
 
-def adjoined_leaf_keys(model: TreeModel) -> list[Tree]:
-    """Child-only leaves that carry weights in this model's series."""
-    return list(model.adjoined_leaves())
-
-
 def identity_weights(model: TreeModel, order_cap: HalfInt) -> BSeries:
     """Weights of the identity map: 1 at the empty tree, 0 elsewhere."""
     return BSeries(model, order_cap, {}, ex.ONE)
@@ -114,7 +102,7 @@ def exact_solution_series(model: TreeModel, order_cap: HalfInt,
     weights: dict[Tree, WeightExpr] = {}
     for tree in enumerate_trees(model, order_cap, **kwargs):
         weights[tree] = exact_weight(tree)
-    for leaf_tree in adjoined_leaf_keys(model):
+    for leaf_tree in model.adjoined_leaves():
         weights[leaf_tree] = exact_weight(leaf_tree)
     return BSeries(model, order_cap, weights, ex.ONE)
 
@@ -133,7 +121,7 @@ def _series_domain(a: BSeries, b: BSeries, cap: HalfInt) -> list[Tree]:
     """All model trees up to the cap (the operands may be sparse), the
     adjoined leaf keys, and any stored keys within the cap."""
     domain = set(enumerate_trees(a.model, cap))
-    domain.update(adjoined_leaf_keys(a.model))
+    domain.update(a.model.adjoined_leaves())
     domain.update(t for t in a.weights if rho2(t) <= cap.twice)
     domain.update(t for t in b.weights if rho2(t) <= cap.twice)
     return sorted(domain, key=tree_key)
@@ -152,17 +140,12 @@ def compose(phi_x: BSeries, phi_y: BSeries) -> BSeries:
     cap = min(phi_x.order_cap, phi_y.order_cap)
     out: dict[Tree, WeightExpr] = {}
     for tree in _series_domain(phi_x, phi_y, cap):
-        total = ex.ZERO
+        acc: dict[ex.Mono, Fraction] = {}
         for pair in subtree_pairs(tree):
-            term = phi_y.weight(pair.subtree)
-            if term.is_zero:
-                continue
-            for delta in pair.remainder:
-                term = term * phi_x.weight(delta)
-                if term.is_zero:
-                    break
-            else:
-                total = total + term.scaled(pair.coefficient)
+            factors = [phi_y.weight(pair.subtree)]
+            factors.extend(phi_x.weight(delta) for delta in pair.remainder)
+            ex.accumulate(acc, factors, pair.coefficient)
+        total = ex.from_acc(acc)
         if not total.is_zero:
             out[tree] = total
     return BSeries(phi_x.model, cap, out, phi_y.empty_weight)
@@ -179,11 +162,12 @@ def derivative_product(phi_x: BSeries, phi_y: BSeries) -> BSeries:
     cap = min(phi_x.order_cap, phi_y.order_cap)
     out: dict[Tree, WeightExpr] = {}
     for tree in _series_domain(phi_x, phi_y, cap):
-        total = ex.ZERO
+        acc: dict[ex.Mono, Fraction] = {}
         for pair in split_pairs(tree):
-            delta = pair.remainder[0]
-            term = phi_y.weight(pair.subtree) * phi_x.weight(delta)
-            total = total + term.scaled(pair.coefficient)
+            ex.accumulate(acc, (phi_y.weight(pair.subtree),
+                                phi_x.weight(pair.remainder[0])),
+                          pair.coefficient)
+        total = ex.from_acc(acc)
         if not total.is_zero:
             out[tree] = total
     return BSeries(phi_x.model, cap, out, ex.ZERO)

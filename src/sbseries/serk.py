@@ -15,7 +15,8 @@ children recurse through the stages.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from sbseries import expr as ex
@@ -36,7 +37,6 @@ from sbseries.trees import (
     format_tree,
     parse_tree,
     rho,
-    rho2,
     tree_key,
 )
 
@@ -47,7 +47,8 @@ class NoAdmissibleSplit(TreeError):
 
 
 class CapUnsupported(TreeError):
-    """The built-in coefficient expansions stop at total order three."""
+    """An order bound exceeds the cap to which a method's coefficient
+    expansions are carried."""
 
 
 def is_a_tree(tree: Tree) -> bool:
@@ -149,66 +150,52 @@ def _admissible_split(tau: Tree) -> tuple[Tree, Tree]:
 
 
 class _WeightComputer:
+    """Memoized stage and solution weights of one method."""
+
     def __init__(self, method: ERKMethodSpec):
         self.method = method
-        self.solution_memo: dict[Tree, WeightExpr] = {}
-        self.stage_memo: dict[tuple[int, Tree], WeightExpr] = {}
+        self.memo: dict[tuple[int | None, Tree], WeightExpr] = {}
 
-    def stage(self, i: int, tau: Tree) -> WeightExpr:
+    def weight(self, i: int | None, tau: Tree) -> WeightExpr:
+        """Stage-i weight of tau, or its solution weight when i is None."""
         if tau.is_empty:
             return ex.ONE
         key = (i, tau)
-        if key not in self.stage_memo:
-            self.stage_memo[key] = self._stage(i, tau)
-        return self.stage_memo[key]
+        if key not in self.memo:
+            self.memo[key] = self._weight(i, tau)
+        return self.memo[key]
 
-    def solution(self, tau: Tree) -> WeightExpr:
-        if tau.is_empty:
-            return ex.ONE
-        if tau not in self.solution_memo:
-            self.solution_memo[tau] = self._solution(tau)
-        return self.solution_memo[tau]
-
-    def _stage(self, i: int, tau: Tree) -> WeightExpr:
+    def _weight(self, i: int | None, tau: Tree) -> WeightExpr:
         m = self.method
         if isinstance(tau.label, TLabel) and tau.is_leaf:
-            return ex.H.scaled(m.c[i])
+            return ex.H if i is None else ex.H.scaled(m.c[i])
         if is_a_tree(tau):
-            return m.Z0[i].weight(tau)
+            return (m.z0 if i is None else m.Z0[i]).weight(tau)
+        # sum over stages j of the row's coefficient at theta times the
+        # stage-j weights of delta's children; once a factor is zero the
+        # later children's weights are not computed
         theta, delta = _admissible_split(tau)
-        color = delta.label.m
-        total = ex.ZERO
+        row = m.z[delta.label.m] if i is None else m.Z[delta.label.m][i]
+        acc: dict[ex.Mono, Fraction] = {}
         for j in range(m.stages):
-            term = m.Z[color][i][j].weight(theta)
+            factors = [row[j].weight(theta)]
             for child in delta.children:
-                if term.is_zero:
+                if factors[-1].is_zero:
                     break
-                term = term * self.stage(j, child)
-            total = total + term
-        return total
+                factors.append(self.weight(j, child))
+            ex.accumulate(acc, factors)
+        return ex.from_acc(acc)
 
-    def _solution(self, tau: Tree) -> WeightExpr:
-        m = self.method
-        if isinstance(tau.label, TLabel) and tau.is_leaf:
-            return ex.H
-        if is_a_tree(tau):
-            return m.z0.weight(tau)
-        theta, delta = _admissible_split(tau)
-        color = delta.label.m
-        total = ex.ZERO
-        for i in range(m.stages):
-            term = m.z[color][i].weight(theta)
-            for child in delta.children:
-                if term.is_zero:
-                    break
-                term = term * self.stage(i, child)
-            total = total + term
-        return total
+
+def _require_within_cap(method: ERKMethodSpec, rho_max: HalfInt) -> None:
+    if rho_max > method.cap:
+        raise CapUnsupported(f"order {rho_max} exceeds the cap {method.cap} "
+                             f"of method {method.name!r}")
 
 
 def erk_weight_at(method: ERKMethodSpec, tau: Tree) -> WeightExpr:
     """Solution weight of a single tree (point query; no enumeration)."""
-    return _WeightComputer(method).solution(tau)
+    return _WeightComputer(method).weight(None, tau)
 
 
 def erk_weights(method: ERKMethodSpec, rho_max: HalfInt,
@@ -216,43 +203,43 @@ def erk_weights(method: ERKMethodSpec, rho_max: HalfInt,
     """Solution and stage weight series over all trees up to the bound.
 
     Both carry the adjoined time-leaf key (solution h, stage c_i h).
+    Raises :class:`CapUnsupported` beyond the method's coefficient cap.
     """
+    _require_within_cap(method, rho_max)
     comp = _WeightComputer(method)
     model = SemiLinear(method.n_colors)
-    trees = semilinear_trees(method.n_colors, rho_max, cap=cap)
     solution_weights: dict[Tree, WeightExpr] = {T_LEAF: ex.H}
     stage_weights: list[dict[Tree, WeightExpr]] = [
         {T_LEAF: ex.H.scaled(method.c[i])} for i in range(method.stages)]
-    for tau in trees:
-        w = comp.solution(tau)
-        if not w.is_zero:
-            solution_weights[tau] = w
-        for i in range(method.stages):
-            wi = comp.stage(i, tau)
-            if not wi.is_zero:
-                stage_weights[i][tau] = wi
+    targets = [(None, solution_weights)] + list(enumerate(stage_weights))
+    for tau in semilinear_trees(method.n_colors, rho_max, cap=cap):
+        for i, weights in targets:
+            w = comp.weight(i, tau)
+            if not w.is_zero:
+                weights[tau] = w
     solution = BSeries(model, rho_max, solution_weights, ex.ONE)
     stages = [BSeries(model, rho_max, sw, ex.ONE) for sw in stage_weights]
     return solution, stages
 
 
-def residual_at(method: ERKMethodSpec, tau: Tree) -> OrderResidual:
-    exact = exact_weight(tau)
-    numeric = erk_weight_at(method, tau)
+def _residual(comp: _WeightComputer, tau: Tree) -> OrderResidual:
+    exact, numeric = exact_weight(tau), comp.weight(None, tau)
     return OrderResidual(tau, exact, numeric, exact - numeric, rho(tau))
+
+
+def residual_at(method: ERKMethodSpec, tau: Tree) -> OrderResidual:
+    return _residual(_WeightComputer(method), tau)
 
 
 def order_residuals(method: ERKMethodSpec, rho_max: HalfInt,
                     cap: int | None = None) -> list[OrderResidual]:
     """Exact-minus-numerical weights for every tree up to the bound,
-    in (order, canonical) order."""
+    in (order, canonical) order.  Raises :class:`CapUnsupported` beyond
+    the method's coefficient cap."""
+    _require_within_cap(method, rho_max)
     comp = _WeightComputer(method)
-    out = []
-    for tau in semilinear_trees(method.n_colors, rho_max, cap=cap):
-        exact = exact_weight(tau)
-        numeric = comp.solution(tau)
-        out.append(OrderResidual(tau, exact, numeric, exact - numeric, rho(tau)))
-    return out
+    return [_residual(comp, tau)
+            for tau in semilinear_trees(method.n_colors, rho_max, cap=cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +256,7 @@ def exp_integral_series(lo: Fraction, hi: Fraction, order: int) -> dict[Tree, We
     arguments is an A-node with k time-leaf children.
     """
     # integral of the Taylor expansion: letter k carries h^{k+1} coefficient
-    letters = {(k,): Fraction(hi ** (k + 1) - lo ** (k + 1), 1) / _factorial(k + 1)
+    letters = {(k,): Fraction(hi ** (k + 1) - lo ** (k + 1), 1) / math.factorial(k + 1)
                for k in range(order)}
     letters = {w: c for w, c in letters.items() if sum(w) + len(w) <= order}
 
@@ -291,7 +278,7 @@ def exp_integral_series(lo: Fraction, hi: Fraction, order: int) -> dict[Tree, We
         if not nxt:
             break
         current = nxt
-        inv_fact = Fraction(1, _factorial(n))
+        inv_fact = Fraction(1, math.factorial(n))
         for w, c in nxt.items():
             out[w] = out.get(w, Fraction(0)) + c * inv_fact
     weights: dict[Tree, WeightExpr] = {}
@@ -310,21 +297,6 @@ def _word_to_chain(word: tuple[int, ...]) -> Tree:
         children = ((tree,) if tree is not None else ()) + (T_LEAF,) * k
         tree = canonicalize(Tree(ALabel(), children))
     return tree
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _const_series(model, cap, value: WeightExpr) -> BSeries:
-    return BSeries(model, cap, {}, value)
-
-
-def _series_from_weights(model, cap, weights: dict[Tree, WeightExpr]) -> BSeries:
-    return BSeries(model, cap, dict(weights), ex.ONE)
 
 
 def builtin_exponential_midpoint(cap: HalfInt = HalfInt(7)) -> ERKMethodSpec:
@@ -346,10 +318,10 @@ def builtin_exponential_midpoint(cap: HalfInt = HalfInt(7)) -> ERKMethodSpec:
         c=(Fraction(1, 2),),
         n_colors=1,
         cap=cap,
-        Z0=(_series_from_weights(model, cap, front),),
-        Z={0: ((_const_series(model, cap, ex.H.scaled(Fraction(1, 2))),),),
-           1: ((_const_series(model, cap, ex.dw(1).scaled(Fraction(1, 2))),),)},
-        z0=_series_from_weights(model, cap, full),
+        Z0=(BSeries(model, cap, front),),
+        Z={0: ((BSeries(model, cap, {}, ex.H.scaled(Fraction(1, 2))),),),
+           1: ((BSeries(model, cap, {}, ex.dw(1).scaled(Fraction(1, 2))),),)},
+        z0=BSeries(model, cap, full),
         z={0: (BSeries(model, cap, z1_0, ex.H),),
            1: (BSeries(model, cap, z1_1, ex.dw(1)),)},
         interpretation="stratonovich",

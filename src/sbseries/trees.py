@@ -68,6 +68,8 @@ class HalfInt:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/")
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {text!r}")
             frac = Fraction(int(num), int(den))
         else:
             frac = Fraction(text)

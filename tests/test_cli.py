@@ -1,8 +1,11 @@
 """Command-line interface: outputs, round trips, determinism, exit codes."""
 
+import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbseries.cli import main
 from sbseries.trees import parse_tree
@@ -83,6 +86,20 @@ class TestErk:
         residuals = [line.rsplit(",", 1)[-1]
                      for line in text.strip().splitlines()[1:]]
         assert any(r != "0" for r in residuals)
+
+    def test_cap_past_method_cap_is_two_without_rows(self, capsys):
+        code, text = run("erk", "residuals", "--method", "builtin:midpoint",
+                         "--cap", "4")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cap_at_method_cap_unchanged(self):
+        code, text = run("erk", "residuals", "--method", "builtin:midpoint",
+                         "--cap", "7/2")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2fa43c7e1c51f51610e3610543987b0e4124b6e602908e43dc98c7cbe2afef26")
 
     def test_method_json_file_accepted(self, tmp_path):
         from sbseries.serk import builtin_exponential_midpoint, method_to_json
@@ -174,3 +191,53 @@ class TestExitCodes:
         code, _ = run("converge", "--problem", "scalar-semilinear",
                       "--paths", "2", "--seed", "1")
         assert code == 3
+
+
+MC_FLAGS = ("--h", "0.5", "--N", "4", "--paths", "2", "--seed", "1")
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ("trees", "enum", "--cap", "1/0"),
+        ("trees", "enum", "--cap", "-1"),
+        ("weights", "mc", "--expr", "1/0") + MC_FLAGS,
+        ("weights", "mc", "--expr", "h", "--h", "0.5", "--N", "4",
+         "--paths", "0", "--seed", "1"),
+        ("weights", "mc", "--expr", "h", "--h", "0.5", "--N", "0",
+         "--paths", "2", "--seed", "1"),
+    ], ids=["cap-zero-denominator", "cap-negative", "expr-zero-denominator",
+            "paths-zero", "steps-zero"])
+    def test_rejected_with_one_line_error(self, argv, capsys):
+        code, text = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_cap_zero_is_valid(self):
+        assert run("trees", "enum", "--cap", "0") == (0, "tree,rho,alpha\n")
+
+
+# Expression fragments whose concatenations stay cheap to evaluate: no
+# token starts with a digit that could extend an exponent.
+EXPR_TOKENS = ["h", "s", "dW0", "dW1", "dW2", "Int0[", "Int1[", "]", ",",
+               "1/0", "3/2", "0/1", "^2", "^", "*", "+", "-", "(", ")", " "]
+# Caps up to 3 in several spellings, including zero denominators,
+# negative values and non-numbers.
+CAPS = st.one_of(
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-3, 3), st.integers(-2, 2)),
+    st.integers(-4, 6).map(lambda n: str(n / 2)),
+    st.integers(-3, 3).map(str),
+    st.text(alphabet="-/.e xa", max_size=4),
+)
+
+
+@given(cap=CAPS,
+       expr=st.lists(st.sampled_from(EXPR_TOKENS), max_size=8).map("".join),
+       paths=st.sampled_from(["-1", "0", "1", "2", "x", ""]))
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_argv_exits_zero_two_or_three(cap, expr, paths):
+    assert run("trees", "enum", "--cap", cap)[0] in (0, 2, 3)
+    code, _ = run("weights", "mc", "--expr", expr, "--h", "0.5", "--N", "4",
+                  "--paths", paths, "--seed", "1")
+    assert code in (0, 2, 3)

@@ -68,7 +68,40 @@ def counted_markings(tau: Tree) -> dict:
     return counts
 
 
+def canonicalizing_st_table(tau: Tree) -> list:
+    """Oracle: the decomposition table built by re-canonicalizing every
+    joined prefix (theta) instead of sorting canonical kept prefixes."""
+    root_empty = empty_tree(partition_of(tau.label))
+    if tau.is_leaf:
+        return [(root_empty, (tau,), 1), (tau, (root_empty,), 1)]
+    acc: dict = {}
+    for choice in _product([canonicalizing_st_table(c) for c in tau.children]):
+        kept = tuple(th for th, _, _ in choice if not th.is_empty)
+        theta = canonicalize(Tree(tau.label, kept))
+        omega = tuple(sorted((t for _, om, _ in choice for t in om if not t.is_empty),
+                             key=tree_key))
+        g = 1
+        for _, _, gc in choice:
+            g *= gc
+        acc[(theta, omega)] = acc.get((theta, omega), 0) + g
+    acc[(root_empty, (tau,))] = acc.get((root_empty, (tau,)), 0) + 1
+    items = sorted(acc.items(), key=lambda kv: (tree_key(kv[0][0]),
+                                                tuple(tree_key(t) for t in kv[0][1])))
+    return [(theta, omega, g) for (theta, omega), g in items]
+
+
 class TestSubtreePairs:
+    @pytest.mark.parametrize("model", [
+        T.SemiLinear(1),
+        T.langevin_model(),
+        T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1}),
+    ], ids=["semilinear", "langevin", "nonautonomous"])
+    def test_sorted_prefix_join_matches_canonicalize(self, model):
+        for tau in enumerate_trees(model, HalfInt(6)):
+            got = [(p.subtree, p.remainder, p.coefficient) for p in subtree_pairs(tau)]
+            assert got == canonicalizing_st_table(tau), str(tau)
+
+
     def test_leaf_base_case_as_printed(self):
         leaf = parse_tree("g(2,1,0)")
         pairs = subtree_pairs(leaf)

@@ -1,5 +1,6 @@
 """Weight expressions and B-series operations."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,63 @@ class TestExprAlgebraProperties:
     @settings(max_examples=80, deadline=None)
     def test_display_round_trip(self, a):
         assert parse_expr(str(a)) == a
+
+
+def _fold_sum(products) -> E.WeightExpr:
+    """The sum written as the repeated-addition fold the accumulator replaces."""
+    total = E.ZERO
+    for scale, factors in products:
+        term = E.ONE
+        for f in factors:
+            term = term * f
+        total = total + term.scaled(scale)
+    return total
+
+
+_scales = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class TestAccumulator:
+    @given(st.lists(st.tuples(_scales, st.lists(_exprs(), max_size=3)),
+                    max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_normalize_once_equals_fold(self, products):
+        acc = {}
+        for scale, factors in products:
+            E.accumulate(acc, factors, scale)
+        got = E.from_acc(acc)
+        want = _fold_sum(products)
+        assert got.terms == want.terms
+        assert E.format_expr(got) == E.format_expr(want)
+
+    def test_zero_factor_adds_nothing(self):
+        acc = {}
+        E.accumulate(acc, (E.H, E.ZERO, E.dw(1)))
+        assert not acc
+        assert E.from_acc(acc) == E.ZERO
+
+
+class TestValueTypes:
+    def _atom(self):
+        return E.IntAtom(1, E.Mono(2, ((1, 1),)))
+
+    def test_frozen(self):
+        atom = self._atom()
+        mono = E.Mono(1, (), ((atom, 2),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            atom.color = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mono.hpow = 3
+
+    def test_fresh_equal_instances_are_equal_and_hash_alike(self):
+        a = E.Mono(1, ((2, 1),), ((self._atom(), 2),))
+        b = E.Mono(1, ((2, 1),), ((self._atom(), 2),))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert self._atom() == self._atom()
+        assert hash(self._atom()) == hash(self._atom())
+        assert a != E.Mono(1, ((2, 1),), ((self._atom(), 1),))
+        assert self._atom() != E.IntAtom(0, E.Mono(2, ((1, 1),)))
 
 
 class TestExactWeights:

@@ -1,5 +1,6 @@
 """Exponential-integrator coefficient series and order-condition residuals."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,18 @@ class TestBuiltinMidpoint:
     def test_cap_limit(self):
         with pytest.raises(CapUnsupported):
             builtin_exponential_midpoint(HalfInt(8))
+
+    def test_residuals_and_weights_refuse_orders_past_the_cap(self, midpoint):
+        with pytest.raises(CapUnsupported):
+            order_residuals(midpoint, HalfInt(8))
+        with pytest.raises(CapUnsupported):
+            erk_weights(midpoint, HalfInt(8))
+        assert len(order_residuals(midpoint, HalfInt(7))) == 970
+
+    def test_builtin_json_is_pinned(self):
+        text = method_to_json(builtin_exponential_midpoint())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f5bd510cf7d92b30fe62d8da8cf29055408640fe543412529ea6a8e58d5aeb96")
 
     def test_resolve_builtin(self):
         assert resolve_method("builtin:midpoint").stages == 1
