@@ -16,7 +16,7 @@ from sbseries import trees as T
 from sbseries.elementary import get_problem, problem_names
 from sbseries.expr import ExprError, parse_expr
 from sbseries.forest_ops import split_pairs, subtree_pairs
-from sbseries.paths import mc_moments, normalize_interpretation
+from sbseries.paths import mc_moments
 from sbseries.series import exact_solution_series
 from sbseries.serk import (
     order_residuals,
@@ -141,11 +141,8 @@ def cmd_erk(args, out) -> int:
 def cmd_weights(args, out) -> int:
     if args.weights_cmd != "mc":
         raise CLIError(f"unknown weights subcommand {args.weights_cmd!r}")
-    if args.paths < 1 or args.N < 1:
-        raise CLIError("--paths and --N must be at least 1")
-    expr = parse_expr(args.expr)
-    stats = mc_moments(expr, args.h, args.N, args.paths,
-                       normalize_interpretation(args.interp), args.seed)
+    stats = mc_moments(parse_expr(args.expr), args.h, args.N, args.paths,
+                       args.interp, args.seed)
     _write_rows(out, ["mean", "variance", "stderr"],
                 [[_float_repr(stats.mean), _float_repr(stats.variance),
                   _float_repr(stats.stderr)]])
@@ -154,8 +151,9 @@ def cmd_weights(args, out) -> int:
 
 def cmd_converge(args, out) -> int:
     problem = get_problem(args.problem)
-    if args.h_fine < args.h_coarse:
-        raise CLIError("--h-fine must not be coarser than --h-coarse")
+    # the steps of each rung divide --n-fine and double from rung to rung
+    if args.h_fine - args.h_coarse >= max(args.n_fine, 1).bit_length():
+        raise CLIError("--n-fine cannot refine that many step sizes")
     h_values = [2.0 ** -k for k in range(args.h_coarse, args.h_fine + 1)]
     report = ms_order_estimate(problem, h_values, args.paths, args.T,
                                args.seed, n_fine=args.n_fine,
@@ -263,7 +261,8 @@ def main(argv=None, out=None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except (CLIError, TreeError, ExprError, ValueError, KeyError, OSError) as err:
+    except (CLIError, TreeError, ExprError, ValueError, KeyError, OSError,
+            OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SimulationError as err:

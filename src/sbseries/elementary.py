@@ -31,6 +31,7 @@ from sbseries.trees import (
     EmptyLabel,
     GeneralLabel,
     GLabel,
+    ModelMismatch,
     SemiLinear,
     TLabel,
     Tree,
@@ -39,10 +40,6 @@ from sbseries.trees import (
     WLabel,
     alpha,
 )
-
-
-class ModelMismatch(TreeError):
-    """Tree and problem belong to different tree models."""
 
 
 class DerivativeOrderUnsupported(TreeError):

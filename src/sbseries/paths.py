@@ -5,7 +5,10 @@ stochastic color is an independent one-dimensional Wiener path, sampled by
 dyadic midpoint refinement so that the same seed at step counts N and 2N
 produces bit-identical values on the shared grid points.  Monte-Carlo
 helpers derive one seed per (master seed, path index), so results do not
-depend on evaluation order.
+depend on evaluation order.  Each path and color draws its normals in one
+call; the midpoint levels and the quadrature run over chunks of paths, with
+the same elementwise operations and sequential sums as one path at a time,
+so chunked results equal per-path ones bit for bit.
 
 Evaluation of an integral atom walks the grid once: color 0 uses the
 trapezoidal rule in time, stochastic colors use left-endpoint sums for the
@@ -14,6 +17,7 @@ Ito interpretation and trapezoidal integrand averaging for Stratonovich.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +73,6 @@ class PathGrid:
             raise ColorMissing(f"path carries colors 1..{self.n_colors}, not {m}")
         return self.values[m]
 
-    def increments(self, m: int) -> np.ndarray:
-        return np.diff(self.values[m])
-
     def restrict(self, h_sub: float) -> "PathGrid":
         """The sub-path over [0, h_sub]; h_sub must lie on the grid."""
         dt = self.h / self.n_steps
@@ -89,6 +90,15 @@ def _seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
+# Paths per batch: 8 to 16 measured fastest, 64 slower (its arrays outgrow L2).
+_CHUNK = 8
+
+
+def _check_grid(h: float, n_steps: int) -> None:
+    if n_steps < 1 or not (math.isfinite(h) and h > 0):
+        raise ValueError(f"need a finite positive horizon and a step, got h={h}, N={n_steps}")
+
+
 def sample_path(h: float, n_steps: int, n_colors: int, seed) -> PathGrid:
     """Draw one path on the uniform grid with ``n_steps`` steps.
 
@@ -97,39 +107,41 @@ def sample_path(h: float, n_steps: int, n_colors: int, seed) -> PathGrid:
     the same seed.  Other step counts fall back to sequential increments
     (deterministic, but without the refinement guarantee).
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    if h <= 0:
-        raise ValueError("horizon must be positive")
     base = _seed_tuple(seed)
     values = np.empty((n_colors + 1, n_steps + 1))
-    values[0] = np.linspace(0.0, h, n_steps + 1)
-    values[0, -1] = h
-    for m in range(1, n_colors + 1):
-        rng = np.random.default_rng(np.random.SeedSequence(base + (m,)))
-        values[m] = _sample_wiener(rng, h, n_steps)
+    _sample_wiener_rows(values[1:], h, [base + (m,) for m in range(1, n_colors + 1)])
+    values[0] = np.linspace(0.0, h, n_steps + 1)  # the last time is h exactly
     return PathGrid(h, n_steps, values, base)
 
 
-def _sample_wiener(rng: np.random.Generator, h: float, n_steps: int) -> np.ndarray:
-    w = np.zeros(n_steps + 1)
-    if n_steps & (n_steps - 1) == 0:
-        # Levy construction: endpoint first, then per level all midpoints
-        # left to right; coarse levels draw first, so a refinement consumes
-        # the same stream prefix and reproduces the coarse grid exactly.
-        w[n_steps] = np.sqrt(h) * rng.standard_normal()
-        span = n_steps
-        while span > 1:
-            half = span // 2
-            scale = np.sqrt((span / n_steps) * h / 4.0)
-            mids = np.arange(half, n_steps, span)
-            z = rng.standard_normal(mids.size)
-            w[mids] = 0.5 * (w[mids - half] + w[mids + half]) + scale * z
-            span = half
-    else:
-        dw = np.sqrt(h / n_steps) * rng.standard_normal(n_steps)
-        w[1:] = np.cumsum(dw)
-    return w
+def _sample_wiener_rows(out: np.ndarray, h: float, seeds) -> None:
+    """Fill ``out`` (P, N + 1) with Wiener paths over [0, h], row i drawn
+    from ``SeedSequence(seeds[i])``.  Levy construction for power-of-two N:
+    the endpoint first, then per level all midpoints left to right; coarse
+    levels come first in the stream, so a refinement reproduces the coarse
+    grid exactly."""
+    n_steps = out.shape[1] - 1
+    _check_grid(h, n_steps)
+    for start in range(0, len(seeds), _CHUNK):
+        w = out[start:start + _CHUNK]
+        zc = np.empty((len(w), n_steps))
+        for row, seed in zip(zc, seeds[start:start + _CHUNK]):
+            np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(out=row)
+        w[:, 0] = 0.0
+        if n_steps & (n_steps - 1) == 0:
+            w[:, n_steps] = np.sqrt(h) * zc[:, 0]
+            span, pos = n_steps, 1
+            while span > 1:
+                # 0.5 * (left + right) + scale * z, computed in place
+                half, count = span // 2, n_steps // span
+                mids, z = w[:, half::span], zc[:, pos:pos + count]
+                np.add(w[:, :n_steps - half:span], w[:, span::span], out=mids)
+                mids *= 0.5
+                z *= np.sqrt((span / n_steps) * h / 4.0)
+                mids += z
+                span, pos = half, pos + count
+        else:
+            w[:, 1:] = np.cumsum(np.sqrt(h / n_steps) * zc, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,40 +156,52 @@ def eval_weight(expr: WeightExpr, path: PathGrid, interp: str = STRATONOVICH) ->
     if missing:
         raise ColorMissing(f"path carries {path.n_colors} colors, "
                            f"expression needs {sorted(missing)}")
-    total = 0.0
+    return _eval_rows(expr, path.times, path.values[1:, None, :], interp)[0]
+
+
+def _eval_rows(expr: WeightExpr, times: np.ndarray, w: np.ndarray,
+               interp: str) -> np.ndarray:
+    """Values of the expression on the paths ``w`` (M, P, N + 1), color m in
+    ``w[m - 1]``, over the time grid ``times`` (N + 1,)."""
+    total = np.zeros(w.shape[1])
     for coeff, mono in expr.terms:
-        total += float(coeff) * _mono_profile(mono, path, interp)[-1]
+        total += float(coeff) * _mono_profile(mono, times, w, interp)[:, -1]
     return total
 
 
-def _mono_profile(mono: Mono, path: PathGrid, interp: str) -> np.ndarray:
-    """Values of the monomial as a function of the upper limit, on the grid."""
-    out = np.ones(path.n_steps + 1)
+def _mono_profile(mono: Mono, times: np.ndarray, w: np.ndarray,
+                  interp: str) -> np.ndarray:
+    """Values of the monomial as a function of the upper limit, on the grid,
+    one row per path, in a new array.  Integrals are evaluated first, so a
+    nesting holds one array per level; factors multiply in order."""
+    atoms = [(_atom_profile(atom, times, w, interp), p) for atom, p in mono.ints]
+    out = np.ones(w.shape[1:])
     if mono.hpow:
-        out = out * path.times ** mono.hpow
+        out *= times ** mono.hpow
     for m, p in mono.dws:
-        out = out * path.wiener(m) ** p
-    for atom, p in mono.ints:
-        out = out * _atom_profile(atom, path, interp) ** p
+        out *= w[m - 1] if p == 1 else w[m - 1] ** p
+    for a, p in atoms:
+        out *= a if p == 1 else a ** p
     return out
 
 
-def _atom_profile(atom: IntAtom, path: PathGrid, interp: str) -> np.ndarray:
-    f = _mono_profile(atom.integrand, path, interp)
-    out = np.empty(path.n_steps + 1)
-    out[0] = 0.0
-    if atom.color == 0:
-        dt = np.diff(path.times)
-        out[1:] = np.cumsum(0.5 * (f[:-1] + f[1:]) * dt)
+def _atom_profile(atom: IntAtom, times: np.ndarray, w: np.ndarray,
+                  interp: str) -> np.ndarray:
+    f = _mono_profile(atom.integrand, times, w, interp)
+    driver = w[atom.color - 1] if atom.color else times
+    step = driver[..., 1:] - driver[..., :-1]
+    # in place, in the order of 0.5 * (f[:-1] + f[1:]) * step (fewer page faults)
+    if atom.color and interp == ITO and not atom.integrand.is_deterministic:
+        incr = f[:, :-1] * step
     else:
-        dw = path.increments(atom.color)
-        if interp == ITO and not atom.integrand.is_deterministic:
-            out[1:] = np.cumsum(f[:-1] * dw)
-        else:
-            # the calculi agree for deterministic integrands, so both use
-            # the better trapezoidal average there (bitwise identical)
-            out[1:] = np.cumsum(0.5 * (f[:-1] + f[1:]) * dw)
-    return out
+        # the calculi agree for deterministic integrands, so both use
+        # the better trapezoidal average there (bitwise identical)
+        incr = f[:, :-1] + f[:, 1:]
+        incr *= 0.5
+        incr *= step
+    f[:, 0] = 0.0  # f is spent: it takes the running sums
+    np.cumsum(incr, axis=1, out=f[:, 1:])
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +230,20 @@ def mc_moments(expr: WeightExpr, h: float, n_steps: int, n_paths: int,
     of evaluation order; the reduction is numpy's pairwise summation in
     index order, hence bit-reproducible.
     """
+    _check_grid(h, n_steps)
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     interp = normalize_interpretation(interp)
     n_colors = max(expr.colors(), default=0)
     base = _seed_tuple(seed)
+    times = np.linspace(0.0, h, n_steps + 1)
+    w = np.empty((n_colors, _CHUNK, n_steps + 1))
     values = np.empty(n_paths)
-    for idx in range(n_paths):
-        path = sample_path(h, n_steps, n_colors, base + (idx,))
-        values[idx] = eval_weight(expr, path, interp)
+    for start in range(0, n_paths, _CHUNK):
+        idx = range(start, min(start + _CHUNK, n_paths))
+        for m in range(1, n_colors + 1):
+            _sample_wiener_rows(w[m - 1, :len(idx)], h, [base + (i, m) for i in idx])
+        values[idx.start:idx.stop] = _eval_rows(expr, times, w[:, :len(idx)], interp)
     mean = float(np.sum(values) / n_paths)
     if n_paths > 1:
         variance = float(np.sum((values - mean) ** 2) / (n_paths - 1))

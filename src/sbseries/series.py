@@ -23,6 +23,7 @@ from sbseries.forest_ops import split_pairs, subtree_pairs
 from sbseries.trees import (
     FLabel,
     HalfInt,
+    ModelMismatch,
     Tree,
     TreeError,
     TreeModel,
@@ -39,10 +40,6 @@ class EmptyWeightNotOne(TreeError):
 
 class EmptyWeightNotZero(TreeError):
     """An operation requires the empty-tree weight to be identically 0."""
-
-
-class ModelMismatch(TreeError):
-    """Series over different tree models cannot be combined."""
 
 
 @dataclass

@@ -13,13 +13,14 @@ functions of the built-in problems broadcast over it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from sbseries.elementary import SDEProblem
-from sbseries.paths import ITO, PathGrid, normalize_interpretation, sample_path
+from sbseries.paths import ITO, PathGrid, _sample_wiener_rows, normalize_interpretation
 
 
 class SimulationError(Exception):
@@ -88,85 +89,78 @@ def _solve_stage(problem: SDEProblem, sx: np.ndarray, tm: float, h: float,
 
 
 def exponential_midpoint_step(problem: SDEProblem, t: float, h: float,
-                              x: np.ndarray, dw, operators=None) -> np.ndarray:
+                              x: np.ndarray, dw) -> np.ndarray:
     """One step of the exponential midpoint rule from state ``x`` at time
     ``t`` with increment ``dw`` over the step."""
-    if operators is None:
-        operators = midpoint_step_operators(problem, t, h)
-    stage_op, back_op, full_op = operators
+    stage_op, back_op, full_op = midpoint_step_operators(problem, t, h)
     tm = t + 0.5 * h
     stage = _solve_stage(problem, stage_op @ x, tm, h, dw)
     g0, g1 = problem.g[0], problem.g[1]
     return full_op @ x + back_op @ (h * g0(stage, tm) + dw * g1(stage, tm))
 
 
-def integrate_erk(problem: SDEProblem, h: float, n_steps: int, path: PathGrid,
-                  method: str = "midpoint", t0: float | None = None,
-                  operators: list | None = None) -> np.ndarray:
+def _driving_values(problem: SDEProblem, path, step: float, n_steps: int):
+    """Color-1 Wiener values at the step boundaries (a path's row thinned to
+    them, or an array that holds them already), and the initial state for
+    them: (d,) for one row, (d, P) for a batch of P rows."""
+    if isinstance(path, PathGrid):
+        per_step = int(round(path.n_steps * step / path.h))
+        if per_step < 1 or abs(per_step * path.h / path.n_steps - step) > 1e-12 \
+                or per_step * n_steps > path.n_steps:
+            raise SimulationError(f"path grid does not resolve {n_steps} steps of {step}")
+        path = path.wiener(1)[::per_step]
+    x0 = problem.x0_state
+    return path, x0.copy() if path.ndim == 1 else np.repeat(x0[:, None], len(path), axis=1)
+
+
+def integrate_erk(problem: SDEProblem, h: float, n_steps: int, path,
+                  method: str = "midpoint", t0: float | None = None) -> np.ndarray:
     """Trajectory of the method over n_steps of size h along the path.
 
-    Returns an array of shape (n_steps + 1, d) for a single path, or
-    (n_steps + 1, d, P) for a batched state.  The path grid must resolve
-    every step boundary.
+    ``path`` is a PathGrid resolving every step boundary, or the Wiener
+    values at the step boundaries, shaped (n_steps + 1,) or (P, n_steps + 1).
+    Returns an array of shape (n_steps + 1, d), or (n_steps + 1, d, P).
     """
     if method != "midpoint":
         raise SimulationError(f"unknown time-stepping method {method!r}")
     if t0 is None:
         t0 = problem.t0
-    x = problem.x0_state.copy()
-    per_step = int(round(path.n_steps * h / path.h))
-    if per_step < 1 or abs(per_step * path.h / path.n_steps - h) > 1e-12:
-        raise SimulationError(f"path grid does not resolve steps of {h}")
-    w = path.wiener(1)
+    w, x = _driving_values(problem, path, h, n_steps)
     out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
     for k in range(n_steps):
-        t = t0 + k * h
-        dw = w[(k + 1) * per_step] - w[k * per_step]
-        ops = operators[k] if operators is not None else None
-        x = exponential_midpoint_step(problem, t, h, x, dw, ops)
+        dw = w[..., k + 1] - w[..., k]
+        x = exponential_midpoint_step(problem, t0 + k * h, h, x, dw)
         out[k + 1] = x
     return out
 
 
 def reference_solution(problem: SDEProblem, T: float, n_fine: int,
-                       path: PathGrid, t0: float | None = None) -> np.ndarray:
-    """Proxy-exact endpoint state on a shared path: Stratonovich problems
-    use the Heun predictor-corrector, Ito problems Euler-Maruyama."""
+                       path, t0: float | None = None) -> np.ndarray:
+    """Proxy-exact endpoint state, (d,) or (d, P), along a path given as
+    for ``integrate_erk``: Stratonovich problems use the Heun
+    predictor-corrector, Ito problems Euler-Maruyama."""
     if t0 is None:
         t0 = problem.t0
     interp = normalize_interpretation(problem.interpretation)
-    per_step = int(round(path.n_steps * (T / path.h) / n_fine))
-    if per_step < 1 or abs(per_step * n_fine * path.h / path.n_steps - T) > 1e-10:
-        raise SimulationError("path grid does not resolve the fine steps")
     dt = T / n_fine
-    w = path.wiener(1)
+    w, x = _driving_values(problem, path, dt, n_fine)
     g0, g1 = problem.g[0], problem.g[1]
 
     def drift(x, t):
         return problem.a_derivative(0, t) @ x + g0(x, t)
 
-    x = problem.x0_state.copy()
     for k in range(n_fine):
         t = t0 + k * dt
-        dw = w[(k + 1) * per_step] - w[k * per_step]
+        dw = w[..., k + 1] - w[..., k]
+        f, g = drift(x, t), g1(x, t)
         if interp == ITO:
-            x = x + dt * drift(x, t) + dw * g1(x, t)
+            x = x + dt * f + dw * g
         else:
-            pred = x + dt * drift(x, t) + dw * g1(x, t)
-            x = x + 0.5 * dt * (drift(x, t) + drift(pred, t + dt)) \
-                + 0.5 * dw * (g1(x, t) + g1(pred, t + dt))
+            pred = x + dt * f + dw * g
+            x = x + 0.5 * dt * (f + drift(pred, t + dt)) \
+                + 0.5 * dw * (g + g1(pred, t + dt))
     return x
-
-
-def _batched_paths(T: float, n_fine: int, n_paths: int, seed) -> np.ndarray:
-    """Wiener values of shape (n_paths, n_fine + 1), one seeded stream per
-    path so the set is independent of batching."""
-    out = np.empty((n_paths, n_fine + 1))
-    base = seed if isinstance(seed, tuple) else (int(seed),)
-    for idx in range(n_paths):
-        out[idx] = sample_path(T, n_fine, 1, base + (idx,)).wiener(1)
-    return out
 
 
 def ms_order_estimate(problem: SDEProblem, h_values, n_paths: int, T: float,
@@ -175,52 +169,35 @@ def ms_order_estimate(problem: SDEProblem, h_values, n_paths: int, T: float,
     """Empirical mean-square order: RMS endpoint error over shared Brownian
     paths per step size, and the least-squares slope in log2-log2 scale.
 
-    Implementation is batched over paths (state arrays with a trailing
-    path axis); the per-path results equal the one-path-at-a-time ones
-    because every operator in a step is linear in the batch axis.
+    Path p is seeded (seed, p) as in ``sample_path``.  Implementation is
+    batched over paths (state arrays with a trailing path axis); the
+    per-path results equal the one-path-at-a-time ones because every
+    operator in a step is linear in the batch axis.
     """
     if method != "midpoint":
         raise SimulationError(f"unknown time-stepping method {method!r}")
     h_values = list(h_values)
+    if n_paths < 1 or len(h_values) < 2:
+        raise ValueError("a slope needs at least one path and two step sizes")
     if any(h2 >= h1 for h1, h2 in zip(h_values, h_values[1:])):
         raise ValueError("step sizes must be strictly decreasing")
     for h in h_values:
-        if abs(round(T / h) - T / h) > 1e-9 or int(round(T / h)) < 1:
+        if not h > 0 or abs(round(T / h) - T / h) > 1e-9 or int(round(T / h)) < 1:
             raise ValueError(f"step {h} does not divide the horizon {T}")
         if n_fine % int(round(T / h)) != 0:
             raise ValueError(f"fine grid does not refine step {h}")
-    t0 = problem.t0
-    w = _batched_paths(T, n_fine, n_paths, seed)  # (P, n_fine + 1)
-    g0, g1 = problem.g[0], problem.g[1]
-
-    def drift(x, t):
-        return problem.a_derivative(0, t) @ x + g0(x, t)
-
-    # reference: vectorized fine-grid Heun (Stratonovich fixtures)
-    interp = normalize_interpretation(problem.interpretation)
-    dt = T / n_fine
-    x_ref = np.repeat(problem.x0_state[:, None], n_paths, axis=1)
-    for k in range(n_fine):
-        t = t0 + k * dt
-        dw = w[:, k + 1] - w[:, k]
-        if interp == ITO:
-            x_ref = x_ref + dt * drift(x_ref, t) + dw * g1(x_ref, t)
-        else:
-            pred = x_ref + dt * drift(x_ref, t) + dw * g1(x_ref, t)
-            x_ref = x_ref + 0.5 * dt * (drift(x_ref, t) + drift(pred, t + dt)) \
-                + 0.5 * dw * (g1(x_ref, t) + g1(pred, t + dt))
+    base = seed if isinstance(seed, tuple) else (int(seed),)
+    w = np.empty((n_paths, n_fine + 1))
+    _sample_wiener_rows(w, T, [base + (idx, 1) for idx in range(n_paths)])
+    x_ref = reference_solution(problem, T, n_fine, w)
+    # free the fine grid before the trajectories: keep the points steps land on
+    stride = math.gcd(*(n_fine // int(round(T / h)) for h in h_values))
+    w = w[:, ::stride].copy()
 
     rms, stderrs = [], []
     for h in h_values:
         steps = int(round(T / h))
-        per = n_fine // steps
-        operators = [midpoint_step_operators(problem, t0 + k * h, h)
-                     for k in range(steps)]
-        x = np.repeat(problem.x0_state[:, None], n_paths, axis=1)
-        for k in range(steps):
-            dw = w[:, (k + 1) * per] - w[:, k * per]
-            x = exponential_midpoint_step(problem, t0 + k * h, h, x, dw,
-                                          operators[k])
+        x = integrate_erk(problem, h, steps, w[:, ::n_fine // steps // stride])[-1]
         err_sq = np.sum((x - x_ref) ** 2, axis=0)
         mean_sq = float(np.sum(err_sq) / n_paths)
         rms.append(np.sqrt(mean_sq))

@@ -21,6 +21,7 @@ stochastic nodes 1/2, and the empty tree has order 1 by convention.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,10 @@ from functools import lru_cache
 
 class TreeError(Exception):
     """Base class for tree construction/validation errors."""
+
+
+class ModelMismatch(TreeError):
+    """Trees, series or problems of different tree models were combined."""
 
 
 class InvalidLabel(TreeError):
@@ -340,13 +345,8 @@ def alpha(tree: Tree) -> Fraction:
         for child in group:
             rep += 1
             out *= alpha(child)
-        out /= Fraction(_factorial(rep))
+        out /= Fraction(math.factorial(rep))
     return out
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    return 1 if n <= 1 else n * _factorial(n - 1)
 
 
 def child_multiplicities(tree: Tree) -> list[tuple[Tree, int]]:

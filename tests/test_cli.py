@@ -166,6 +166,30 @@ class TestDeterminism:
         assert files[0] == files[1]
 
 
+class TestPinnedOutputs:
+    """Stdout digests recorded before paths were sampled and evaluated in
+    chunks: a step count that is not a power of two, two colors, Ito, a
+    path count that is not a multiple of the chunk size and a ^7 power."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("weights", "mc", "--expr", "Int1[Int1[dW1]]*dW2-1/2*Int0[dW1]",
+          "--h", "0.3", "--N", "100", "--paths", "203", "--seed", "13",
+          "--interp", "ito"),
+         "e1bb9100f39646a54d79789fc6b358ad1b4f59818fb141be091ff7156675414b"),
+        (("weights", "mc", "--expr",
+          "1/3*Int0[Int1[s^4],s]-1/64*dW1^7+Int1[Int1[Int1[dW1]]]",
+          "--h", "0.25", "--N", "256", "--paths", "203", "--seed", "7"),
+         "1d8d3e26dc8ad123b2123831ddf73acc0c8ef631ce3a5c221030e5ff1da49fa5"),
+        (("converge", "--problem", "noncomm-2x2", "--paths", "53", "--seed", "9",
+          "--h-coarse", "3", "--h-fine", "6", "--n-fine", "1024"),
+         "d9fd4efaf5f496b270b349d3f52c26fe6bf025fc6733d63872e4cfb4f2ff0bc7"),
+    ], ids=["mc-ito-two-colors", "mc-stratonovich-deep", "converge"])
+    def test_stdout_digest(self, argv, digest):
+        code, text = run(*argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self):
         assert run("trees", "info", "[0,1]A")[0] == 2
@@ -214,6 +238,27 @@ class TestInputValidation:
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
+    def test_mc_horizon_must_be_finite_and_positive(self, h, capsys):
+        code, text = run("weights", "mc", "--expr", "dW1", "--h", h,
+                         "--N", "4", "--paths", "2", "--seed", "1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--paths", "0"),
+        ("--paths", "2", "--h-coarse", "2", "--h-fine", "2"),
+    ], ids=["paths-zero", "single-step-size"])
+    def test_converge_rejected_with_one_line_error(self, flags, capsys):
+        code, text = run("converge", "--problem", "langevin", "--seed", "1",
+                         "--n-fine", "64", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cap_zero_is_valid(self):
         assert run("trees", "enum", "--cap", "0") == (0, "tree,rho,alpha\n")
 
@@ -232,12 +277,32 @@ CAPS = st.one_of(
 )
 
 
+# Small converge ladders: --n-fine <= 64 and --paths <= 4 keep each call
+# cheap; the exponents and horizons include ones that cannot divide.
+HORIZONS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "0.5",
+                            "1", "2", "x"])
+SMALL_INTS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "6", "x"])
+
+
 @given(cap=CAPS,
        expr=st.lists(st.sampled_from(EXPR_TOKENS), max_size=8).map("".join),
-       paths=st.sampled_from(["-1", "0", "1", "2", "x", ""]))
+       paths=st.sampled_from(["-1", "0", "1", "2", "x", ""]),
+       h=HORIZONS,
+       converge=st.tuples(st.sampled_from(["-1", "0", "1", "4", "x"]),
+                          SMALL_INTS, SMALL_INTS,
+                          st.sampled_from(["-8", "0", "1", "3", "16", "64", "x"]),
+                          HORIZONS))
 @settings(max_examples=60, deadline=None)
-def test_fuzzed_argv_exits_zero_two_or_three(cap, expr, paths):
+def test_fuzzed_argv_exits_zero_two_or_three(cap, expr, paths, h, converge):
     assert run("trees", "enum", "--cap", cap)[0] in (0, 2, 3)
     code, _ = run("weights", "mc", "--expr", expr, "--h", "0.5", "--N", "4",
                   "--paths", paths, "--seed", "1")
+    assert code in (0, 2, 3)
+    code, _ = run("weights", "mc", "--expr", "dW1", "--h", h, "--N", "4",
+                  "--paths", "2", "--seed", "1")
+    assert code in (0, 2, 3)
+    conv_paths, coarse, fine, n_fine, horizon = converge
+    code, _ = run("converge", "--problem", "scalar-semilinear", "--seed", "1",
+                  "--paths", conv_paths, "--h-coarse", coarse, "--h-fine", fine,
+                  "--n-fine", n_fine, "--T", horizon)
     assert code in (0, 2, 3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbseries import expr as E
 from sbseries.expr import parse_expr
@@ -13,6 +15,26 @@ from sbseries.paths import (
     mc_moments,
     sample_path,
 )
+
+
+def _sample_wiener(rng: np.random.Generator, h: float, n_steps: int) -> np.ndarray:
+    """Reference sampler: one Wiener path drawn level by level, as paths were
+    sampled before they were batched."""
+    w = np.zeros(n_steps + 1)
+    if n_steps & (n_steps - 1) == 0:
+        w[n_steps] = np.sqrt(h) * rng.standard_normal()
+        span = n_steps
+        while span > 1:
+            half = span // 2
+            scale = np.sqrt((span / n_steps) * h / 4.0)
+            mids = np.arange(half, n_steps, span)
+            z = rng.standard_normal(mids.size)
+            w[mids] = 0.5 * (w[mids - half] + w[mids + half]) + scale * z
+            span = half
+    else:
+        dw = np.sqrt(h / n_steps) * rng.standard_normal(n_steps)
+        w[1:] = np.cumsum(dw)
+    return w
 
 
 class TestSamplePath:
@@ -62,6 +84,25 @@ class TestSamplePath:
             sample_path(1.0, 0, 1, 1)
         with pytest.raises(ValueError):
             sample_path(-1.0, 4, 1, 1)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_horizon_not_finite_and_positive(self, h):
+        with pytest.raises(ValueError):
+            sample_path(h, 4, 1, 1)
+        with pytest.raises(ValueError):
+            mc_moments(parse_expr("dW1"), h, 4, 2, seed=1)
+
+    @given(h=st.sampled_from([0.25, 0.3, 1.0, 7.5]),
+           n_steps=st.one_of(st.sampled_from([1, 2, 64, 4096]),
+                             st.integers(1, 300)),
+           n_colors=st.integers(0, 3),
+           seed=st.tuples(st.integers(0, 2 ** 32), st.integers(0, 50)))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_level_by_level_oracle(self, h, n_steps, n_colors, seed):
+        path = sample_path(h, n_steps, n_colors, seed)
+        for m in range(1, n_colors + 1):
+            rng = np.random.default_rng(np.random.SeedSequence(seed + (m,)))
+            assert np.array_equal(path.wiener(m), _sample_wiener(rng, h, n_steps))
 
 
 class TestEvalWeight:
@@ -150,3 +191,30 @@ class TestMCMoments:
         a = mc_moments(parse_expr("Int1[s]"), 0.5, 32, 500, "stratonovich", seed=6)
         b = mc_moments(parse_expr("Int1[s]"), 0.5, 32, 500, "stratonovich", seed=6)
         assert a == b
+
+    def test_mc_rejects_bad_grid(self):
+        with pytest.raises(ValueError):
+            mc_moments(parse_expr("dW1"), 0.5, 0, 2, seed=1)
+        with pytest.raises(ValueError):
+            mc_moments(parse_expr("dW1"), 0.5, 4, 0, seed=1)
+
+    @given(text=st.sampled_from([
+               "dW1", "h", "0", "dW1^7 - 1/3*h*dW2", "Int1[dW1]", "Int0[dW1]",
+               "Int1[Int1[dW1]]*dW2 - 1/2*Int0[dW1]", "Int2[s^2] + Int0[Int1[s^4],s]",
+               "Int1[Int1[Int1[Int1[dW1]]]] - 1/64*dW1^7"]),
+           interp=st.sampled_from(["ito", "stratonovich"]),
+           n_paths=st.sampled_from([1, 7, 8, 9, 203]),
+           n_steps=st.sampled_from([1, 8, 37, 64, 100]),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_path_loop(self, text, interp, n_paths, n_steps, seed):
+        expr = parse_expr(text)
+        colors = max(expr.colors(), default=0)
+        values = np.array([
+            eval_weight(expr, sample_path(0.3, n_steps, colors, (seed, i)), interp)
+            for i in range(n_paths)])
+        mean = float(np.sum(values) / n_paths)
+        variance = float(np.sum((values - mean) ** 2) / (n_paths - 1)) \
+            if n_paths > 1 else 0.0
+        stats = mc_moments(expr, 0.3, n_steps, n_paths, interp, seed)
+        assert stats == MCStats(n_paths, mean, variance)

@@ -157,6 +157,26 @@ class TestOrderEstimate:
         with pytest.raises(ValueError):
             ms_order_estimate(prob, [0.3], 10, 1.0, 1)
 
+    def test_needs_a_path_and_two_step_sizes(self):
+        prob = get_problem("scalar-semilinear")
+        with pytest.raises(ValueError):
+            ms_order_estimate(prob, [2 ** -2, 2 ** -3], 0, 1.0, 1, n_fine=64)
+        with pytest.raises(ValueError):
+            ms_order_estimate(prob, [2 ** -2], 4, 1.0, 1, n_fine=64)
+
+    def test_batch_equals_single_paths(self):
+        # the batched reference and stepper give each path's own result
+        prob = get_problem("noncomm-2x2")
+        w = np.array([sample_path(1.0, 64, 1, (3, k)).wiener(1) for k in range(5)])
+        ref = reference_solution(prob, 1.0, 64, w)
+        traj = integrate_erk(prob, 2 ** -3, 8, w[:, ::8])
+        for k in range(5):
+            path = sample_path(1.0, 64, 1, (3, k))
+            assert np.allclose(ref[:, k], reference_solution(prob, 1.0, 64, path),
+                               rtol=0, atol=1e-13)
+            assert np.allclose(traj[-1][:, k], integrate_erk(prob, 2 ** -3, 8, path)[-1],
+                               rtol=0, atol=1e-13)
+
     def test_report_rows(self):
         report = ConvergenceReport((0.5, 0.25), (0.1, 0.05), (0.01, 0.005), 1.0)
         assert report.rows() == [(0.5, 0.1, 0.01), (0.25, 0.05, 0.005)]
