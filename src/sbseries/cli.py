@@ -47,10 +47,8 @@ def _model_from_flags(args) -> T.TreeModel:
             return T.langevin_model()
         raise CLIError("general model requires --model-preset langevin "
                        "(table-driven models are library-level)")
-    if args.model == "nonautonomous":
-        return T.NonAutonomous.from_table(
-            M=args.M, l=args.l, variants={m: 1 for m in range(args.M + 1)})
-    raise CLIError(f"unknown model {args.model!r}")
+    return T.NonAutonomous.from_table(
+        M=args.M, l=args.l, variants={m: 1 for m in range(args.M + 1)})
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,9 +92,7 @@ def cmd_trees(args, out) -> int:
         _write_rows(out, ["tree", "rho", "alpha"],
                     [[format_tree(tree), str(rho(tree)), str(alpha(tree))]])
         return 0
-    if args.tree_cmd == "split":
-        return cmd_split(args, out)
-    raise CLIError(f"unknown trees subcommand {args.tree_cmd!r}")
+    return cmd_split(args, out)
 
 
 def cmd_split(args, out) -> int:
@@ -111,8 +107,6 @@ def cmd_split(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
-    if args.series_cmd != "exact":
-        raise CLIError(f"unknown series subcommand {args.series_cmd!r}")
     model = _model_from_flags(args)
     series = exact_solution_series(model, _order_cap(args.cap))
     rows = [[format_tree(t), str(rho(t)), str(alpha(t)), str(series.weight(t))]
@@ -122,8 +116,6 @@ def cmd_series(args, out) -> int:
 
 
 def cmd_erk(args, out) -> int:
-    if args.erk_cmd != "residuals":
-        raise CLIError(f"unknown erk subcommand {args.erk_cmd!r}")
     method = resolve_method(args.method)
     residuals = order_residuals(method, _order_cap(args.cap))
     rows = []
@@ -139,8 +131,6 @@ def cmd_erk(args, out) -> int:
 
 
 def cmd_weights(args, out) -> int:
-    if args.weights_cmd != "mc":
-        raise CLIError(f"unknown weights subcommand {args.weights_cmd!r}")
     stats = mc_moments(parse_expr(args.expr), args.h, args.N, args.paths,
                        args.interp, args.seed)
     _write_rows(out, ["mean", "variance", "stderr"],
@@ -156,8 +146,7 @@ def cmd_converge(args, out) -> int:
         raise CLIError("--n-fine cannot refine that many step sizes")
     h_values = [2.0 ** -k for k in range(args.h_coarse, args.h_fine + 1)]
     report = ms_order_estimate(problem, h_values, args.paths, args.T,
-                               args.seed, n_fine=args.n_fine,
-                               method=args.method)
+                               args.seed, n_fine=args.n_fine)
     rows = []
     for k, (h, rms_err, se) in enumerate(report.rows()):
         slope = _float_repr(report.slope) if k == len(report.h_values) - 1 else ""
@@ -228,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("converge", help="mean-square convergence study")
     p_conv.add_argument("--problem", required=True, choices=problem_names())
-    p_conv.add_argument("--method", default="midpoint")
+    p_conv.add_argument("--method", default="midpoint", choices=["midpoint"])
     p_conv.add_argument("--paths", type=int, required=True)
     p_conv.add_argument("--seed", type=int, required=True)
     p_conv.add_argument("--T", type=float, default=1.0)
@@ -264,6 +253,9 @@ def main(argv=None, out=None) -> int:
     except (CLIError, TreeError, ExprError, ValueError, KeyError, OSError,
             OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
     except SimulationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

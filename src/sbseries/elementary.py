@@ -38,6 +38,7 @@ from sbseries.trees import (
     TreeError,
     TreeModel,
     WLabel,
+    a_node_children,
     alpha,
 )
 
@@ -233,15 +234,12 @@ def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
         if not problem.is_semilinear:
             raise ModelMismatch(f"{problem.name} has no linear part")
         t = float(x[problem.dim])
-        t_children = sum(1 for c in tau.children if isinstance(c.label, TLabel))
-        others = [c for c in tau.children if not isinstance(c.label, TLabel)]
-        if len(others) > 1:
-            raise ModelMismatch("A-node with more than one non-time child")
-        if others:
-            target = eval_elementary(problem, others[0], x, derivatives)
-        else:
+        times, other = a_node_children(tau.children)
+        if other is None:
             target = x[:problem.dim]
-        return problem.a_derivative(t_children, t) @ target
+        else:
+            target = eval_elementary(problem, other, x, derivatives)
+        return problem.a_derivative(len(times), t) @ target
     if isinstance(label, GLabel):
         q, v, m = 1, 1, label.m
     elif isinstance(label, GeneralLabel):

@@ -21,6 +21,7 @@ from sbseries import expr as ex
 from sbseries.expr import WeightExpr
 from sbseries.forest_ops import split_pairs, subtree_pairs
 from sbseries.trees import (
+    DEFAULT_ENUMERATION_CAP,
     FLabel,
     HalfInt,
     ModelMismatch,
@@ -92,12 +93,11 @@ def exact_weight(tree: Tree) -> WeightExpr:
 
 
 def exact_solution_series(model: TreeModel, order_cap: HalfInt,
-                          cap: int | None = None) -> BSeries:
+                          cap: int = DEFAULT_ENUMERATION_CAP) -> BSeries:
     """Exact-flow weights for every model tree up to the cap, plus the
     adjoined time/Wiener leaf keys of the vertical models."""
-    kwargs = {} if cap is None else {"cap": cap}
     weights: dict[Tree, WeightExpr] = {}
-    for tree in enumerate_trees(model, order_cap, **kwargs):
+    for tree in enumerate_trees(model, order_cap, cap):
         weights[tree] = exact_weight(tree)
     for leaf_tree in model.adjoined_leaves():
         weights[leaf_tree] = exact_weight(leaf_tree)

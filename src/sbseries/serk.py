@@ -9,7 +9,9 @@ differential exactly as the operator series reads.  The numerical weights
 follow the recursion: on A-trees the stage/solution weights are the
 coefficient-series entries; a tree containing coefficient nodes splits
 uniquely into an A-tree prefix and a coefficient-rooted remainder, whose
-children recurse through the stages.
+children recurse through the stages.  The split is found by walking down
+the A-chain: every A-node keeps its time leaves in the prefix and passes
+to its one other child, until a coefficient node roots the remainder.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from fractions import Fraction
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr, parse_expr
-from sbseries.forest_ops import split_pairs
 from sbseries.series import BSeries, exact_weight
 from sbseries.trees import (
     ALabel,
+    DEFAULT_ENUMERATION_CAP,
+    EMPTY,
     GLabel,
     HalfInt,
     SemiLinear,
@@ -32,6 +35,7 @@ from sbseries.trees import (
     T_LEAF,
     Tree,
     TreeError,
+    a_node_children,
     canonicalize,
     enumerate_trees,
     format_tree,
@@ -61,11 +65,11 @@ def is_a_tree(tree: Tree) -> bool:
     return all(is_a_tree(c) for c in tree.children)
 
 
-def semilinear_trees(M: int, rho_max: HalfInt, cap: int | None = None) -> list[Tree]:
+def semilinear_trees(M: int, rho_max: HalfInt,
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> list[Tree]:
     """All semi-linear trees up to the order bound (excluding the bare
     time leaf, which is child-only)."""
-    kwargs = {} if cap is None else {"cap": cap}
-    return enumerate_trees(SemiLinear(M), rho_max, **kwargs)
+    return enumerate_trees(SemiLinear(M), rho_max, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +137,18 @@ class OrderResidual:
 
 def _admissible_split(tau: Tree) -> tuple[Tree, Tree]:
     """The unique (prefix, remainder) split with an A-tree prefix and a
-    coefficient-rooted remainder; raises if none exists, and asserts
-    uniqueness (exercised exhaustively in the tests)."""
-    found = []
-    for pair in split_pairs(tau):
-        delta = pair.remainder[0]
-        if delta.is_empty:
-            continue
-        if isinstance(delta.label, GLabel) and is_a_tree(pair.subtree):
-            found.append((pair.subtree, delta))
-    if not found:
+    coefficient-rooted remainder: a g-rooted tree splits as (empty, tau),
+    an A-node keeps its time leaves and recurses into its other child."""
+    if isinstance(tau.label, GLabel):
+        return EMPTY, tau
+    if not isinstance(tau.label, ALabel):
         raise NoAdmissibleSplit(f"no A-tree/coefficient split for {tau}")
-    if len(found) > 1:
-        raise NoAdmissibleSplit(f"split of {tau} is not unique: {found}")
-    return found[0]
+    times, other = a_node_children(tau.children)
+    if other is None:
+        raise NoAdmissibleSplit(f"no A-tree/coefficient split for {tau}")
+    theta, delta = _admissible_split(other)
+    kept = times if theta.is_empty else times + (theta,)
+    return Tree(tau.label, tuple(sorted(kept, key=tree_key))), delta
 
 
 class _WeightComputer:
@@ -199,7 +201,7 @@ def erk_weight_at(method: ERKMethodSpec, tau: Tree) -> WeightExpr:
 
 
 def erk_weights(method: ERKMethodSpec, rho_max: HalfInt,
-                cap: int | None = None) -> tuple[BSeries, list[BSeries]]:
+                cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[BSeries, list[BSeries]]:
     """Solution and stage weight series over all trees up to the bound.
 
     Both carry the adjoined time-leaf key (solution h, stage c_i h).
@@ -232,7 +234,7 @@ def residual_at(method: ERKMethodSpec, tau: Tree) -> OrderResidual:
 
 
 def order_residuals(method: ERKMethodSpec, rho_max: HalfInt,
-                    cap: int | None = None) -> list[OrderResidual]:
+                    cap: int = DEFAULT_ENUMERATION_CAP) -> list[OrderResidual]:
     """Exact-minus-numerical weights for every tree up to the bound,
     in (order, canonical) order.  Raises :class:`CapUnsupported` beyond
     the method's coefficient cap."""

@@ -114,15 +114,13 @@ def _driving_values(problem: SDEProblem, path, step: float, n_steps: int):
 
 
 def integrate_erk(problem: SDEProblem, h: float, n_steps: int, path,
-                  method: str = "midpoint", t0: float | None = None) -> np.ndarray:
+                  t0: float | None = None) -> np.ndarray:
     """Trajectory of the method over n_steps of size h along the path.
 
     ``path`` is a PathGrid resolving every step boundary, or the Wiener
     values at the step boundaries, shaped (n_steps + 1,) or (P, n_steps + 1).
     Returns an array of shape (n_steps + 1, d), or (n_steps + 1, d, P).
     """
-    if method != "midpoint":
-        raise SimulationError(f"unknown time-stepping method {method!r}")
     if t0 is None:
         t0 = problem.t0
     w, x = _driving_values(problem, path, h, n_steps)
@@ -164,8 +162,7 @@ def reference_solution(problem: SDEProblem, T: float, n_fine: int,
 
 
 def ms_order_estimate(problem: SDEProblem, h_values, n_paths: int, T: float,
-                      seed, n_fine: int = 4096,
-                      method: str = "midpoint") -> ConvergenceReport:
+                      seed, n_fine: int = 4096) -> ConvergenceReport:
     """Empirical mean-square order: RMS endpoint error over shared Brownian
     paths per step size, and the least-squares slope in log2-log2 scale.
 
@@ -174,8 +171,6 @@ def ms_order_estimate(problem: SDEProblem, h_values, n_paths: int, T: float,
     per-path results equal the one-path-at-a-time ones because every
     operator in a step is linear in the batch axis.
     """
-    if method != "midpoint":
-        raise SimulationError(f"unknown time-stepping method {method!r}")
     h_values = list(h_values)
     if n_paths < 1 or len(h_values) < 2:
         raise ValueError("a slope needs at least one path and two step sizes")

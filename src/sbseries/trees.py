@@ -277,6 +277,19 @@ def tree_key(tree: Tree):
     return k
 
 
+def a_node_children(children: tuple[Tree, ...]) -> tuple[tuple[Tree, ...], Tree | None]:
+    """An A-node's time-leaf children and its one other child (None if it
+    has none); raises :class:`SemiLinearArity` on a second other child."""
+    times: list[Tree] = []
+    others: list[Tree] = []
+    for child in children:
+        (times if isinstance(child.label, TLabel) else others).append(child)
+    if len(others) > 1:
+        raise SemiLinearArity(
+            f"A-node with {len(others)} children outside the time family")
+    return tuple(times), others[0] if others else None
+
+
 def _canonical_label(label: NodeLabel) -> NodeLabel:
     # Exactly one spelling of the time leaf survives canonicalization.
     if isinstance(label, WLabel) and label.i == 0:
@@ -303,10 +316,7 @@ def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
         if child.is_empty:
             raise InvalidLabel("the empty tree cannot appear as a child")
     if isinstance(label, ALabel):
-        non_t = [c for c in children if not isinstance(c.label, TLabel)]
-        if len(non_t) > 1:
-            raise SemiLinearArity(
-                f"A-node with {len(non_t)} children outside the time family")
+        a_node_children(children)
     if isinstance(label, (TLabel, WLabel)) and children:
         raise InvalidLabel(f"{label!r} is leaf-only")
     if model is not None:
@@ -496,19 +506,7 @@ def validate_tree(tree: Tree, model: TreeModel) -> None:
     if isinstance(tree.label, (TLabel, WLabel)) and not isinstance(model, GeneralPartitioned):
         # child-only leaves are not members of T themselves
         raise InvalidLabel(f"{tree.label!r} is child-only in this model")
-    _validate_rec(tree, model)
-
-
-def _validate_rec(tree: Tree, model: TreeModel) -> None:
-    model.validate_label(tree.label)
-    if isinstance(tree.label, ALabel):
-        non_t = [c for c in tree.children if not isinstance(c.label, TLabel)]
-        if len(non_t) > 1:
-            raise SemiLinearArity("A-node with more than one non-time child")
-    for child in tree.children:
-        if child.is_empty:
-            raise InvalidLabel("empty tree as child")
-        _validate_rec(child, model)
+    canonicalize(tree, model)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +554,12 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
                     raise CapExceeded(f"more than {cap} trees below order {rho_max}")
                 continue
             for combo in _weighted_multisets(pool_prefix(rem), rem):
-                tree = Tree(label, combo)
                 if isinstance(label, ALabel):
-                    non_t = [c for c in combo if not isinstance(c.label, TLabel)]
-                    if len(non_t) > 1:
+                    try:
+                        a_node_children(combo)
+                    except SemiLinearArity:
                         continue
-                members[b].append(tree)
+                members[b].append(Tree(label, combo))
                 count += 1
                 if count > cap:
                     raise CapExceeded(f"more than {cap} trees below order {rho_max}")

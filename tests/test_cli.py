@@ -190,6 +190,9 @@ class TestPinnedOutputs:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+MC_FLAGS = ("--h", "0.5", "--N", "4", "--paths", "2", "--seed", "1")
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self):
         assert run("trees", "info", "[0,1]A")[0] == 2
@@ -204,6 +207,21 @@ class TestExitCodes:
         assert run("converge", "--problem", "langevin", "--paths", "2",
                    "--seed", "1", "--h-coarse", "3", "--h-fine", "2")[0] == 2
 
+    def test_unknown_converge_method_is_two(self):
+        assert run("converge", "--problem", "langevin", "--paths", "2",
+                   "--seed", "1", "--method", "foo")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("trees", "info", "[" * 1200 + "0" + "]A" * 1200),
+        ("weights", "mc", "--expr", "(" * 1200 + "h" + ")" * 1200) + MC_FLAGS,
+    ], ids=["tree", "expr"])
+    def test_deep_nesting_is_two_with_one_line_error(self, argv, capsys):
+        code, text = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
         import sbseries.cli as cli
         from sbseries.sim import StageDivergence
@@ -215,9 +233,6 @@ class TestExitCodes:
         code, _ = run("converge", "--problem", "scalar-semilinear",
                       "--paths", "2", "--seed", "1")
         assert code == 3
-
-
-MC_FLAGS = ("--h", "0.5", "--N", "4", "--paths", "2", "--seed", "1")
 
 
 class TestInputValidation:
@@ -277,6 +292,15 @@ CAPS = st.one_of(
 )
 
 
+# Tree-string fragments: brackets, separators and the labels of all three
+# families, valid or not.
+TREE_TOKENS = ["[", "]", ",", "0", "1", "2", "A", "t", "W", "()", "f",
+               "g(1,1,0)"]
+# Small order caps (<= 3/2) keep 'series exact' and 'erk residuals' fast.
+SMALL_CAPS = st.sampled_from(["-1", "0", "1/2", "1", "3/2", "0.5", "1/0",
+                              "x"])
+
+
 # Small converge ladders: --n-fine <= 64 and --paths <= 4 keep each call
 # cheap; the exponents and horizons include ones that cannot divide.
 HORIZONS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "0.5",
@@ -291,10 +315,19 @@ SMALL_INTS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "6", "x"])
        converge=st.tuples(st.sampled_from(["-1", "0", "1", "4", "x"]),
                           SMALL_INTS, SMALL_INTS,
                           st.sampled_from(["-8", "0", "1", "3", "16", "64", "x"]),
-                          HORIZONS))
+                          HORIZONS),
+       tree=st.lists(st.sampled_from(TREE_TOKENS), max_size=10).map("".join),
+       small_cap=SMALL_CAPS)
 @settings(max_examples=60, deadline=None)
-def test_fuzzed_argv_exits_zero_two_or_three(cap, expr, paths, h, converge):
+def test_fuzzed_argv_exits_zero_two_or_three(cap, expr, paths, h, converge,
+                                             tree, small_cap):
     assert run("trees", "enum", "--cap", cap)[0] in (0, 2, 3)
+    for argv in (("trees", "info", tree), ("trees", "split", tree),
+                 ("trees", "split", tree, "--full"), ("split", tree)):
+        assert run(*argv)[0] in (0, 2, 3)
+    assert run("series", "exact", "--cap", small_cap)[0] in (0, 2, 3)
+    assert run("erk", "residuals", "--method", "midpoint",
+               "--cap", small_cap)[0] in (0, 2, 3)
     code, _ = run("weights", "mc", "--expr", expr, "--h", "0.5", "--N", "4",
                   "--paths", paths, "--seed", "1")
     assert code in (0, 2, 3)

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from sbseries import expr as E
+from sbseries.elementary import eval_elementary, get_problem
 from sbseries.expr import parse_expr
 from sbseries.forest_ops import split_pairs
 from sbseries.serk import (
     CapUnsupported,
     NoAdmissibleSplit,
+    _admissible_split,
     builtin_exponential_midpoint,
     erk_weight_at,
     erk_weights,
@@ -24,7 +26,20 @@ from sbseries.serk import (
     resolve_method,
     semilinear_trees,
 )
-from sbseries.trees import GLabel, HalfInt, parse_tree, rho
+from sbseries.trees import (
+    ALabel,
+    GLabel,
+    HalfInt,
+    SemiLinear,
+    SemiLinearArity,
+    Tree,
+    canonicalize,
+    g_leaf,
+    parse_tree,
+    rho,
+    tree_key,
+    validate_tree,
+)
 
 EX4 = "[[[t,t]A,0]1,t]A"
 
@@ -56,6 +71,18 @@ class TestSemilinearTrees:
                 stack.extend(node.children)
 
 
+def st_admissible_splits(tau):
+    """Oracle: the decompositions of ST(tau) with an A-tree prefix and a
+    coefficient-rooted single remainder."""
+    return [
+        (p.subtree, p.remainder[0])
+        for p in split_pairs(tau)
+        if not p.remainder[0].is_empty
+        and isinstance(p.remainder[0].label, GLabel)
+        and is_a_tree(p.subtree)
+    ]
+
+
 class TestSplitUniqueness:
     def test_unique_admissible_split_up_to_seven_halves(self):
         # for every tree with coefficient nodes there is exactly one
@@ -64,14 +91,40 @@ class TestSplitUniqueness:
         for tau in semilinear_trees(1, HalfInt(7)):
             if is_a_tree(tau):
                 continue
-            found = [
-                (p.subtree, p.remainder[0])
-                for p in split_pairs(tau)
-                if not p.remainder[0].is_empty
-                and isinstance(p.remainder[0].label, GLabel)
-                and is_a_tree(p.subtree)
-            ]
+            found = st_admissible_splits(tau)
             assert len(found) == 1, str(tau)
+
+    @pytest.mark.parametrize("M,cap", [(1, HalfInt(7)), (2, HalfInt(6))],
+                             ids=["M1-7/2", "M2-3"])
+    def test_a_chain_walk_matches_st_oracle(self, M, cap):
+        checked = 0
+        for tau in semilinear_trees(M, cap):
+            if is_a_tree(tau):
+                continue
+            [(theta, delta)] = st_admissible_splits(tau)
+            got_theta, got_delta = _admissible_split(tau)
+            assert (got_theta, got_delta) == (theta, delta), str(tau)
+            assert hash(got_theta) == hash(theta)
+            assert tree_key(got_theta) == tree_key(theta)
+            checked += 1
+        assert checked == {1: 963, 2: 2923}[M]
+
+    def test_a_trees_have_no_split(self):
+        for ts in ["A", "[t,t]A", "[[t]A]A"]:
+            with pytest.raises(NoAdmissibleSplit):
+                _admissible_split(parse_tree(ts))
+
+
+def test_a_node_arity_violation_raises_one_exception(midpoint):
+    # the raw A-node [0,1]A has two children outside the time family
+    raw = Tree(ALabel(), (g_leaf(0), g_leaf(1)))
+    problem = get_problem("scalar-semilinear")
+    for check in (lambda: canonicalize(raw),
+                  lambda: validate_tree(raw, SemiLinear(1)),
+                  lambda: erk_weight_at(midpoint, raw),
+                  lambda: eval_elementary(problem, raw)):
+        with pytest.raises(SemiLinearArity):
+            check()
 
 
 class TestBuiltinMidpoint:

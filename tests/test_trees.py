@@ -222,6 +222,11 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_trees(T.SemiLinear(1), HalfInt(12), cap=100)
 
+    def test_time_leaf_with_children_is_not_a_member(self):
+        # [[0]t]A: the time leaf is leaf-only
+        raw = Tree(T.ALabel(), (Tree(T.TLabel(), (T.g_leaf(0),)),))
+        assert not T.tree_in_model(raw, T.SemiLinear(1))
+
     def test_every_member_satisfies_model_predicate(self):
         model = T.SemiLinear(2)
         for tree in enumerate_trees(model, HalfInt(5)):
