@@ -40,6 +40,8 @@ class CLIError(Exception):
 
 
 def _model_from_flags(args) -> T.TreeModel:
+    if args.M < 0 or args.l < 0:
+        raise CLIError(f"--M and --l must not be negative, got {args.M} and {args.l}")
     if args.model == "semilinear":
         return T.SemiLinear(args.M)
     if args.model == "general":

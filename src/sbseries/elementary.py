@@ -226,8 +226,7 @@ def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
     x = np.asarray(x, dtype=float)
     label = tau.label
     if isinstance(label, EmptyLabel):
-        return problem.blocks(x)[label.q - 1] if not problem.is_semilinear \
-            else (x[:problem.dim] if label.q == 1 else x[problem.dim:])
+        return problem.blocks(x)[label.q - 1]
     if isinstance(label, (TLabel, WLabel)):
         return np.ones(1)
     if isinstance(label, ALabel):

@@ -58,7 +58,6 @@ class PathGrid:
     h: float
     n_steps: int
     values: np.ndarray  # shape (M + 1, n_steps + 1)
-    seed_record: tuple
 
     @property
     def n_colors(self) -> int:
@@ -81,7 +80,7 @@ class PathGrid:
             raise PathTooShort(f"horizon {h_sub} not on the grid of {self}")
         if k > self.n_steps:
             raise PathTooShort(f"path spans [0, {self.h}], requested {h_sub}")
-        return PathGrid(h_sub, k, self.values[:, :k + 1].copy(), self.seed_record)
+        return PathGrid(h_sub, k, self.values[:, :k + 1].copy())
 
 
 def _seed_tuple(seed) -> tuple:
@@ -111,7 +110,7 @@ def sample_path(h: float, n_steps: int, n_colors: int, seed) -> PathGrid:
     values = np.empty((n_colors + 1, n_steps + 1))
     _sample_wiener_rows(values[1:], h, [base + (m,) for m in range(1, n_colors + 1)])
     values[0] = np.linspace(0.0, h, n_steps + 1)  # the last time is h exactly
-    return PathGrid(h, n_steps, values, base)
+    return PathGrid(h, n_steps, values)
 
 
 def _sample_wiener_rows(out: np.ndarray, h: float, seeds) -> None:

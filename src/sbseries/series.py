@@ -2,6 +2,11 @@
 exact-solution weights, composition, the derivative product, and the
 function-of-a-series expansion.
 
+Composition and the derivative product are one decomposition sum over
+different pair sets (all subtree/remainder pairs, or the single-remainder
+ones); the function expansion walks the same multisets of trees as
+:func:`sbseries.trees.enumerate_trees`.
+
 A B-series here is the data (model, order cap, weight map); the series it
 denotes is the sum over trees of alpha(tree) * weight(tree) * elementary
 differential.  The combinatorial alpha is never folded into the stored
@@ -16,18 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr
-from sbseries.forest_ops import split_pairs, subtree_pairs
+from sbseries.forest_ops import SubtreePair, split_pairs, subtree_pairs
 from sbseries.trees import (
-    DEFAULT_ENUMERATION_CAP,
     FLabel,
     HalfInt,
     ModelMismatch,
     Tree,
     TreeError,
     TreeModel,
+    _weighted_multisets,
     enumerate_trees,
     label_color,
     rho2,
@@ -64,10 +70,6 @@ class BSeries:
     def trees(self) -> list[Tree]:
         return sorted(self.weights, key=tree_key)
 
-    def truncated(self, cap: HalfInt) -> "BSeries":
-        kept = {t: w for t, w in self.weights.items() if rho2(t) <= cap.twice}
-        return BSeries(self.model, cap, kept, self.empty_weight)
-
 
 def identity_weights(model: TreeModel, order_cap: HalfInt) -> BSeries:
     """Weights of the identity map: 1 at the empty tree, 0 elsewhere."""
@@ -92,12 +94,11 @@ def exact_weight(tree: Tree) -> WeightExpr:
     return ex.integral(color, [exact_weight(c) for c in tree.children])
 
 
-def exact_solution_series(model: TreeModel, order_cap: HalfInt,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> BSeries:
+def exact_solution_series(model: TreeModel, order_cap: HalfInt) -> BSeries:
     """Exact-flow weights for every model tree up to the cap, plus the
     adjoined time/Wiener leaf keys of the vertical models."""
     weights: dict[Tree, WeightExpr] = {}
-    for tree in enumerate_trees(model, order_cap, cap):
+    for tree in enumerate_trees(model, order_cap):
         weights[tree] = exact_weight(tree)
     for leaf_tree in model.adjoined_leaves():
         weights[leaf_tree] = exact_weight(leaf_tree)
@@ -134,18 +135,7 @@ def compose(phi_x: BSeries, phi_y: BSeries) -> BSeries:
     _require_same_model(phi_x, phi_y)
     if phi_x.empty_weight != ex.ONE:
         raise EmptyWeightNotOne("composition requires phi_x(empty) = 1")
-    cap = min(phi_x.order_cap, phi_y.order_cap)
-    out: dict[Tree, WeightExpr] = {}
-    for tree in _series_domain(phi_x, phi_y, cap):
-        acc: dict[ex.Mono, Fraction] = {}
-        for pair in subtree_pairs(tree):
-            factors = [phi_y.weight(pair.subtree)]
-            factors.extend(phi_x.weight(delta) for delta in pair.remainder)
-            ex.accumulate(acc, factors, pair.coefficient)
-        total = ex.from_acc(acc)
-        if not total.is_zero:
-            out[tree] = total
-    return BSeries(phi_x.model, cap, out, phi_y.empty_weight)
+    return _decomposition_sum(phi_x, phi_y, subtree_pairs, phi_y.empty_weight)
 
 
 def derivative_product(phi_x: BSeries, phi_y: BSeries) -> BSeries:
@@ -156,18 +146,26 @@ def derivative_product(phi_x: BSeries, phi_y: BSeries) -> BSeries:
     _require_same_model(phi_x, phi_y)
     if not phi_x.empty_weight.is_zero:
         raise EmptyWeightNotZero("derivative product requires phi_x(empty) = 0")
+    return _decomposition_sum(phi_x, phi_y, split_pairs, ex.ZERO)
+
+
+def _decomposition_sum(phi_x: BSeries, phi_y: BSeries,
+                       pairs: Callable[[Tree], list[SubtreePair]],
+                       empty_weight: WeightExpr) -> BSeries:
+    """For every tree up to the smaller cap, the sum over ``pairs(tree)``
+    of gamma * phi_y(theta) * product of phi_x over omega."""
     cap = min(phi_x.order_cap, phi_y.order_cap)
     out: dict[Tree, WeightExpr] = {}
     for tree in _series_domain(phi_x, phi_y, cap):
         acc: dict[ex.Mono, Fraction] = {}
-        for pair in split_pairs(tree):
-            ex.accumulate(acc, (phi_y.weight(pair.subtree),
-                                phi_x.weight(pair.remainder[0])),
-                          pair.coefficient)
+        for pair in pairs(tree):
+            factors = [phi_y.weight(pair.subtree)]
+            factors.extend(phi_x.weight(delta) for delta in pair.remainder)
+            ex.accumulate(acc, factors, pair.coefficient)
         total = ex.from_acc(acc)
         if not total.is_zero:
             out[tree] = total
-    return BSeries(phi_x.model, cap, out, ex.ZERO)
+    return BSeries(phi_x.model, cap, out, empty_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +187,12 @@ def function_series(phi: BSeries, order_cap: HalfInt) -> BSeries:
         raise EmptyWeightNotOne("function expansion requires phi(empty) = 1")
     pool = sorted((t for t in phi.weights if rho2(t) <= order_cap.twice),
                   key=tree_key)
-    weights: dict[Tree, WeightExpr] = {Tree(FLabel()): ex.ONE}
-
-    def extend(start: int, budget: int, acc: list[Tree]):
-        for i in range(start, len(pool)):
-            w = rho2(pool[i])
-            if w > budget:
-                break
-            acc.append(pool[i])
-            tree = Tree(FLabel(), tuple(acc))
-            value = ex.ONE
-            for child in acc:
-                value = value * phi.weight(child)
+    weights: dict[Tree, WeightExpr] = {}
+    for budget in range(order_cap.twice + 1):
+        for children in _weighted_multisets(pool, budget):
+            acc: dict[ex.Mono, Fraction] = {}
+            ex.accumulate(acc, [phi.weight(child) for child in children])
+            value = ex.from_acc(acc)
             if not value.is_zero:
-                weights[tree] = value
-            extend(i, budget - w, acc)
-            acc.pop()
-
-    extend(0, order_cap.twice, [])
+                weights[Tree(FLabel(), children)] = value
     return BSeries(phi.model, order_cap, weights, ex.ZERO)

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr, parse_expr
+from sbseries.paths import eval_weight, sample_path
 from sbseries.series import BSeries, exact_weight
 from sbseries.trees import (
     ALabel,
@@ -100,6 +101,19 @@ class ERKMethodSpec:
     interpretation: str = "stratonovich"
 
     def __post_init__(self):
+        n = self.stages
+        if n < 1:
+            raise ValueError(f"a method needs at least one stage, got {n}")
+        if len(self.c) != n or len(self.Z0) != n:
+            raise ValueError(f"c and Z0 must hold {n} entries each")
+        colors = set(range(self.n_colors + 1))
+        if set(self.Z) != colors or set(self.z) != colors:
+            raise ValueError(f"Z and z must be keyed by the colors 0..{self.n_colors}")
+        for m in sorted(colors):
+            if len(self.Z[m]) != n or any(len(row) != n for row in self.Z[m]):
+                raise ValueError(f"Z[{m}] must be {n} rows of {n} series")
+            if len(self.z[m]) != n:
+                raise ValueError(f"z[{m}] must hold {n} series")
         for i, series in enumerate(self.Z0):
             if series.empty_weight != ex.ONE:
                 raise ValueError(f"Z0[{i}] must have empty weight 1")
@@ -200,8 +214,7 @@ def erk_weight_at(method: ERKMethodSpec, tau: Tree) -> WeightExpr:
     return _WeightComputer(method).weight(None, tau)
 
 
-def erk_weights(method: ERKMethodSpec, rho_max: HalfInt,
-                cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[BSeries, list[BSeries]]:
+def erk_weights(method: ERKMethodSpec, rho_max: HalfInt) -> tuple[BSeries, list[BSeries]]:
     """Solution and stage weight series over all trees up to the bound.
 
     Both carry the adjoined time-leaf key (solution h, stage c_i h).
@@ -214,7 +227,7 @@ def erk_weights(method: ERKMethodSpec, rho_max: HalfInt,
     stage_weights: list[dict[Tree, WeightExpr]] = [
         {T_LEAF: ex.H.scaled(method.c[i])} for i in range(method.stages)]
     targets = [(None, solution_weights)] + list(enumerate(stage_weights))
-    for tau in semilinear_trees(method.n_colors, rho_max, cap=cap):
+    for tau in semilinear_trees(method.n_colors, rho_max):
         for i, weights in targets:
             w = comp.weight(i, tau)
             if not w.is_zero:
@@ -233,15 +246,14 @@ def residual_at(method: ERKMethodSpec, tau: Tree) -> OrderResidual:
     return _residual(_WeightComputer(method), tau)
 
 
-def order_residuals(method: ERKMethodSpec, rho_max: HalfInt,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> list[OrderResidual]:
+def order_residuals(method: ERKMethodSpec, rho_max: HalfInt) -> list[OrderResidual]:
     """Exact-minus-numerical weights for every tree up to the bound,
     in (order, canonical) order.  Raises :class:`CapUnsupported` beyond
     the method's coefficient cap."""
     _require_within_cap(method, rho_max)
     comp = _WeightComputer(method)
     return [_residual(comp, tau)
-            for tau in semilinear_trees(method.n_colors, rho_max, cap=cap)]
+            for tau in semilinear_trees(method.n_colors, rho_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +379,30 @@ def method_to_json(method: ERKMethodSpec) -> str:
 
 
 def method_from_json(text: str) -> ERKMethodSpec:
+    """The method of a JSON document; a document of the wrong shape raises
+    ValueError (a missing field KeyError)."""
     data = json.loads(text)
-    cap = HalfInt.parse(data["cap"])
-    colors = int(data["colors"])
-    model = SemiLinear(colors)
-    return ERKMethodSpec(
-        name=data.get("name", "unnamed"),
-        stages=int(data["stages"]),
-        c=tuple(Fraction(ci) for ci in data["c"]),
-        n_colors=colors,
-        cap=cap,
-        Z0=tuple(_series_from_json(s, model, cap) for s in data["Z0"]),
-        Z={int(m): tuple(tuple(_series_from_json(s, model, cap) for s in row)
-                         for row in rows)
-           for m, rows in data["Z"].items()},
-        z0=_series_from_json(data["z0"], model, cap),
-        z={int(m): tuple(_series_from_json(s, model, cap) for s in row)
-           for m, row in data["z"].items()},
-        interpretation=data.get("interpretation", "stratonovich"),
-    )
+    try:
+        cap = HalfInt.parse(data["cap"])
+        colors = int(data["colors"])
+        model = SemiLinear(colors)
+        return ERKMethodSpec(
+            name=data.get("name", "unnamed"),
+            stages=int(data["stages"]),
+            c=tuple(Fraction(ci) for ci in data["c"]),
+            n_colors=colors,
+            cap=cap,
+            Z0=tuple(_series_from_json(s, model, cap) for s in data["Z0"]),
+            Z={int(m): tuple(tuple(_series_from_json(s, model, cap) for s in row)
+                             for row in rows)
+               for m, rows in data["Z"].items()},
+            z0=_series_from_json(data["z0"], model, cap),
+            z={int(m): tuple(_series_from_json(s, model, cap) for s in row)
+               for m, row in data["z"].items()},
+            interpretation=data.get("interpretation", "stratonovich"),
+        )
+    except (TypeError, AttributeError, ZeroDivisionError) as err:
+        raise ValueError(f"malformed method file: {err}") from err
 
 
 def resolve_method(spec: str) -> ERKMethodSpec:
@@ -396,10 +413,14 @@ def resolve_method(spec: str) -> ERKMethodSpec:
         return method_from_json(fh.read())
 
 
-def residual_is_pathwise_zero(residual: WeightExpr, interp: str = "stratonovich",
-                              h: float = 0.5, n_steps: int = 64,
-                              n_probe: int = 8, seed: int = 2026,
-                              tol: float = 1e-10) -> bool:
+_PROBE_PATHS = 8
+_PROBE_SEED = 2026
+_PROBE_H = 0.5
+_PROBE_STEPS = 64
+_PROBE_TOL = 1e-10
+
+
+def residual_is_pathwise_zero(residual: WeightExpr, interp: str = "stratonovich") -> bool:
     """Certify that a residual vanishes as a random variable under the given
     interpretation by evaluating it on a fixed set of probe paths.
 
@@ -411,11 +432,9 @@ def residual_is_pathwise_zero(residual: WeightExpr, interp: str = "stratonovich"
     """
     if residual.is_zero:
         return True
-    from sbseries.paths import eval_weight, sample_path
-
     colors = max(residual.colors(), default=0)
-    for k in range(n_probe):
-        path = sample_path(h, n_steps, max(colors, 1), (seed, k))
-        if abs(eval_weight(residual, path, interp)) > tol:
+    for k in range(_PROBE_PATHS):
+        path = sample_path(_PROBE_H, _PROBE_STEPS, max(colors, 1), (_PROBE_SEED, k))
+        if abs(eval_weight(residual, path, interp)) > _PROBE_TOL:
             return False
     return True

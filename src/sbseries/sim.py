@@ -20,7 +20,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from sbseries.elementary import SDEProblem
-from sbseries.paths import ITO, PathGrid, _sample_wiener_rows, normalize_interpretation
+from sbseries.paths import (
+    ITO,
+    PathGrid,
+    _sample_wiener_rows,
+    _seed_tuple,
+    normalize_interpretation,
+)
 
 
 class SimulationError(Exception):
@@ -61,20 +67,24 @@ def midpoint_step_operators(problem: SDEProblem, t: float, h: float):
     return stage, back, full
 
 
+_STAGE_TOL = 1e-12
+_STAGE_MAX_ITER = 100
+
+
 def _solve_stage(problem: SDEProblem, sx: np.ndarray, tm: float, h: float,
-                 dw, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+                 dw) -> np.ndarray:
     """Damped fixed-point solve of the implicit midpoint stage."""
     g0, g1 = problem.g[0], problem.g[1]
     damping = 1.0
     state = sx
     prev_delta = np.inf
     stalls = 0
-    for _ in range(max_iter):
+    for _ in range(_STAGE_MAX_ITER):
         proposal = sx + 0.5 * h * g0(state, tm) + 0.5 * dw * g1(state, tm)
         new = state + damping * (proposal - state)
         delta = float(np.max(np.abs(new - state)))
         state = new
-        if delta <= tol * (1.0 + float(np.max(np.abs(state)))):
+        if delta <= _STAGE_TOL * (1.0 + float(np.max(np.abs(state)))):
             return state
         if delta > prev_delta:
             stalls += 1
@@ -181,7 +191,7 @@ def ms_order_estimate(problem: SDEProblem, h_values, n_paths: int, T: float,
             raise ValueError(f"step {h} does not divide the horizon {T}")
         if n_fine % int(round(T / h)) != 0:
             raise ValueError(f"fine grid does not refine step {h}")
-    base = seed if isinstance(seed, tuple) else (int(seed),)
+    base = _seed_tuple(seed)
     w = np.empty((n_paths, n_fine + 1))
     _sample_wiener_rows(w, T, [base + (idx, 1) for idx in range(n_paths)])
     x_ref = reference_solution(problem, T, n_fine, w)

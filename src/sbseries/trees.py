@@ -20,6 +20,7 @@ stochastic nodes 1/2, and the empty tree has order 1 by convention.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -64,10 +65,6 @@ class HalfInt:
     twice: int
 
     @classmethod
-    def whole(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
-    @classmethod
     def parse(cls, text: str) -> "HalfInt":
         """Accepts '3', '3.5', '7/2'."""
         text = text.strip()
@@ -81,19 +78,6 @@ class HalfInt:
         if frac.denominator not in (1, 2):
             raise ValueError(f"not a half-integer: {text!r}")
         return cls(int(frac * 2))
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -235,15 +219,6 @@ class Tree:
         return format_tree(self)
 
 
-def leaf(label: NodeLabel) -> Tree:
-    return Tree(label)
-
-
-def node(children, label: NodeLabel) -> Tree:
-    """Bracket term: join the given children to a common root."""
-    return canonicalize(Tree(label, tuple(children)))
-
-
 EMPTY = Tree(EmptyLabel(1))
 
 
@@ -252,7 +227,6 @@ def empty_tree(q: int = 1) -> Tree:
 
 
 T_LEAF = Tree(TLabel())
-A_LEAF = Tree(ALabel())
 
 
 def g_leaf(m: int) -> Tree:
@@ -261,10 +235,6 @@ def g_leaf(m: int) -> Tree:
 
 def w_leaf(i: int) -> Tree:
     return T_LEAF if i == 0 else Tree(WLabel(i))
-
-
-def general_leaf(q: int, v: int, m: int) -> Tree:
-    return Tree(GeneralLabel(q, v, m))
 
 
 def tree_key(tree: Tree):
@@ -301,27 +271,28 @@ def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
     """Canonical form: children canonicalized and sorted at every node.
 
     Idempotent and invariant under child permutations.  Validates the
-    A-node arity rule always, and label dimensions when ``model`` is given.
+    A-node arity rule always, and that every label is one of
+    :func:`model_labels` when ``model`` is given.
     """
     label = _canonical_label(tree.label)
     if isinstance(label, EmptyLabel):
         if tree.children:
             raise InvalidLabel("the empty tree cannot have children")
-        if model is not None:
-            model.validate_label(label)
-        return tree if label is tree.label else Tree(label)
-    children = tuple(sorted((canonicalize(c, model) for c in tree.children),
-                            key=tree_key))
-    for child in children:
-        if child.is_empty:
-            raise InvalidLabel("the empty tree cannot appear as a child")
-    if isinstance(label, ALabel):
-        a_node_children(children)
-    if isinstance(label, (TLabel, WLabel)) and children:
-        raise InvalidLabel(f"{label!r} is leaf-only")
-    if model is not None:
-        model.validate_label(label)
-    return Tree(label, children)
+        out = tree if label is tree.label else Tree(label)
+    else:
+        children = tuple(sorted((canonicalize(c, model) for c in tree.children),
+                                key=tree_key))
+        for child in children:
+            if child.is_empty:
+                raise InvalidLabel("the empty tree cannot appear as a child")
+        if isinstance(label, ALabel):
+            a_node_children(children)
+        if isinstance(label, (TLabel, WLabel)) and children:
+            raise InvalidLabel(f"{label!r} is leaf-only")
+        out = Tree(label, children)
+    if model is not None and label not in model_labels(model):
+        raise InvalidLabel(f"{label!r} is not a label of {model}")
+    return out
 
 
 def rho2(tree: Tree) -> int:
@@ -359,11 +330,6 @@ def alpha(tree: Tree) -> Fraction:
     return out
 
 
-def child_multiplicities(tree: Tree) -> list[tuple[Tree, int]]:
-    """Distinct children with multiplicities, in canonical order."""
-    return [(child, len(list(g))) for child, g in itertools.groupby(tree.children)]
-
-
 # ---------------------------------------------------------------------------
 # Tree models
 # ---------------------------------------------------------------------------
@@ -390,17 +356,6 @@ class GeneralPartitioned:
             if key == (m, q):
                 return count
         return 0
-
-    def validate_label(self, label: NodeLabel) -> None:
-        if isinstance(label, EmptyLabel):
-            if not 1 <= label.q <= self.Q:
-                raise InvalidLabel(f"empty-tree partition {label.q} out of range")
-            return
-        if not isinstance(label, GeneralLabel):
-            raise InvalidLabel(f"{label!r} is not a general-partitioned label")
-        if not (1 <= label.q <= self.Q and 0 <= label.m <= self.M
-                and 1 <= label.v <= self.variants(label.m, label.q)):
-            raise InvalidLabel(f"label {label!r} out of model range")
 
     def node_labels(self) -> list[NodeLabel]:
         out: list[NodeLabel] = []
@@ -429,22 +384,6 @@ class NonAutonomous:
     def variants_of(self, m: int) -> int:
         return self.nu[m] if 0 <= m <= self.M else 0
 
-    def validate_label(self, label: NodeLabel) -> None:
-        if isinstance(label, EmptyLabel):
-            if label.q != 1:
-                raise InvalidLabel("vertical model has a single empty tree")
-            return
-        if isinstance(label, TLabel):
-            return
-        if isinstance(label, WLabel):
-            if not 1 <= label.i <= self.l:
-                raise InvalidLabel(f"W-index {label.i} out of range")
-            return
-        if not isinstance(label, GeneralLabel) or label.q != 1:
-            raise InvalidLabel(f"{label!r} is not a non-autonomous label")
-        if not (0 <= label.m <= self.M and 1 <= label.v <= self.variants_of(label.m)):
-            raise InvalidLabel(f"label {label!r} out of model range")
-
     def node_labels(self) -> list[NodeLabel]:
         return [GeneralLabel(1, v, m)
                 for m in range(self.M + 1)
@@ -459,17 +398,6 @@ class SemiLinear:
     """Semi-linear family: g-nodes of color 0..M, the A-node, the time leaf."""
 
     M: int
-
-    def validate_label(self, label: NodeLabel) -> None:
-        if isinstance(label, (EmptyLabel, TLabel, ALabel)):
-            if isinstance(label, EmptyLabel) and label.q != 1:
-                raise InvalidLabel("semi-linear model has a single empty tree")
-            return
-        if isinstance(label, GLabel):
-            if not 0 <= label.m <= self.M:
-                raise InvalidLabel(f"g-node color {label.m} out of range")
-            return
-        raise InvalidLabel(f"{label!r} is not a semi-linear label")
 
     def node_labels(self) -> list[NodeLabel]:
         return [GLabel(m) for m in range(self.M + 1)] + [ALabel()]
@@ -491,6 +419,15 @@ def langevin_model() -> GeneralPartitioned:
 
 def model_partitions(model: TreeModel) -> int:
     return model.Q if isinstance(model, GeneralPartitioned) else 1
+
+
+@lru_cache(maxsize=None)
+def model_labels(model: TreeModel) -> frozenset[NodeLabel]:
+    """Every label a tree of the model may carry: the node labels, the
+    adjoined leaves and the empty tree of each partition."""
+    return frozenset([*model.node_labels(),
+                      *(leaf.label for leaf in model.adjoined_leaves()),
+                      *(EmptyLabel(q) for q in range(1, model_partitions(model) + 1))])
 
 
 def tree_in_model(tree: Tree, model: TreeModel) -> bool:
@@ -530,30 +467,14 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
     # Child candidates, kept sorted by tree_key (whose leading component is
     # 2*rho, so a weight bound is a prefix of the pool).
     pool: list[Tree] = sorted(model.adjoined_leaves(), key=tree_key)
-
-    def pool_prefix(max_weight: int) -> list[Tree]:
-        lo, hi = 0, len(pool)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rho2(pool[mid]) <= max_weight:
-                lo = mid + 1
-            else:
-                hi = mid
-        return pool[:lo]
-
+    leaves = [Tree(label) for label in model.node_labels()]
     for b in range(1, budget + 1):
-        for label in model.node_labels():
-            cost = 2 if label_color(label) == 0 else 1
-            rem = b - cost
+        for leaf in leaves:
+            label, rem = leaf.label, b - rho2(leaf)
             if rem < 0:
                 continue
-            if rem == 0:
-                members[b].append(Tree(label))
-                count += 1
-                if count > cap:
-                    raise CapExceeded(f"more than {cap} trees below order {rho_max}")
-                continue
-            for combo in _weighted_multisets(pool_prefix(rem), rem):
+            prefix = pool[:bisect.bisect_right(pool, rem, key=rho2)]
+            for combo in _weighted_multisets(prefix, rem):
                 if isinstance(label, ALabel):
                     try:
                         a_node_children(combo)
@@ -570,7 +491,8 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
 
 
 def _weighted_multisets(pool: list[Tree], budget: int):
-    """Nondecreasing tuples over ``pool`` whose 2*rho weights sum to budget.
+    """Nondecreasing tuples over ``pool`` whose 2*rho weights sum to budget
+    (budget 0 yields the empty tuple).
 
     The pool is sorted by tree_key, whose leading component is the weight,
     so iteration can stop at the first item that no longer fits."""

@@ -113,6 +113,32 @@ class TestErk:
         assert code_file == 0
         assert text_file == text_builtin
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(stages=2),
+        lambda d: d.update(stages=0),
+        lambda d: d.update(stages=-1),
+        lambda d: d.update(c=[]),
+        lambda d: d.update(c=["1/0"]),
+        lambda d: d.update(Z0=[]),
+        lambda d: d.update(Z0=5),
+        lambda d: d.update(colors=0),
+        lambda d: [d],
+    ], ids=["stages-two", "stages-zero", "stages-negative", "c-empty",
+            "c-zero-denominator", "Z0-empty", "Z0-number", "colors-zero",
+            "top-level-list"])
+    def test_malformed_method_file_is_two(self, edit, tmp_path, capsys):
+        import json
+        from sbseries.serk import builtin_exponential_midpoint, method_to_json
+        data = json.loads(method_to_json(builtin_exponential_midpoint()))
+        data = edit(data) or data
+        path = tmp_path / "method.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, text = run("erk", "residuals", "--method", str(path), "--cap", "1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestWeights:
     def test_mc_moments_shape(self):
@@ -244,8 +270,12 @@ class TestInputValidation:
          "--paths", "0", "--seed", "1"),
         ("weights", "mc", "--expr", "h", "--h", "0.5", "--N", "0",
          "--paths", "2", "--seed", "1"),
+        ("trees", "enum", "--M", "-1", "--cap", "1"),
+        ("series", "exact", "--M", "-2", "--cap", "1"),
+        ("trees", "enum", "--model", "nonautonomous", "--l", "-3", "--cap", "1"),
     ], ids=["cap-zero-denominator", "cap-negative", "expr-zero-denominator",
-            "paths-zero", "steps-zero"])
+            "paths-zero", "steps-zero", "colors-negative", "series-colors-negative",
+            "wiener-index-negative"])
     def test_rejected_with_one_line_error(self, argv, capsys):
         code, text = run(*argv)
         err = capsys.readouterr().err
@@ -306,6 +336,8 @@ SMALL_CAPS = st.sampled_from(["-1", "0", "1/2", "1", "3/2", "0.5", "1/0",
 HORIZONS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "0.5",
                             "1", "2", "x"])
 SMALL_INTS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "6", "x"])
+# --M and --l, negative or not numbers included.
+MODEL_SIZES = st.sampled_from(["-2", "-1", "0", "1", "2", "x"])
 
 
 @given(cap=CAPS,
@@ -317,11 +349,18 @@ SMALL_INTS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "6", "x"])
                           st.sampled_from(["-8", "0", "1", "3", "16", "64", "x"]),
                           HORIZONS),
        tree=st.lists(st.sampled_from(TREE_TOKENS), max_size=10).map("".join),
-       small_cap=SMALL_CAPS)
+       small_cap=SMALL_CAPS,
+       model_sizes=st.tuples(MODEL_SIZES, MODEL_SIZES))
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_argv_exits_zero_two_or_three(cap, expr, paths, h, converge,
-                                             tree, small_cap):
+                                             tree, small_cap, model_sizes):
     assert run("trees", "enum", "--cap", cap)[0] in (0, 2, 3)
+    colors, leaves = model_sizes
+    for model in (("semilinear",), ("general", "--model-preset", "langevin"),
+                  ("nonautonomous",)):
+        code, _ = run("trees", "enum", "--cap", "1", "--model", *model,
+                      "--M", colors, "--l", leaves)
+        assert code in (0, 2, 3)
     for argv in (("trees", "info", tree), ("trees", "split", tree),
                  ("trees", "split", tree, "--full"), ("split", tree)):
         assert run(*argv)[0] in (0, 2, 3)

@@ -1,6 +1,7 @@
 """Weight expressions and B-series operations."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -364,3 +365,33 @@ class TestFunctionSeries:
         bad = BSeries(model, HalfInt(4), dict(phi.weights), E.ZERO)
         with pytest.raises(EmptyWeightNotOne):
             function_series(bad, HalfInt(4))
+
+
+def _series_digest(series: BSeries) -> str:
+    text = "".join(f"{T.format_tree(t)},{series.weight(t)}\n" for t in series.trees())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedSeries:
+    """Digests of whole weight maps, recorded before the multiset walk and
+    the decomposition sum were shared between the series operations."""
+
+    @pytest.mark.parametrize("model, cap, n_keys, digest", [
+        (T.SemiLinear(1), HalfInt(5), 196,
+         "2782b64daecbf55a122d4f3c8b47419464f142abd49056545f25e94b7c0e0db8"),
+        (T.langevin_model(), HalfInt(4), 71,
+         "0548d9c08a7ddfa870a7806e238f9de1671e6337003f51da81c33fdd380b58fc"),
+    ], ids=["semilinear", "langevin"])
+    def test_function_series_digest(self, model, cap, n_keys, digest):
+        fs = function_series(exact_solution_series(model, cap), cap)
+        assert len(fs.trees()) == n_keys
+        assert _series_digest(fs) == digest
+
+    def test_derivative_product_digest(self):
+        model = T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1})
+        phi = exact_solution_series(model, HalfInt(6))
+        incr = dataclasses.replace(phi, empty_weight=E.ZERO)
+        out = derivative_product(incr, phi)
+        assert len(out.weights) == 465
+        assert _series_digest(out) == (
+            "cad72caf1538ecbd406a3988f765b4e54c6c95f9d346caee8d3d7fbfc13da8b7")

@@ -254,3 +254,81 @@ class TestSerialization:
             parse_tree(text)
         except (T.ParseError, InvalidLabel, SemiLinearArity):
             pass
+
+
+# The per-model label checks that model_labels replaced, kept as an oracle.
+def _general_partitioned_check(model, label):
+    if isinstance(label, T.EmptyLabel):
+        if not 1 <= label.q <= model.Q:
+            raise InvalidLabel(f"empty-tree partition {label.q} out of range")
+        return
+    if not isinstance(label, T.GeneralLabel):
+        raise InvalidLabel(f"{label!r} is not a general-partitioned label")
+    if not (1 <= label.q <= model.Q and 0 <= label.m <= model.M
+            and 1 <= label.v <= model.variants(label.m, label.q)):
+        raise InvalidLabel(f"label {label!r} out of model range")
+
+
+def _nonautonomous_check(model, label):
+    if isinstance(label, T.EmptyLabel):
+        if label.q != 1:
+            raise InvalidLabel("vertical model has a single empty tree")
+        return
+    if isinstance(label, T.TLabel):
+        return
+    if isinstance(label, T.WLabel):
+        if not 1 <= label.i <= model.l:
+            raise InvalidLabel(f"W-index {label.i} out of range")
+        return
+    if not isinstance(label, T.GeneralLabel) or label.q != 1:
+        raise InvalidLabel(f"{label!r} is not a non-autonomous label")
+    if not (0 <= label.m <= model.M and 1 <= label.v <= model.variants_of(label.m)):
+        raise InvalidLabel(f"label {label!r} out of model range")
+
+
+def _semilinear_check(model, label):
+    if isinstance(label, (T.EmptyLabel, T.TLabel, T.ALabel)):
+        if isinstance(label, T.EmptyLabel) and label.q != 1:
+            raise InvalidLabel("semi-linear model has a single empty tree")
+        return
+    if isinstance(label, T.GLabel):
+        if not 0 <= label.m <= model.M:
+            raise InvalidLabel(f"g-node color {label.m} out of range")
+        return
+    raise InvalidLabel(f"{label!r} is not a semi-linear label")
+
+
+def _oracle_accepts(model, label) -> bool:
+    check = {T.GeneralPartitioned: _general_partitioned_check,
+             T.NonAutonomous: _nonautonomous_check,
+             T.SemiLinear: _semilinear_check}[type(model)]
+    try:
+        check(model, label)
+    except InvalidLabel:
+        return False
+    return True
+
+
+LABEL_GRID = (
+    [T.GeneralLabel(q, v, m) for q in range(4) for v in range(4) for m in range(4)]
+    + [T.GLabel(m) for m in range(-1, 4)]
+    + [T.WLabel(i) for i in range(4)]
+    + [T.EmptyLabel(q) for q in range(4)]
+    + [T.TLabel(), T.ALabel(), T.FLabel()]
+)
+
+
+class TestModelLabels:
+    @pytest.mark.parametrize("model", [
+        T.SemiLinear(1),
+        T.SemiLinear(2),
+        T.langevin_model(),
+        T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1}),
+        T.NonAutonomous.from_table(M=2, l=2, variants={0: 2, 1: 0, 2: 1}),
+        T.GeneralPartitioned.from_table(Q=2, M=1, table={(0, 1): 1, (1, 1): 0,
+                                                         (0, 2): 2}),
+    ], ids=["semilinear", "semilinear-2", "langevin", "nonautonomous",
+            "nonautonomous-zero-variant", "general-zero-variant"])
+    def test_membership_matches_per_model_checks(self, model):
+        for label in LABEL_GRID:
+            assert (label in T.model_labels(model)) == _oracle_accepts(model, label), label
