@@ -104,6 +104,8 @@ class ERKMethodSpec:
         n = self.stages
         if n < 1:
             raise ValueError(f"a method needs at least one stage, got {n}")
+        if self.n_colors < 0:
+            raise ValueError(f"a method needs colors >= 0, got {self.n_colors}")
         if len(self.c) != n or len(self.Z0) != n:
             raise ValueError(f"c and Z0 must hold {n} entries each")
         colors = set(range(self.n_colors + 1))
@@ -355,7 +357,7 @@ def _series_to_json(series: BSeries) -> dict:
 
 
 def _series_from_json(data: dict, model, cap) -> BSeries:
-    weights = {parse_tree(ts): parse_expr(ws)
+    weights = {parse_tree(ts, model): parse_expr(ws)
                for ts, ws in data.get("trees", {}).items()}
     return BSeries(model, cap, weights, parse_expr(data.get("empty", "0")))
 

@@ -12,8 +12,15 @@ Three tree families are supported, selected by a model object:
   linear node ``A`` and the time leaf ``t``.  An ``A``-node may have at
   most one child that is not the time leaf.
 
-Trees are immutable; all operations expect canonical trees (children
-sorted by the total order below) and :func:`canonicalize` produces them.
+Trees are immutable and hash-consed: each distinct (label, children) pair
+is built once and looked up in one intern table, so equality of trees is
+object identity.  The hash is content-derived and deterministic,
+``hash((label, children))``, so a set of trees iterates in the same order
+in every run.  The table holds weak references: a tree that nothing else
+references is freed and leaves the table.
+
+All operations expect canonical trees (children sorted by the total order
+below) and :func:`canonicalize` produces them.
 Tree order ``rho`` is a half-integer: deterministic nodes count 1,
 stochastic nodes 1/2, and the empty tree has order 1 by convention.
 """
@@ -24,6 +31,7 @@ import bisect
 import itertools
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -149,6 +157,7 @@ def label_color(label: NodeLabel) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def label_key(label: NodeLabel) -> tuple[int, int, int, int]:
     if isinstance(label, EmptyLabel):
         return (0, label.q, 0, 0)
@@ -179,33 +188,51 @@ def partition_of(label: NodeLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Tree:
     """Rooted tree; children are held as an ordered tuple.
 
-    Equality is structural; two canonical trees are equal exactly when
-    they represent the same multiset-tree.  Hash and order are cached per
-    instance (trees are immutable), which keeps enumeration of large tree
-    sets close to linear time.
+    Trees are hash-consed: ``Tree(label, children)`` returns the live tree
+    with an equal label and the same children objects when there is one,
+    so equality is identity and two canonical trees are the same object
+    exactly when they represent the same multiset-tree.  The hash is
+    content-derived and deterministic, ``hash((label, children))``, and is
+    computed with ``rho2`` at construction; the order key, the bracket text
+    and the symmetry factor are computed on first use.  The intern table
+    holds weak references, so a tree nothing else holds is freed.  Setting
+    an attribute raises; copies and unpickled trees are the interned tree.
     """
 
-    label: NodeLabel
-    children: tuple["Tree", ...] = ()
+    __slots__ = ("label", "children", "_hash", "_rho2", "_key", "_text",
+                 "_sigma", "__weakref__")
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return (hash(self) == hash(other) and self.label == other.label
-                and self.children == other.children)
+    def __new__(cls, label: NodeLabel, children: tuple["Tree", ...] = ()) -> "Tree":
+        table, forget, own = _INTERN.get(label) or _intern_table(label)
+        ref = table.get(children)
+        tree = ref() if ref is not None else None
+        if tree is None:
+            tree = object.__new__(cls)
+            init = object.__setattr__
+            init(tree, "label", label)
+            init(tree, "children", children)
+            init(tree, "_hash", hash((label, children)))
+            init(tree, "_rho2", own + sum(c._rho2 for c in children))
+            ref = table[children] = _Ref(tree, forget)
+            ref.key = children
+        return tree
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.label, self.children))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Tree is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Tree, (self.label, self.children)
+
+    def __repr__(self) -> str:
+        return f"Tree(label={self.label!r}, children={self.children!r})"
 
     @property
     def is_empty(self) -> bool:
@@ -219,11 +246,37 @@ class Tree:
         return format_tree(self)
 
 
+class _Ref(weakref.ref):
+    """Weak reference from an intern table to a tree, keyed by its children
+    (``weakref.KeyedRef`` has a Python-level constructor, about 1 us more
+    per tree built)."""
+
+    __slots__ = ("key",)
+
+
+_INTERN: dict[NodeLabel, tuple] = {}
+
+
+def _intern_table(label: NodeLabel):
+    """The intern table of one label (children tuple -> weak reference to
+    the tree), the callback that drops the entry of a tree that died, and
+    the label's own share of 2*rho."""
+    table: dict[tuple[Tree, ...], _Ref] = {}
+
+    def forget(ref: _Ref) -> None:
+        # a new tree may already hold the key when a callback runs late
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    own = 2 if label_color(label) == 0 else 1
+    return _INTERN.setdefault(label, (table, forget, own))
+
+
 EMPTY = Tree(EmptyLabel(1))
 
 
 def empty_tree(q: int = 1) -> Tree:
-    return EMPTY if q == 1 else Tree(EmptyLabel(q))
+    return Tree(EmptyLabel(q))
 
 
 T_LEAF = Tree(TLabel())
@@ -238,11 +291,10 @@ def w_leaf(i: int) -> Tree:
 
 
 def tree_key(tree: Tree):
-    """Total order key: (2*rho, root label, child keys), cached per instance."""
-    k = tree.__dict__.get("_key")
+    """Total order key: (2*rho, root label, child keys), cached on the tree."""
+    k = getattr(tree, "_key", None)
     if k is None:
-        k = (rho2(tree), label_key(tree.label),
-             tuple(tree_key(c) for c in tree.children))
+        k = (tree._rho2, label_key(tree.label), tuple(map(tree_key, tree.children)))
         object.__setattr__(tree, "_key", k)
     return k
 
@@ -278,7 +330,7 @@ def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
     if isinstance(label, EmptyLabel):
         if tree.children:
             raise InvalidLabel("the empty tree cannot have children")
-        out = tree if label is tree.label else Tree(label)
+        out = Tree(label)
     else:
         children = tuple(sorted((canonicalize(c, model) for c in tree.children),
                                 key=tree_key))
@@ -296,16 +348,8 @@ def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
 
 
 def rho2(tree: Tree) -> int:
-    """Twice the tree order, cached on the instance."""
-    r = tree.__dict__.get("_rho2")
-    if r is None:
-        if tree.is_empty:
-            r = 2
-        else:
-            own = 2 if label_color(tree.label) == 0 else 1
-            r = own + sum(rho2(c) for c in tree.children)
-        object.__setattr__(tree, "_rho2", r)
-    return r
+    """Twice the tree order, set when the tree is built."""
+    return tree._rho2
 
 
 def rho(tree: Tree) -> HalfInt:
@@ -314,20 +358,23 @@ def rho(tree: Tree) -> HalfInt:
     return HalfInt(rho2(tree))
 
 
-@lru_cache(maxsize=None)
+def symmetry(tree: Tree) -> int:
+    """Symmetry factor sigma: the product over nodes of rep! for each run
+    of ``rep`` equal children, cached on the tree."""
+    sigma = getattr(tree, "_sigma", None)
+    if sigma is None:
+        sigma = 1
+        for child, run in itertools.groupby(tree.children):
+            rep = len(list(run))
+            sigma *= math.factorial(rep) * symmetry(child) ** rep
+        object.__setattr__(tree, "_sigma", sigma)
+    return sigma
+
+
 def alpha(tree: Tree) -> Fraction:
-    """Combinatorial coefficient: product over nodes of inverse factorials
-    of the multiplicities of equal child subtrees."""
-    if tree.is_empty or tree.is_leaf:
-        return Fraction(1)
-    out = Fraction(1)
-    for _, group in itertools.groupby(tree.children):
-        rep = 0
-        for child in group:
-            rep += 1
-            out *= alpha(child)
-        out /= Fraction(math.factorial(rep))
-    return out
+    """Combinatorial coefficient 1/sigma: the product over nodes of inverse
+    factorials of the multiplicities of equal child subtrees."""
+    return Fraction(1, symmetry(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +586,14 @@ def format_label(label: NodeLabel) -> str:
 
 
 def format_tree(tree: Tree) -> str:
-    """Bit-exact ASCII bracket form: ``tree := leaf | "[" tree ("," tree)* "]" leaf``."""
-    if tree.is_leaf:
-        return format_label(tree.label)
-    inner = ",".join(format_tree(c) for c in tree.children)
-    return f"[{inner}]{format_label(tree.label)}"
+    """Bit-exact ASCII bracket form: ``tree := leaf | "[" tree ("," tree)* "]" leaf``,
+    cached on the tree."""
+    text = getattr(tree, "_text", None)
+    if text is None:
+        inner = ",".join(map(format_tree, tree.children))
+        text = f"[{inner}]{format_label(tree.label)}" if inner else format_label(tree.label)
+        object.__setattr__(tree, "_text", text)
+    return text
 
 
 _GENERAL_RE = re.compile(r"g\((\d+),(\d+),(\d+)\)")

@@ -123,9 +123,11 @@ class TestErk:
         lambda d: d.update(Z0=5),
         lambda d: d.update(colors=0),
         lambda d: [d],
+        lambda d: d["z0"]["trees"].update({"g(1,1,0)": "h"}),
+        lambda d: d.update(colors=-1, Z={}, z={}),
     ], ids=["stages-two", "stages-zero", "stages-negative", "c-empty",
             "c-zero-denominator", "Z0-empty", "Z0-number", "colors-zero",
-            "top-level-list"])
+            "top-level-list", "key-outside-model", "colors-negative"])
     def test_malformed_method_file_is_two(self, edit, tmp_path, capsys):
         import json
         from sbseries.serk import builtin_exponential_midpoint, method_to_json
@@ -194,8 +196,10 @@ class TestDeterminism:
 
 class TestPinnedOutputs:
     """Stdout digests recorded before paths were sampled and evaluated in
-    chunks: a step count that is not a power of two, two colors, Ito, a
-    path count that is not a multiple of the chunk size and a ^7 power."""
+    chunks (a step count that is not a power of two, two colors, Ito, a
+    path count that is not a multiple of the chunk size and a ^7 power),
+    and before trees were interned (models the benchmark digests do not
+    cover, and a tree with repeated equal subtrees)."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("weights", "mc", "--expr", "Int1[Int1[dW1]]*dW2-1/2*Int0[dW1]",
@@ -209,7 +213,15 @@ class TestPinnedOutputs:
         (("converge", "--problem", "noncomm-2x2", "--paths", "53", "--seed", "9",
           "--h-coarse", "3", "--h-fine", "6", "--n-fine", "1024"),
          "d9fd4efaf5f496b270b349d3f52c26fe6bf025fc6733d63872e4cfb4f2ff0bc7"),
-    ], ids=["mc-ito-two-colors", "mc-stratonovich-deep", "converge"])
+        (("trees", "enum", "--model", "nonautonomous", "--M", "1", "--l", "1",
+          "--cap", "4"),
+         "dc1e0f6145f5f072ac9f12a0af4a58cf4da895b8a9b4fae525b58f800126f825"),
+        (("trees", "split", "--full", "[[1,1]0,[1,1]0]0"),
+         "ec47a16f990a7e96d8399b0d938906c0926729542d908e12e6fba72b33525069"),
+        (("series", "exact", "--model", "semilinear", "--M", "2", "--cap", "3"),
+         "153c646f08ab8da18ed41d931efce043eb0920f761540483fd40eb8d2af1ab30"),
+    ], ids=["mc-ito-two-colors", "mc-stratonovich-deep", "converge",
+            "enum-nonautonomous", "split-repeated-subtrees", "exact-semilinear-2"])
     def test_stdout_digest(self, argv, digest):
         code, text = run(*argv)
         assert code == 0

@@ -1,6 +1,12 @@
-"""Canonical forms, enumeration, and combinatorial coefficients."""
+"""Canonical forms, interning, enumeration, and combinatorial coefficients."""
 
+import copy
+import gc
+import itertools
+import math
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -87,6 +93,104 @@ class TestCanonicalize:
             parse_tree("g(2,1,1)", model)  # nu_{1,2} = 0
 
 
+class _OldHash:
+    """Oracle for the tree hash: hash((label, children)), recomputed
+    recursively on every call."""
+
+    def __init__(self, tree: Tree):
+        self.tree = tree
+
+    def __hash__(self) -> int:
+        return hash((self.tree.label, tuple(map(_OldHash, self.tree.children))))
+
+
+def _raw_semilinear_trees():
+    """Strategy: raw trees of the semi-linear family, children in any order
+    and the time leaf spelled ``t`` or ``W0``."""
+    time_leaf = st.sampled_from([T.T_LEAF, Tree(T.WLabel(0))])
+    g_label = st.sampled_from([T.GLabel(0), T.GLabel(1)])
+
+    def grow(kids):
+        g_node = st.tuples(g_label, st.lists(st.one_of(kids, time_leaf),
+                                             min_size=1, max_size=3))
+        a_node = st.tuples(st.just(T.ALabel()),
+                           st.tuples(st.lists(time_leaf, max_size=2),
+                                     st.lists(kids, max_size=1)).map(lambda p: p[0] + p[1]))
+        return st.one_of(g_node, a_node).map(
+            lambda lc: Tree(lc[0], tuple(lc[1])))
+
+    leaves = st.one_of(g_label.map(Tree), st.just(Tree(T.ALabel())))
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+RAW_SEMILINEAR_TREES = _raw_semilinear_trees()
+
+
+def _respelled(tree: Tree, rng: random.Random) -> Tree:
+    """The same multiset-tree: children shuffled, time leaves re-spelled."""
+    if isinstance(tree.label, (T.TLabel, T.WLabel)):
+        return Tree(rng.choice([T.TLabel(), T.WLabel(0)]))
+    kids = [_respelled(c, rng) for c in tree.children]
+    rng.shuffle(kids)
+    return Tree(tree.label, tuple(kids))
+
+
+class TestInterning:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_identity_iff_equal_key_iff_equal_text(self, data):
+        raw = data.draw(RAW_SEMILINEAR_TREES)
+        if data.draw(st.booleans()):
+            other = _respelled(raw, data.draw(st.randoms(use_true_random=False)))
+        else:
+            other = data.draw(RAW_SEMILINEAR_TREES)
+        a, b = canonicalize(raw), canonicalize(other)
+        same = a is b
+        assert same == (tree_key(a) == tree_key(b))
+        assert same == (format_tree(a) == format_tree(b))
+        assert (a == b) == same
+        for tree in (raw, other, a, b):
+            assert hash(tree) == hash(_OldHash(tree))
+
+    def test_hash_is_the_content_hash(self):
+        for tree in enumerate_trees(T.langevin_model(), HalfInt(6)):
+            assert hash(tree) == hash(_OldHash(tree))
+
+    def test_copies_are_the_interned_tree(self):
+        tree = parse_tree(EX2)
+        assert copy.copy(tree) is tree
+        assert copy.deepcopy(tree) is tree
+        assert copy.deepcopy([tree, tree]) == [tree, tree]
+        assert pickle.loads(pickle.dumps(tree)) is tree
+
+    def test_setting_an_attribute_raises(self):
+        tree = parse_tree(EX4)
+        for name in ("label", "children", "_hash", "_key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tree, name, None)
+        with pytest.raises(AttributeError):
+            del tree.label
+        assert format_tree(tree) == "[t,[0,[t,t]A]1]A"
+
+    def test_repr_is_unchanged(self):
+        assert repr(parse_tree("[t]A")) == (
+            "Tree(label=ALabel(), children=(Tree(label=TLabel(), children=()),))")
+
+    def test_unreferenced_tree_leaves_the_table(self):
+        label = T.GeneralLabel(9, 8, 7)
+        children = (T.g_leaf(3), T.T_LEAF)
+        tree = Tree(label, children)
+        table = T._INTERN[label][0]
+        assert table[children]() is tree
+        ref = weakref.ref(tree)
+        old_hash = hash(tree)
+        del tree
+        gc.collect()
+        assert ref() is None
+        assert children not in table
+        assert hash(Tree(label, children)) == old_hash
+
+
 class TestRho:
     def test_reference_tree_order(self):
         assert rho(parse_tree(EX2)) == HalfInt(13)
@@ -127,6 +231,21 @@ def brute_alpha(tree: Tree) -> Fraction:
     return value
 
 
+def fraction_alpha(tree: Tree) -> Fraction:
+    """Oracle for alpha: a product of Fractions, one inverse factorial per
+    run of equal children."""
+    if tree.is_empty or tree.is_leaf:
+        return Fraction(1)
+    out = Fraction(1)
+    for _, group in itertools.groupby(tree.children):
+        rep = 0
+        for child in group:
+            rep += 1
+            out *= fraction_alpha(child)
+        out /= Fraction(math.factorial(rep))
+    return out
+
+
 class TestAlpha:
     def test_reference_tree_coefficient(self):
         assert alpha(parse_tree(EX2)) == Fraction(1, 2)
@@ -140,6 +259,15 @@ class TestAlpha:
     def test_repeated_children_halve(self):
         assert alpha(parse_tree("[t,t]A")) == Fraction(1, 2)
         assert alpha(parse_tree("[1,1,1]1")) == Fraction(1, 6)
+
+    @pytest.mark.parametrize("model,cap", [
+        (T.SemiLinear(1), HalfInt(8)),
+        (T.langevin_model(), HalfInt(7)),
+        (T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1}), HalfInt(6)),
+    ], ids=["semilinear", "langevin", "nonautonomous"])
+    def test_symmetry_factor_matches_fraction_recursion(self, model, cap):
+        for tree in enumerate_trees(model, cap):
+            assert alpha(tree) == fraction_alpha(tree) == Fraction(1, T.symmetry(tree))
 
     def test_against_multiset_count_oracle(self):
         for tree in enumerate_trees(T.SemiLinear(1), HalfInt(6)):
