@@ -259,6 +259,9 @@ def main(argv=None, out=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"error: input too large for memory: {err}", file=sys.stderr)
+        return 2
     except SimulationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

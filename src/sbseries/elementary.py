@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from sbseries import trees as T
-from sbseries.paths import PathGrid, PathTooShort, eval_weight
+from sbseries.paths import PathGrid, eval_weight
 from sbseries.series import BSeries
 from sbseries.trees import (
     ALabel,
@@ -128,19 +128,8 @@ class SDEProblem:
             return np.asarray(self.A(t), dtype=float)
         if k <= len(self.A_derivs):
             return np.asarray(self.A_derivs[k - 1](t), dtype=float)
-        if k > 3:
-            raise DerivativeOrderUnsupported(
-                "A-derivatives above order 3 need analytic routines")
-        step = _EPS ** (1.0 / (k + 2)) * (1.0 + abs(t))
-        if k == 1:
-            return (self.a_derivative(0, t + step)
-                    - self.a_derivative(0, t - step)) / (2 * step)
-        if k == 2:
-            return (self.a_derivative(0, t + step) - 2 * self.a_derivative(0, t)
-                    + self.a_derivative(0, t - step)) / step ** 2
-        return (self.a_derivative(0, t + 2 * step) - 2 * self.a_derivative(0, t + step)
-                + 2 * self.a_derivative(0, t - step)
-                - self.a_derivative(0, t - 2 * step)) / (2 * step ** 3)
+        return _central_difference(lambda s: np.asarray(self.A(s[0]), dtype=float),
+                                   np.array([t], dtype=float), [np.ones(1)] * k)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +144,32 @@ def _fd_steps(order: int, x: np.ndarray, directions) -> list[float]:
             for u in directions]
 
 
+def _central_difference(fn: Callable, x: np.ndarray, directions) -> np.ndarray:
+    """Mixed central finite difference of ``fn`` at the flat point ``x``
+    along the flat ``directions``; |directions| <= 3."""
+    k = len(directions)
+    if k == 0:
+        return fn(x)
+    if k > 3:
+        raise DerivativeOrderUnsupported(
+            "finite differences support mixed derivatives up to order 3; "
+            "higher orders need analytic routines")
+    eps = _fd_steps(k, x, directions)
+    total = None
+    for signs in np.ndindex(*(2,) * k):
+        s = [1.0 if b == 0 else -1.0 for b in signs]
+        point = x.astype(float).copy()
+        for sj, ej, uj in zip(s, eps, directions):
+            point += sj * ej * uj
+        value = fn(point) * float(np.prod(s))
+        total = value if total is None else total + value
+    return total / float(np.prod([2 * e for e in eps]))
+
+
 def fd_directional(problem: SDEProblem, q: int, v: int, m: int,
                    x: np.ndarray, directions) -> np.ndarray:
     """Mixed central finite difference of the (q, v, m) coefficient along
     the given (partition, vector) directions; |directions| <= 3."""
-    fn = problem.coefficient(q, v, m)
     flat_dirs = []
     for part, vec in directions:
         u = np.zeros_like(problem.x0)
@@ -167,22 +177,7 @@ def fd_directional(problem: SDEProblem, q: int, v: int, m: int,
         vec = np.asarray(vec, dtype=float)
         u[off:off + vec.size] = vec
         flat_dirs.append(u)
-    k = len(flat_dirs)
-    if k == 0:
-        return fn(x)
-    if k > 3:
-        raise DerivativeOrderUnsupported(
-            "finite differences support mixed derivatives up to order 3")
-    eps = _fd_steps(k, x, flat_dirs)
-    total = None
-    for signs in np.ndindex(*(2,) * k):
-        s = [1.0 if b == 0 else -1.0 for b in signs]
-        point = x.astype(float).copy()
-        for sj, ej, uj in zip(s, eps, flat_dirs):
-            point += sj * ej * uj
-        value = fn(point) * float(np.prod(s))
-        total = value if total is None else total + value
-    return total / float(np.prod([2 * e for e in eps]))
+    return _central_difference(problem.coefficient(q, v, m), x, flat_dirs)
 
 
 def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
@@ -195,9 +190,6 @@ def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
                             f"for ({q},{v},{m})")
     if analytic is not None and mode != "fd":
         return np.asarray(analytic(problem.blocks(x), list(directions)), dtype=float)
-    if len(directions) > 3:
-        raise DerivativeOrderUnsupported(
-            "derivative order above 3 requires analytic derivatives")
     return fd_directional(problem, q, v, m, x, directions)
 
 
@@ -256,16 +248,12 @@ def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
 
 
 def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
-                 h: float, path: PathGrid, interp: str | None = None,
-                 derivatives: str = "auto") -> np.ndarray:
+                 h: float, path: PathGrid) -> np.ndarray:
     """Evaluate the truncated series at state ``x`` over one step of size
     ``h``, reading the weight randomness from ``path`` (which must span at
-    least [0, h] on its grid)."""
-    if interp is None:
-        interp = problem.interpretation
-    if path.h < h - 1e-12:
-        raise PathTooShort(f"path spans [0, {path.h}], step needs {h}")
-    step_path = path if abs(path.h - h) < 1e-12 else path.restrict(h)
+    least [0, h] on its grid) in the problem's interpretation."""
+    interp = problem.interpretation
+    step_path = path.restrict(h)
     x = np.asarray(x, dtype=float)
     out = eval_weight(series.empty_weight, step_path, interp) * x
     for tree in series.trees():
@@ -277,7 +265,7 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
             continue
         part = value_partition(problem, tree.label)
         off = problem.block_offset(part)
-        value = eval_elementary(problem, tree, x, derivatives)
+        value = eval_elementary(problem, tree, x)
         out[off:off + value.size] += scale * value
     return out
 

@@ -188,9 +188,13 @@ class WeightExpr:
     def __pow__(self, n: int) -> "WeightExpr":
         if n < 0:
             raise ExprError("negative powers are not defined")
-        out = ONE
-        for _ in range(n):
-            out = out * self
+        out, base = ONE, self
+        while n:  # exponentiation by squaring: exact, so any grouping agrees
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __str__(self) -> str:

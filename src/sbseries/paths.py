@@ -13,6 +13,10 @@ so chunked results equal per-path ones bit for bit.
 Evaluation of an integral atom walks the grid once: color 0 uses the
 trapezoidal rule in time, stochastic colors use left-endpoint sums for the
 Ito interpretation and trapezoidal integrand averaging for Stratonovich.
+
+``MCStats.of`` is the one sample-statistics reduction (mean, unbiased
+variance, standard error) for the Monte-Carlo weight moments here and the
+strong errors of :func:`sbseries.sim.ms_order_estimate`.
 """
 
 from __future__ import annotations
@@ -216,6 +220,15 @@ class MCStats:
     mean: float
     variance: float
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> "MCStats":
+        """Mean and unbiased variance of the samples, each a numpy pairwise
+        sum in index order (zero variance for a single sample)."""
+        n = len(values)
+        mean = float(np.sum(values) / n)
+        variance = float(np.sum((values - mean) ** 2) / (n - 1)) if n > 1 else 0.0
+        return cls(n, mean, variance)
+
     @property
     def stderr(self) -> float:
         return float(np.sqrt(self.variance / self.count))
@@ -243,9 +256,4 @@ def mc_moments(expr: WeightExpr, h: float, n_steps: int, n_paths: int,
         for m in range(1, n_colors + 1):
             _sample_wiener_rows(w[m - 1, :len(idx)], h, [base + (i, m) for i in idx])
         values[idx.start:idx.stop] = _eval_rows(expr, times, w[:, :len(idx)], interp)
-    mean = float(np.sum(values) / n_paths)
-    if n_paths > 1:
-        variance = float(np.sum((values - mean) ** 2) / (n_paths - 1))
-    else:
-        variance = 0.0
-    return MCStats(n_paths, mean, variance)
+    return MCStats.of(values)

@@ -267,52 +267,30 @@ def exp_integral_series(lo: Fraction, hi: Fraction, order: int) -> dict[Tree, We
     """A-tree weights of exp of the integral of the linear part over
     [lo*h, hi*h], expanded to total order ``order`` in h.
 
-    Words in the derivatives of the linear part map to A-tree chains: the
-    innermost letter acts on the state first, a letter with k time
-    arguments is an A-node with k time-leaf children.
+    The integral of the Taylor expansion is the letter sum X = sum_k c_k a_k
+    with c_k = (hi^{k+1} - lo^{k+1}) / (k+1)!, letter a_k (the k-th time
+    derivative of the linear part) carrying h^{k+1}.  In exp(X) = sum_n X^n / n!
+    a word a_{k_1} ... a_{k_n} occurs only in X^n, with the coefficient
+    c_{k_1} ... c_{k_n} / n! and the order sum_i (k_i + 1).  Words map to
+    A-tree chains: the innermost letter acts on the state first, a letter
+    with k time arguments is an A-node with k time-leaf children.  Distinct
+    words give distinct chains, so every chain is stored once.
     """
-    # integral of the Taylor expansion: letter k carries h^{k+1} coefficient
-    letters = {(k,): Fraction(hi ** (k + 1) - lo ** (k + 1), 1) / math.factorial(k + 1)
-               for k in range(order)}
-    letters = {w: c for w, c in letters.items() if sum(w) + len(w) <= order}
-
-    def word_order(word: tuple[int, ...]) -> int:
-        return sum(word) + len(word)
-
-    # exp via powers of the integral, truncated by total order
-    out: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    current = {(): Fraction(1)}
-    n = 0
-    while True:
-        n += 1
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for w1, c1 in current.items():
-            for w2, c2 in letters.items():
-                w = w1 + w2
-                if word_order(w) <= order:
-                    nxt[w] = nxt.get(w, Fraction(0)) + c1 * c2
-        if not nxt:
-            break
-        current = nxt
-        inv_fact = Fraction(1, math.factorial(n))
-        for w, c in nxt.items():
-            out[w] = out.get(w, Fraction(0)) + c * inv_fact
+    letters = [Fraction(hi ** (k + 1) - lo ** (k + 1), 1) / math.factorial(k + 1)
+               for k in range(order)]
     weights: dict[Tree, WeightExpr] = {}
-    for word, coeff in out.items():
-        if not word:
-            continue
-        tree = _word_to_chain(word)
-        expr = ex.h_power(word_order(word), coeff)
-        weights[tree] = weights.get(tree, ex.ZERO) + expr
+
+    def walk(inner: Tree | None, length: int, product: Fraction, used: int) -> None:
+        # prepend one letter as the new root of the chain below it
+        for k, c in enumerate(letters[:order - used]):
+            children = ((inner,) if inner is not None else ()) + (T_LEAF,) * k
+            chain = canonicalize(Tree(ALabel(), children))
+            weights[chain] = ex.h_power(used + k + 1,
+                                        product * c / math.factorial(length + 1))
+            walk(chain, length + 1, product * c, used + k + 1)
+
+    walk(None, 0, Fraction(1), 0)
     return weights
-
-
-def _word_to_chain(word: tuple[int, ...]) -> Tree:
-    tree: Tree | None = None
-    for k in reversed(word):
-        children = ((tree,) if tree is not None else ()) + (T_LEAF,) * k
-        tree = canonicalize(Tree(ALabel(), children))
-    return tree
 
 
 def builtin_exponential_midpoint(cap: HalfInt = HalfInt(7)) -> ERKMethodSpec:

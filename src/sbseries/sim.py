@@ -22,6 +22,7 @@ from scipy.linalg import expm
 from sbseries.elementary import SDEProblem
 from sbseries.paths import (
     ITO,
+    MCStats,
     PathGrid,
     _sample_wiener_rows,
     _seed_tuple,
@@ -123,16 +124,14 @@ def _driving_values(problem: SDEProblem, path, step: float, n_steps: int):
     return path, x0.copy() if path.ndim == 1 else np.repeat(x0[:, None], len(path), axis=1)
 
 
-def integrate_erk(problem: SDEProblem, h: float, n_steps: int, path,
-                  t0: float | None = None) -> np.ndarray:
+def integrate_erk(problem: SDEProblem, h: float, n_steps: int, path) -> np.ndarray:
     """Trajectory of the method over n_steps of size h along the path.
 
     ``path`` is a PathGrid resolving every step boundary, or the Wiener
     values at the step boundaries, shaped (n_steps + 1,) or (P, n_steps + 1).
     Returns an array of shape (n_steps + 1, d), or (n_steps + 1, d, P).
     """
-    if t0 is None:
-        t0 = problem.t0
+    t0 = problem.t0
     w, x = _driving_values(problem, path, h, n_steps)
     out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
@@ -143,13 +142,11 @@ def integrate_erk(problem: SDEProblem, h: float, n_steps: int, path,
     return out
 
 
-def reference_solution(problem: SDEProblem, T: float, n_fine: int,
-                       path, t0: float | None = None) -> np.ndarray:
+def reference_solution(problem: SDEProblem, T: float, n_fine: int, path) -> np.ndarray:
     """Proxy-exact endpoint state, (d,) or (d, P), along a path given as
     for ``integrate_erk``: Stratonovich problems use the Heun
     predictor-corrector, Ito problems Euler-Maruyama."""
-    if t0 is None:
-        t0 = problem.t0
+    t0 = problem.t0
     interp = normalize_interpretation(problem.interpretation)
     dt = T / n_fine
     w, x = _driving_values(problem, path, dt, n_fine)
@@ -203,12 +200,9 @@ def ms_order_estimate(problem: SDEProblem, h_values, n_paths: int, T: float,
     for h in h_values:
         steps = int(round(T / h))
         x = integrate_erk(problem, h, steps, w[:, ::n_fine // steps // stride])[-1]
-        err_sq = np.sum((x - x_ref) ** 2, axis=0)
-        mean_sq = float(np.sum(err_sq) / n_paths)
-        rms.append(np.sqrt(mean_sq))
-        var_sq = float(np.sum((err_sq - mean_sq) ** 2) / max(n_paths - 1, 1))
-        se_sq = np.sqrt(var_sq / n_paths)
-        stderrs.append(0.5 * se_sq / rms[-1] if rms[-1] > 0 else 0.0)
+        err_sq = MCStats.of(np.sum((x - x_ref) ** 2, axis=0))
+        rms.append(np.sqrt(err_sq.mean))
+        stderrs.append(0.5 * err_sq.stderr / rms[-1] if rms[-1] > 0 else 0.0)
     slope = float(np.polyfit(np.log2(h_values), np.log2(rms), 1)[0])
     return ConvergenceReport(tuple(float(h) for h in h_values),
                              tuple(rms), tuple(stderrs), slope)

@@ -509,13 +509,15 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
     budget = rho_max.twice
     if budget < 1:
         return []
-    members: dict[int, list[Tree]] = {b: [] for b in range(1, budget + 1)}
+    levels: list[list[Tree]] = []  # one per half-order, added when reached
     count = 0
     # Child candidates, kept sorted by tree_key (whose leading component is
     # 2*rho, so a weight bound is a prefix of the pool).
     pool: list[Tree] = sorted(model.adjoined_leaves(), key=tree_key)
     leaves = [Tree(label) for label in model.node_labels()]
     for b in range(1, budget + 1):
+        level: list[Tree] = []
+        levels.append(level)
         for leaf in leaves:
             label, rem = leaf.label, b - rho2(leaf)
             if rem < 0:
@@ -527,12 +529,12 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
                         a_node_children(combo)
                     except SemiLinearArity:
                         continue
-                members[b].append(Tree(label, combo))
+                level.append(Tree(label, combo))
                 count += 1
                 if count > cap:
                     raise CapExceeded(f"more than {cap} trees below order {rho_max}")
-        pool = sorted(pool + members[b], key=tree_key)
-    out = [t for b in range(1, budget + 1) for t in members[b]]
+        pool = sorted(pool + level, key=tree_key)
+    out = [t for level in levels for t in level]
     out.sort(key=tree_key)
     return out
 

@@ -272,6 +272,20 @@ class TestExitCodes:
                       "--paths", "2", "--seed", "1")
         assert code == 3
 
+    def test_out_of_memory_is_two_with_one_line_error(self, monkeypatch, capsys):
+        import sbseries.cli as cli
+
+        def boom(*args, **kwargs):
+            raise MemoryError("cannot allocate the path array")
+
+        monkeypatch.setattr(cli, "mc_moments", boom)
+        code, text = run("weights", "mc", "--expr", "dW1", *MC_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: input too large for memory: ")
+        assert err.count("\n") == 1
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("argv", [

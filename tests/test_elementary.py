@@ -112,6 +112,18 @@ class TestElementary:
             b = eval_elementary(no_analytic, parse_tree(ts))
             assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("name", ["noncomm-2x2", "langevin", "scalar-semilinear"])
+    def test_semilinear_fd_matches_analytic_a_to_order_three(self, name):
+        prob = get_problem(name)
+        no_analytic = get_problem(name)
+        no_analytic.A_derivs = ()
+        for ts in ["[t,t,t]A", "[[t]A,t,t]A"]:
+            a = eval_elementary(prob, parse_tree(ts))
+            b = eval_elementary(no_analytic, parse_tree(ts))
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
+        with pytest.raises(DerivativeOrderUnsupported):
+            eval_elementary(no_analytic, parse_tree("[t,t,t,t]A"))
+
     def test_model_mismatch(self, langevin):
         with pytest.raises(ModelMismatch):
             eval_elementary(langevin, parse_tree("A"))

@@ -127,6 +127,18 @@ class TestExprAlgebraProperties:
     def test_display_round_trip(self, a):
         assert parse_expr(str(a)) == a
 
+    @given(_exprs(), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_power_by_squaring_is_the_repeated_product(self, a, n):
+        product = E.ONE
+        for _ in range(n):
+            product = product * a
+        assert a ** n == product
+
+    def test_huge_power_is_fast(self):
+        # squaring needs ~27 products for this exponent, not 10^8
+        assert parse_expr("h^99999999") == E.h_power(99999999)
+
 
 def _fold_sum(products) -> E.WeightExpr:
     """The sum written as the repeated-addition fold the accumulator replaces."""

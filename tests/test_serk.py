@@ -1,6 +1,7 @@
 """Exponential-integrator coefficient series and order-condition residuals."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from sbseries.trees import (
     HalfInt,
     SemiLinear,
     SemiLinearArity,
+    T_LEAF,
     Tree,
     canonicalize,
     g_leaf,
@@ -200,6 +202,51 @@ class TestExpIntegralSeries:
         weights = exp_integral_series(Fraction(1, 2), Fraction(1), 2)
         assert weights[parse_tree("A")] == parse_expr("1/2*h")
         assert weights[parse_tree("[t]A")] == parse_expr("3/8*h^2")
+
+    @pytest.mark.parametrize("lo, hi", [(Fraction(0), Fraction(1, 2)),
+                                        (Fraction(1, 2), Fraction(1)),
+                                        (Fraction(0), Fraction(1)),
+                                        (Fraction(1, 3), Fraction(3, 4))])
+    @pytest.mark.parametrize("order", range(7))
+    def test_closed_form_equals_power_series(self, lo, hi, order):
+        assert exp_integral_series(lo, hi, order) == _power_loop_exp_series(lo, hi, order)
+
+
+def _power_loop_exp_series(lo, hi, order):
+    """Oracle: exp of the letter sum by explicit powers X^n / n!, each word's
+    coefficient accumulated over the powers and merged per chain."""
+    letters = {(k,): Fraction(hi ** (k + 1) - lo ** (k + 1), 1) / math.factorial(k + 1)
+               for k in range(order)}
+
+    def word_order(word):
+        return sum(word) + len(word)
+
+    out = {(): Fraction(1)}
+    current = {(): Fraction(1)}
+    n = 0
+    while True:
+        n += 1
+        nxt = {}
+        for w1, c1 in current.items():
+            for w2, c2 in letters.items():
+                w = w1 + w2
+                if word_order(w) <= order:
+                    nxt[w] = nxt.get(w, Fraction(0)) + c1 * c2
+        if not nxt:
+            break
+        current = nxt
+        for w, c in nxt.items():
+            out[w] = out.get(w, Fraction(0)) + c * Fraction(1, math.factorial(n))
+    weights = {}
+    for word, coeff in out.items():
+        if not word:
+            continue
+        tree = None
+        for k in reversed(word):
+            children = ((tree,) if tree is not None else ()) + (T_LEAF,) * k
+            tree = canonicalize(Tree(ALabel(), children))
+        weights[tree] = weights.get(tree, E.ZERO) + E.h_power(word_order(word), coeff)
+    return weights
 
 
 class TestWeightRecursion:

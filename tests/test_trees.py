@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -349,6 +350,18 @@ class TestEnumeration:
     def test_cap_exceeded_is_loud(self):
         with pytest.raises(CapExceeded):
             enumerate_trees(T.SemiLinear(1), HalfInt(12), cap=100)
+
+    def test_cap_is_reached_before_memory_follows_the_bound(self):
+        # levels are allocated as the enumeration reaches them, so a huge
+        # order bound costs nothing before the cap trips
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                enumerate_trees(T.SemiLinear(1), HalfInt(2_000_000), cap=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
     def test_time_leaf_with_children_is_not_a_member(self):
         # [[0]t]A: the time leaf is leaf-only
