@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "deterministic and identical for any value")
 
     p_conv = sub.add_parser("converge", help="mean-square convergence study")
-    p_conv.add_argument("--problem", required=True, choices=problem_names())
+    p_conv.add_argument("--problem", required=True,
+                        choices=[n for n in problem_names() if get_problem(n).is_semilinear])
     p_conv.add_argument("--method", default="midpoint", choices=["midpoint"])
     p_conv.add_argument("--paths", type=int, required=True)
     p_conv.add_argument("--seed", type=int, required=True)

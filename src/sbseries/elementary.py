@@ -155,13 +155,17 @@ def _central_difference(fn: Callable, x: np.ndarray, directions) -> np.ndarray:
             "finite differences support mixed derivatives up to order 3; "
             "higher orders need analytic routines")
     eps = _fd_steps(k, x, directions)
+    values = {}  # fn at each distinct computed point: repeated directions repeat points
     total = None
     for signs in np.ndindex(*(2,) * k):
         s = [1.0 if b == 0 else -1.0 for b in signs]
         point = x.astype(float).copy()
         for sj, ej, uj in zip(s, eps, directions):
             point += sj * ej * uj
-        value = fn(point) * float(np.prod(s))
+        key = point.tobytes()
+        if key not in values:
+            values[key] = fn(point)
+        value = values[key] * float(np.prod(s))
         total = value if total is None else total + value
     return total / float(np.prod([2 * e for e in eps]))
 
@@ -215,7 +219,21 @@ def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
     """
     if x is None:
         x = problem.x0
-    x = np.asarray(x, dtype=float)
+    return _elementary(problem, tau, np.asarray(x, dtype=float), derivatives, {})
+
+
+def _elementary(problem: SDEProblem, tau: Tree, x: np.ndarray, derivatives: str,
+                memo: dict) -> np.ndarray:
+    """``eval_elementary`` with ``memo`` holding the differentials already
+    evaluated at ``x`` in this call, one per distinct subtree."""
+    value = memo.get(tau)
+    if value is None:
+        value = memo[tau] = _elementary_node(problem, tau, x, derivatives, memo)
+    return value
+
+
+def _elementary_node(problem: SDEProblem, tau: Tree, x: np.ndarray,
+                     derivatives: str, memo: dict) -> np.ndarray:
     label = tau.label
     if isinstance(label, EmptyLabel):
         return problem.blocks(x)[label.q - 1]
@@ -229,7 +247,7 @@ def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
         if other is None:
             target = x[:problem.dim]
         else:
-            target = eval_elementary(problem, other, x, derivatives)
+            target = _elementary(problem, other, x, derivatives, memo)
         return problem.a_derivative(len(times), t) @ target
     if isinstance(label, GLabel):
         q, v, m = 1, 1, label.m
@@ -242,7 +260,7 @@ def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
     if tau.is_leaf:
         return problem.coefficient(q, v, m)(x)
     directions = [(value_partition(problem, c.label),
-                   eval_elementary(problem, c, x, derivatives))
+                   _elementary(problem, c, x, derivatives, memo))
                   for c in tau.children]
     return _directional_derivative(problem, q, v, m, x, directions, derivatives)
 
@@ -256,6 +274,7 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
     step_path = path.restrict(h)
     x = np.asarray(x, dtype=float)
     out = eval_weight(series.empty_weight, step_path, interp) * x
+    memo = {}
     for tree in series.trees():
         weight = series.weight(tree)
         if weight.is_zero:
@@ -265,7 +284,7 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
             continue
         part = value_partition(problem, tree.label)
         off = problem.block_offset(part)
-        value = eval_elementary(problem, tree, x)
+        value = _elementary(problem, tree, x, "auto", memo)
         out[off:off + value.size] += scale * value
     return out
 
@@ -400,11 +419,11 @@ def _make_langevin_semilinear() -> SDEProblem:
 
     def g0(x, t):
         r = x[0]
-        return np.stack([np.zeros_like(r), -np.sin(r) * (1.0 + t)])
+        return np.array([np.zeros_like(r), -np.sin(r) * (1.0 + t)])
 
     def g1(x, t):
         r = x[0]
-        return np.stack([np.zeros_like(r), 0.2 * np.cos(r) * (1.0 + 0.5 * t)])
+        return np.array([np.zeros_like(r), 0.2 * np.cos(r) * (1.0 + 0.5 * t)])
 
     return SDEProblem(
         name="langevin",
@@ -427,11 +446,11 @@ def _make_noncommutative() -> SDEProblem:
     A3 = lambda t: np.zeros((2, 2))
 
     def g0(x, t):
-        return np.stack([0.3 * np.sin(x[1]),
+        return np.array([0.3 * np.sin(x[1]),
                          0.2 * np.cos(x[0]) * (1.0 + 0.25 * t)])
 
     def g1(x, t):
-        return np.stack([0.15 * np.cos(x[0]),
+        return np.array([0.15 * np.cos(x[0]),
                          0.1 * np.sin(x[0] + x[1]) * (1.0 + 0.125 * t)])
 
     return SDEProblem(

@@ -13,6 +13,9 @@ so chunked results equal per-path ones bit for bit.
 Evaluation of an integral atom walks the grid once: color 0 uses the
 trapezoidal rule in time, stochastic colors use left-endpoint sums for the
 Ito interpretation and trapezoidal integrand averaging for Stratonovich.
+Only integrals need the whole grid: the top-level factors of a monomial
+multiply on the endpoint column alone, with the same elementwise
+operations, so the value equals the last column of the full profile.
 
 ``MCStats.of`` is the one sample-statistics reduction (mean, unbiased
 variance, standard error) for the Monte-Carlo weight moments here and the
@@ -165,10 +168,16 @@ def eval_weight(expr: WeightExpr, path: PathGrid, interp: str = STRATONOVICH) ->
 def _eval_rows(expr: WeightExpr, times: np.ndarray, w: np.ndarray,
                interp: str) -> np.ndarray:
     """Values of the expression on the paths ``w`` (M, P, N + 1), color m in
-    ``w[m - 1]``, over the time grid ``times`` (N + 1,)."""
+    ``w[m - 1]``, over the time grid ``times`` (N + 1,).
+
+    Only the integrals need the whole grid; the top-level factors of each
+    monomial multiply on the last column alone, as (P, 1) arrays (numpy's
+    elementwise ``**`` gives the same bits at any array length, its scalar
+    ``**`` does not)."""
     total = np.zeros(w.shape[1])
     for coeff, mono in expr.terms:
-        total += float(coeff) * _mono_profile(mono, times, w, interp)[:, -1]
+        atoms = [_atom_profile(atom, times, w, interp)[:, -1:] for atom, _ in mono.ints]
+        total += float(coeff) * _product(mono, times[-1:], w[..., -1:], atoms)[:, 0]
     return total
 
 
@@ -176,14 +185,20 @@ def _mono_profile(mono: Mono, times: np.ndarray, w: np.ndarray,
                   interp: str) -> np.ndarray:
     """Values of the monomial as a function of the upper limit, on the grid,
     one row per path, in a new array.  Integrals are evaluated first, so a
-    nesting holds one array per level; factors multiply in order."""
-    atoms = [(_atom_profile(atom, times, w, interp), p) for atom, p in mono.ints]
+    nesting holds one array per level."""
+    atoms = [_atom_profile(atom, times, w, interp) for atom, _ in mono.ints]
+    return _product(mono, times, w, atoms)
+
+
+def _product(mono: Mono, times: np.ndarray, w: np.ndarray, atoms) -> np.ndarray:
+    """The monomial's factors multiplied in order, on the columns of ``times``
+    and ``w``, with ``atoms`` the profiles of its integrals there."""
     out = np.ones(w.shape[1:])
     if mono.hpow:
         out *= times ** mono.hpow
     for m, p in mono.dws:
         out *= w[m - 1] if p == 1 else w[m - 1] ** p
-    for a, p in atoms:
+    for a, (_, p) in zip(atoms, mono.ints):
         out *= a if p == 1 else a ** p
     return out
 

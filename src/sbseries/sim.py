@@ -7,8 +7,11 @@ step: the integral of the linear part over each sub-interval is computed
 by Simpson quadrature (exact for the polynomial fixtures) and exponentiated
 by scaling-and-squaring.  The exponentials depend only on (t, h), never on
 the path, so one ladder of step sizes shares them across all Monte-Carlo
-paths.  State arrays may carry a trailing batch axis; coefficient
-functions of the built-in problems broadcast over it.
+paths.  The linear part A is evaluated once per distinct float time: the
+three Simpson rules of a step share their nodes, and the Heun reference
+reuses its corrector's A(t + dt) as the next step's A(t) when the two
+times are the same float.  State arrays may carry a trailing batch axis;
+coefficient functions of the built-in problems broadcast over it.
 """
 
 from __future__ import annotations
@@ -53,18 +56,24 @@ class ConvergenceReport:
         return list(zip(self.h_values, self.rms_errors, self.stderrs))
 
 
-def _simpson_integral_A(problem: SDEProblem, a: float, b: float) -> np.ndarray:
-    fa = problem.a_derivative(0, a)
-    fm = problem.a_derivative(0, 0.5 * (a + b))
-    fb = problem.a_derivative(0, b)
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
 def midpoint_step_operators(problem: SDEProblem, t: float, h: float):
-    """(stage, back, full) exponentials for one step from t to t + h."""
-    stage = expm(_simpson_integral_A(problem, t, t + 0.5 * h))
-    back = expm(_simpson_integral_A(problem, t + 0.5 * h, t + h))
-    full = expm(_simpson_integral_A(problem, t, t + h))
+    """(stage, back, full) exponentials for one step from t to t + h.
+
+    The three Simpson rules share nodes; A is evaluated once per distinct
+    float time among them."""
+    values = {}
+
+    def A(s):
+        if s not in values:
+            values[s] = problem.a_derivative(0, s)
+        return values[s]
+
+    def simpson(a, b):
+        return (b - a) / 6.0 * (A(a) + 4.0 * A(0.5 * (a + b)) + A(b))
+
+    stage = expm(simpson(t, t + 0.5 * h))
+    back = expm(simpson(t + 0.5 * h, t + h))
+    full = expm(simpson(t, t + h))
     return stage, back, full
 
 
@@ -120,6 +129,8 @@ def _driving_values(problem: SDEProblem, path, step: float, n_steps: int):
                 or per_step * n_steps > path.n_steps:
             raise SimulationError(f"path grid does not resolve {n_steps} steps of {step}")
         path = path.wiener(1)[::per_step]
+    elif path.shape[-1] < n_steps + 1:
+        raise SimulationError(f"{path.shape[-1]} Wiener values do not span {n_steps} steps")
     x0 = problem.x0_state
     return path, x0.copy() if path.ndim == 1 else np.repeat(x0[:, None], len(path), axis=1)
 
@@ -152,19 +163,25 @@ def reference_solution(problem: SDEProblem, T: float, n_fine: int, path) -> np.n
     w, x = _driving_values(problem, path, dt, n_fine)
     g0, g1 = problem.g[0], problem.g[1]
 
-    def drift(x, t):
-        return problem.a_derivative(0, t) @ x + g0(x, t)
+    def drift(a, x, t):
+        return a @ x + g0(x, t)
 
+    # the corrector's A(t + dt) is the next step's A(t) whenever the two
+    # float times are equal
+    t_end, a_end = None, None
     for k in range(n_fine):
         t = t0 + k * dt
+        a = a_end if t == t_end else problem.a_derivative(0, t)
         dw = w[..., k + 1] - w[..., k]
-        f, g = drift(x, t), g1(x, t)
+        f, g = drift(a, x, t), g1(x, t)
         if interp == ITO:
             x = x + dt * f + dw * g
         else:
             pred = x + dt * f + dw * g
-            x = x + 0.5 * dt * (f + drift(pred, t + dt)) \
-                + 0.5 * dw * (g + g1(pred, t + dt))
+            t_end = t + dt
+            a_end = problem.a_derivative(0, t_end)
+            x = x + 0.5 * dt * (f + drift(a_end, pred, t_end)) \
+                + 0.5 * dw * (g + g1(pred, t_end))
     return x
 
 

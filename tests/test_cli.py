@@ -241,6 +241,14 @@ class TestExitCodes:
         assert run("converge", "--problem", "nope", "--paths", "2",
                    "--seed", "1")[0] == 2
 
+    @pytest.mark.parametrize("problem", ["langevin-partitioned", "langevin-vdep"])
+    def test_partitioned_problem_is_invalid_choice(self, problem, capsys):
+        code, text = run("converge", "--problem", problem, "--paths", "2",
+                         "--seed", "1")
+        assert code == 2
+        assert text == ""
+        assert "argument --problem: invalid choice" in capsys.readouterr().err
+
     def test_bad_ladder_is_two(self):
         assert run("converge", "--problem", "langevin", "--paths", "2",
                    "--seed", "1", "--h-coarse", "3", "--h-fine", "2")[0] == 2

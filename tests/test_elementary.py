@@ -9,13 +9,16 @@ from sbseries.elementary import (
     DerivativeOrderUnsupported,
     ModelMismatch,
     SDEProblem,
+    _central_difference,
+    _fd_steps,
     eval_bseries,
     eval_elementary,
     fd_directional,
     get_problem,
     problem_names,
+    value_partition,
 )
-from sbseries.paths import sample_path
+from sbseries.paths import eval_weight, sample_path
 from sbseries.series import BSeries, derivative_product, exact_solution_series
 from sbseries.sim import reference_solution
 from sbseries.trees import HalfInt, Tree, empty_tree, enumerate_trees, parse_tree
@@ -135,6 +138,36 @@ class TestElementary:
             eval_elementary(prob, tree, derivatives="fd")
 
 
+class TestCentralDifference:
+    @pytest.mark.parametrize("order, calls", [(1, 2), (2, 3), (3, 4)])
+    def test_repeated_time_direction_evaluates_each_point_once(self, order, calls):
+        prob = get_problem("langevin")
+        prob.A_derivs = ()
+        seen, A = [], prob.A
+        prob.A = lambda t: seen.append(t) or A(t)
+        prob.a_derivative(order, 0.4)
+        assert len(seen) == len(set(seen)) == calls
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_one_evaluation_per_sign_pattern(self, order):
+        fn = lambda p: np.array([np.sin(p[0]) * p[1] ** 3, np.exp(p[0] * p[1])])
+        x = np.array([0.4, -0.7])
+        directions = [np.array([1.0, 0.5]), np.array([1.0, 0.5]), np.array([0.0, 1.0])]
+        directions = directions[:order]
+        got = _central_difference(fn, x, directions)
+        eps = _fd_steps(order, x, directions)
+        total = None
+        for signs in np.ndindex(*(2,) * order):
+            s = [1.0 if b == 0 else -1.0 for b in signs]
+            point = x.copy()
+            for sj, ej, uj in zip(s, eps, directions):
+                point += sj * ej * uj
+            value = fn(point) * float(np.prod(s))
+            total = value if total is None else total + value
+        want = total / float(np.prod([2 * e for e in eps]))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestFDDirectional:
     def test_linear_map_exact(self, langevin):
         # the friction coefficient is linear in the state block
@@ -232,6 +265,51 @@ class TestEvalBSeries:
         path = sample_path(0.25, 32, 1, 2)
         out = eval_bseries(prob, series, prob.x0, 0.25, path)
         assert out[-1] == pytest.approx(prob.t0 + 0.25)
+
+
+    @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2", "scalar-semilinear"])
+    def test_equals_sum_of_per_tree_differentials(self, name):
+        # one differential per distinct subtree changes no bit of the sum
+        prob = get_problem(name)
+        series = exact_solution_series(T.SemiLinear(1), HalfInt(4))
+        h, path = 0.25, sample_path(0.25, 64, 1, (5, 1))
+        step_path = path.restrict(h)
+        want = eval_weight(series.empty_weight, step_path, prob.interpretation) * prob.x0
+        for tree in series.trees():
+            weight = series.weight(tree)
+            if weight.is_zero:
+                continue
+            scale = float(T.alpha(tree)) * eval_weight(weight, step_path,
+                                                       prob.interpretation)
+            if scale == 0.0:
+                continue
+            off = prob.block_offset(value_partition(prob, tree.label))
+            value = eval_elementary(prob, tree, prob.x0)
+            want[off:off + value.size] += scale * value
+        got = eval_bseries(prob, series, prob.x0, h, path)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBuiltinCoefficients:
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["state", "batch"])
+    def test_equal_stacked_components(self, shape):
+        rng = np.random.default_rng(3)
+        r, v, t = rng.standard_normal(shape), rng.standard_normal(shape), 0.7
+        x = np.array([r, v])
+        stacked = {
+            "langevin": (np.stack([np.zeros_like(r), -np.sin(r) * (1.0 + t)]),
+                         np.stack([np.zeros_like(r), 0.2 * np.cos(r) * (1.0 + 0.5 * t)])),
+            "noncomm-2x2": (np.stack([0.3 * np.sin(v),
+                                      0.2 * np.cos(r) * (1.0 + 0.25 * t)]),
+                            np.stack([0.15 * np.cos(r),
+                                      0.1 * np.sin(r + v) * (1.0 + 0.125 * t)])),
+        }
+        for name, (g0, g1) in stacked.items():
+            prob = get_problem(name)
+            for got, want in ((prob.g[0](x, t), g0), (prob.g[1](x, t), g1)):
+                assert got.shape == want.shape == (2,) + shape
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestDerivativeProductOracle:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from sbseries import expr as E
 from sbseries.expr import parse_expr
 from sbseries.paths import (
+    ITO,
     ColorMissing,
     MCStats,
     PathTooShort,
+    _eval_rows,
     eval_weight,
     mc_moments,
     sample_path,
@@ -35,6 +37,55 @@ def _sample_wiener(rng: np.random.Generator, h: float, n_steps: int) -> np.ndarr
         dw = np.sqrt(h / n_steps) * rng.standard_normal(n_steps)
         w[1:] = np.cumsum(dw)
     return w
+
+
+def _full_eval_rows(expr, times, w, interp):
+    """Reference evaluator: every monomial's full (P, N + 1) profile, of
+    which the last column is kept, as expressions were evaluated before the
+    top-level factors moved to the endpoint."""
+    total = np.zeros(w.shape[1])
+    for coeff, mono in expr.terms:
+        total += float(coeff) * _full_mono_profile(mono, times, w, interp)[:, -1]
+    return total
+
+
+def _full_mono_profile(mono, times, w, interp):
+    atoms = [(_full_atom_profile(atom, times, w, interp), p) for atom, p in mono.ints]
+    out = np.ones(w.shape[1:])
+    if mono.hpow:
+        out *= times ** mono.hpow
+    for m, p in mono.dws:
+        out *= w[m - 1] if p == 1 else w[m - 1] ** p
+    for a, p in atoms:
+        out *= a if p == 1 else a ** p
+    return out
+
+
+def _full_atom_profile(atom, times, w, interp):
+    f = _full_mono_profile(atom.integrand, times, w, interp)
+    driver = w[atom.color - 1] if atom.color else times
+    step = driver[..., 1:] - driver[..., :-1]
+    if atom.color and interp == ITO and not atom.integrand.is_deterministic:
+        incr = f[:, :-1] * step
+    else:
+        incr = f[:, :-1] + f[:, 1:]
+        incr *= 0.5
+        incr *= step
+    f[:, 0] = 0.0
+    np.cumsum(incr, axis=1, out=f[:, 1:])
+    return f
+
+
+# integrands nest up to three levels; top-level terms carry dW1^p, p >= 3
+_INTEGRAND = st.recursive(
+    st.sampled_from(["1", "s", "s^3", "dW1", "dW2^2", "dW1^3"]),
+    lambda inner: st.builds(lambda c, f, g: f"Int{c}[{f},{g}]",
+                            st.integers(0, 2), inner, inner),
+    max_leaves=4)
+_ATOM = st.builds(lambda c, f: f"Int{c}[{f}]", st.integers(0, 2), _INTEGRAND)
+_TERM = st.builds(lambda c, a, p, atom, q: f"{c}*h^{a}*dW1^{p}*{atom}^{q}",
+                  st.sampled_from(["1", "1/64", "3/7"]), st.integers(0, 3),
+                  st.integers(3, 7), _ATOM, st.integers(1, 3))
 
 
 class TestSamplePath:
@@ -172,6 +223,23 @@ class TestEvalWeight:
         path = sample_path(0.5, 8, 1, 1)
         with pytest.raises(ColorMissing):
             eval_weight(parse_expr("dW2"), path)
+
+
+class TestEndpointEvaluation:
+    @given(terms=st.lists(_TERM, min_size=1, max_size=3),
+           interp=st.sampled_from(["ito", "stratonovich"]),
+           n_paths=st.sampled_from([1, 7, 8, 9]),
+           n_steps=st.sampled_from([1, 8, 37, 64]),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_full_profile_evaluator(self, terms, interp, n_paths, n_steps, seed):
+        expr = parse_expr(" - ".join(terms))
+        rng = np.random.default_rng(seed)
+        w = np.zeros((2, n_paths, n_steps + 1))
+        w[..., 1:] = np.cumsum(0.3 * rng.standard_normal((2, n_paths, n_steps)), axis=2)
+        times = np.linspace(0.0, 0.3, n_steps + 1)
+        got = _eval_rows(expr, times, w, interp)
+        assert got.tobytes() == _full_eval_rows(expr, times, w, interp).tobytes()
 
 
 class TestMCMoments:

@@ -7,6 +7,7 @@ from sbseries.elementary import SDEProblem, get_problem
 from sbseries.paths import sample_path
 from sbseries.sim import (
     ConvergenceReport,
+    SimulationError,
     StageDivergence,
     exponential_midpoint_step,
     integrate_erk,
@@ -21,6 +22,13 @@ def _zero_g(problem: SDEProblem) -> SDEProblem:
     problem.g = {0: lambda x, t: np.zeros_like(x),
                  1: lambda x, t: np.zeros_like(x)}
     return problem
+
+
+def _count_A(problem: SDEProblem) -> list:
+    """Wrap the problem's A so that every evaluation appends its time."""
+    calls, A = [], problem.A
+    problem.A = lambda t: calls.append(t) or A(t)
+    return calls
 
 
 class TestStepper:
@@ -86,6 +94,59 @@ class TestStepper:
         path = sample_path(1.0, 4, 1, 1)
         with pytest.raises(StageDivergence):
             integrate_erk(prob, 1.0, 1, path)
+
+
+class TestAEvaluations:
+    @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2"])
+    def test_midpoint_operators_evaluate_A_at_five_times(self, name):
+        prob = get_problem(name)
+        calls = _count_A(prob)
+        for t, h in [(prob.t0, 0.25), (0.4, 2 ** -8), (0.0, 2 ** -4)]:
+            calls.clear()
+            midpoint_step_operators(prob, t, h)
+            assert len(calls) == len(set(calls)) == 5
+
+    @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2"])
+    @pytest.mark.parametrize("n_fine", [16, 4096])
+    def test_reference_evaluates_A_once_per_fine_step(self, name, n_fine):
+        prob = get_problem(name)
+        calls = _count_A(prob)
+        reference_solution(prob, 1.0, n_fine, sample_path(1.0, n_fine, 1, 8))
+        assert len(calls) == n_fine + 1
+
+    @pytest.mark.parametrize("t0, T, n_fine", [(0.4, 1.0, 64), (0.1, 0.7, 7), (0.0, 1.0, 3)])
+    def test_reference_equals_two_evaluations_per_step(self, t0, T, n_fine):
+        # reusing the corrector's A changes no bit, also where t + dt and
+        # the next step's time differ as floats
+        prob = get_problem("noncomm-2x2")
+        prob.x0 = np.array([0.6, 0.4, t0])
+        w = np.array([sample_path(T, n_fine, 1, (2, k)).wiener(1) for k in range(3)])
+        g0, g1 = prob.g[0], prob.g[1]
+
+        def drift(x, t):
+            return prob.a_derivative(0, t) @ x + g0(x, t)
+
+        x, dt = np.repeat(prob.x0_state[:, None], 3, axis=1), T / n_fine
+        for k in range(n_fine):
+            t = t0 + k * dt
+            dw = w[:, k + 1] - w[:, k]
+            f, g = drift(x, t), g1(x, t)
+            pred = x + dt * f + dw * g
+            x = x + 0.5 * dt * (f + drift(pred, t + dt)) \
+                + 0.5 * dw * (g + g1(pred, t + dt))
+        assert reference_solution(prob, T, n_fine, w).tobytes() == x.tobytes()
+
+
+class TestDrivingValues:
+    @pytest.mark.parametrize("shape", [(3,), (5, 3)], ids=["one-path", "batch"])
+    def test_short_wiener_array_raises_before_stepping(self, shape):
+        prob = get_problem("langevin")
+        calls = _count_A(prob)
+        with pytest.raises(SimulationError):
+            integrate_erk(prob, 0.25, 4, np.zeros(shape))
+        with pytest.raises(SimulationError):
+            reference_solution(prob, 1.0, 4, np.zeros(shape))
+        assert calls == []
 
 
 class TestReference:
