@@ -417,13 +417,19 @@ def _make_langevin_semilinear() -> SDEProblem:
     A2 = lambda t: np.array([[0.0, 0.0], [0.0, -0.5]])
     A3 = lambda t: np.zeros((2, 2))
 
+    # the position row of both coefficients is zero: fill the force row of
+    # a zero array (np.zeros_like on a numpy scalar costs most of a call)
     def g0(x, t):
         r = x[0]
-        return np.array([np.zeros_like(r), -np.sin(r) * (1.0 + t)])
+        out = np.zeros((2,) + np.shape(r))
+        out[1] = -np.sin(r) * (1.0 + t)
+        return out
 
     def g1(x, t):
         r = x[0]
-        return np.array([np.zeros_like(r), 0.2 * np.cos(r) * (1.0 + 0.5 * t)])
+        out = np.zeros((2,) + np.shape(r))
+        out[1] = 0.2 * np.cos(r) * (1.0 + 0.5 * t)
+        return out
 
     return SDEProblem(
         name="langevin",

@@ -23,11 +23,18 @@ Normalization is applied by every constructor:
 Sums of many products are accumulated, then normalized once: callers add
 ``scale * f1 * .. * fk`` into a ``dict[Mono, Fraction]`` with
 :func:`accumulate` and call :func:`from_acc` once per output weight, never
-``total = total + term``.  ``Mono`` and ``IntAtom`` hash once, at construction.
+``total = total + term``.
+
+Every pure result is computed once: ``Mono`` and ``IntAtom`` set their
+hash and their sort key (:func:`mono_key`, :func:`atom_key`) at
+construction, :func:`mono_mul` is memoized, and the text of a monomial is
+built once per depth class (top level or inside an integrand).  Instances
+keep value semantics: fresh equal instances are equal, not identical.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,9 +55,11 @@ class IntAtom:
     color: int
     integrand: "Mono"
     _hash: int = field(init=False, repr=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.color, self.integrand)))
+        object.__setattr__(self, "_key", (self.color, self.integrand._key))
 
     def __hash__(self) -> int:
         return self._hash
@@ -70,9 +79,12 @@ class Mono:
     dws: tuple[tuple[int, int], ...] = ()
     ints: tuple[tuple[IntAtom, int], ...] = ()
     _hash: int = field(init=False, repr=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.hpow, self.dws, self.ints)))
+        object.__setattr__(self, "_key", (self.hpow, self.dws,
+                                          tuple((a._key, p) for a, p in self.ints)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -95,15 +107,20 @@ class Mono:
 ONE_MONO = Mono()
 
 
-def atom_key(atom: IntAtom):
-    return (atom.color, mono_key(atom.integrand))
+def atom_key(atom: IntAtom) -> tuple:
+    """Sort key ``(color, mono_key(integrand))``, set at construction."""
+    return atom._key
 
 
-def mono_key(mono: Mono):
-    return (mono.hpow, mono.dws, tuple((atom_key(a), p) for a, p in mono.ints))
+def mono_key(mono: Mono) -> tuple:
+    """Sort key ``(hpow, dws, ((atom_key, power), ..))``, set at construction."""
+    return mono._key
 
 
+@functools.lru_cache(maxsize=None)
 def mono_mul(a: Mono, b: Mono) -> Mono:
+    """Product of two monomials, memoized: a series operation multiplies
+    the same few hundred monomials for every decomposition pair."""
     if a.is_one:
         return b
     if b.is_one:
@@ -116,7 +133,7 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
         ints[atom] = ints.get(atom, 0) + p
     return Mono(a.hpow + b.hpow,
                 tuple(sorted(dws.items())),
-                tuple(sorted(ints.items(), key=lambda ap: atom_key(ap[0]))))
+                tuple(sorted(ints.items(), key=lambda ap: ap[0]._key)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +236,7 @@ def from_acc(acc: dict[Mono, Fraction]) -> WeightExpr:
     """The normalized sum held by an accumulator: zero coefficients dropped,
     terms sorted by :func:`mono_key`."""
     return WeightExpr(tuple(sorted(((c, m) for m, c in acc.items() if c != 0),
-                                   key=lambda cm: mono_key(cm[1]))))
+                                   key=lambda cm: cm[1]._key)))
 
 
 def _from_term_list(raw) -> WeightExpr:
@@ -279,34 +296,22 @@ def _reduced_integral(color: int, coeff: Fraction, mono: Mono):
 # ---------------------------------------------------------------------------
 
 
-def _format_mono(mono: Mono, depth: int) -> list[str]:
-    var = "h" if depth == 0 else "s"
-    parts: list[str] = []
-    if depth == 0:
-        if mono.hpow:
-            parts.append(var if mono.hpow == 1 else f"{var}^{mono.hpow}")
-        parts.extend(_format_dws(mono))
-        parts.extend(_format_ints(mono, depth))
-    else:
-        # integrand factor lists read innermost-integral first, time power last
-        parts.extend(_format_ints(mono, depth))
-        parts.extend(_format_dws(mono))
-        if mono.hpow:
-            parts.append(var if mono.hpow == 1 else f"{var}^{mono.hpow}")
-    return parts
-
-
-def _format_dws(mono: Mono) -> list[str]:
-    return [f"dW{m}" if p == 1 else f"dW{m}^{p}" for m, p in mono.dws]
-
-
-def _format_ints(mono: Mono, depth: int) -> list[str]:
-    out = []
+@functools.lru_cache(maxsize=None)
+def _mono_text(mono: Mono, inner: bool) -> str:
+    """Factor text of a monomial: at top level the factors joined by ``*``
+    (time power, increments, integrals; empty for the unit), inside an
+    integrand joined by ``,`` and read innermost integral first, time power
+    last, with ``s`` for the time variable and ``1`` for the unit."""
+    var = "s" if inner else "h"
+    hpow = [var if mono.hpow == 1 else f"{var}^{mono.hpow}"] if mono.hpow else []
+    dws = [f"dW{m}" if p == 1 else f"dW{m}^{p}" for m, p in mono.dws]
+    ints = []
     for atom, p in mono.ints:
-        inner = ",".join(_format_mono(atom.integrand, depth + 1)) or "1"
-        body = f"Int{atom.color}[{inner}]"
-        out.append(body if p == 1 else f"{body}^{p}")
-    return out
+        body = f"Int{atom.color}[{_mono_text(atom.integrand, True)}]"
+        ints.append(body if p == 1 else f"{body}^{p}")
+    if inner:
+        return ",".join(ints + dws + hpow) or "1"
+    return "*".join(hpow + dws + ints)
 
 
 def format_expr(expr: WeightExpr) -> str:
@@ -317,13 +322,13 @@ def format_expr(expr: WeightExpr) -> str:
     for i, (coeff, mono) in enumerate(expr.terms):
         sign = "-" if coeff < 0 else "+"
         mag = -coeff if coeff < 0 else coeff
-        factors = _format_mono(mono, 0)
+        factors = _mono_text(mono, False)
         if not factors:
             body = str(mag)
         elif mag == 1:
-            body = "*".join(factors)
+            body = factors
         else:
-            body = "*".join([str(mag)] + factors)
+            body = str(mag) + "*" + factors
         if i == 0:
             pieces.append(body if sign == "+" else f"-{body}")
         else:

@@ -16,6 +16,7 @@ to its one other child, until a coefficient node roots the remainder.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr, parse_expr
-from sbseries.paths import eval_weight, sample_path
+from sbseries.paths import PathGrid, eval_weight, sample_path
 from sbseries.series import BSeries, exact_weight
 from sbseries.trees import (
     ALabel,
@@ -400,6 +401,17 @@ _PROBE_STEPS = 64
 _PROBE_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _probe_paths(n_colors: int) -> tuple[PathGrid, ...]:
+    """The fixed probe paths with ``n_colors`` drivers, drawn once per
+    process; their arrays are read-only, as every probe shares them."""
+    paths = tuple(sample_path(_PROBE_H, _PROBE_STEPS, n_colors, (_PROBE_SEED, k))
+                  for k in range(_PROBE_PATHS))
+    for path in paths:
+        path.values.flags.writeable = False
+    return paths
+
+
 def residual_is_pathwise_zero(residual: WeightExpr, interp: str = "stratonovich") -> bool:
     """Certify that a residual vanishes as a random variable under the given
     interpretation by evaluating it on a fixed set of probe paths.
@@ -413,8 +425,7 @@ def residual_is_pathwise_zero(residual: WeightExpr, interp: str = "stratonovich"
     if residual.is_zero:
         return True
     colors = max(residual.colors(), default=0)
-    for k in range(_PROBE_PATHS):
-        path = sample_path(_PROBE_H, _PROBE_STEPS, max(colors, 1), (_PROBE_SEED, k))
+    for path in _probe_paths(max(colors, 1)):
         if abs(eval_weight(residual, path, interp)) > _PROBE_TOL:
             return False
     return True

@@ -312,6 +312,19 @@ class TestBuiltinCoefficients:
                 assert got.tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("r", [0.0, -0.0, np.pi], ids=["zero", "minus-zero", "pi"])
+    @pytest.mark.parametrize("t", [0.7, -2.0], ids=["t", "root"])
+    def test_langevin_signed_zeros(self, r, t):
+        # the stacked np.zeros_like form is the oracle, signed zeros included
+        prob = get_problem("langevin")
+        for x in (np.array([r, 0.3, t]), np.array([[r, r], [0.3, 0.3], [t, t]])):
+            rr = x[0]
+            want = (np.array([np.zeros_like(rr), -np.sin(rr) * (1.0 + t)]),
+                    np.array([np.zeros_like(rr), 0.2 * np.cos(rr) * (1.0 + 0.5 * t)]))
+            for got, w in zip((prob.g[0](x, t), prob.g[1](x, t)), want):
+                assert got.shape == w.shape and got.dtype == w.dtype
+                assert got.tobytes() == w.tobytes()
+
 class TestDerivativeProductOracle:
     def test_fd_of_series_matches_derivative_product(self):
         # directional finite difference of the series map against the

@@ -197,6 +197,149 @@ class TestValueTypes:
         assert self._atom() != E.IntAtom(0, E.Mono(2, ((1, 1),)))
 
 
+# Uncached oracles: the sort key, product and text of a monomial computed
+# from scratch on every call.
+def _oracle_atom_key(atom: E.IntAtom):
+    return (atom.color, _oracle_mono_key(atom.integrand))
+
+
+def _oracle_mono_key(mono: E.Mono):
+    return (mono.hpow, mono.dws, tuple((_oracle_atom_key(a), p) for a, p in mono.ints))
+
+
+def _oracle_mono_mul(a: E.Mono, b: E.Mono) -> E.Mono:
+    if a.is_one:
+        return b
+    if b.is_one:
+        return a
+    dws: dict[int, int] = {}
+    for m, p in a.dws + b.dws:
+        dws[m] = dws.get(m, 0) + p
+    ints: dict[E.IntAtom, int] = {}
+    for atom, p in a.ints + b.ints:
+        ints[atom] = ints.get(atom, 0) + p
+    return E.Mono(a.hpow + b.hpow,
+                  tuple(sorted(dws.items())),
+                  tuple(sorted(ints.items(), key=lambda ap: _oracle_atom_key(ap[0]))))
+
+
+def _format_mono(mono: E.Mono, depth: int) -> list[str]:
+    var = "h" if depth == 0 else "s"
+    parts: list[str] = []
+    if depth == 0:
+        if mono.hpow:
+            parts.append(var if mono.hpow == 1 else f"{var}^{mono.hpow}")
+        parts.extend(_format_dws(mono))
+        parts.extend(_format_ints(mono, depth))
+    else:
+        # integrand factor lists read innermost-integral first, time power last
+        parts.extend(_format_ints(mono, depth))
+        parts.extend(_format_dws(mono))
+        if mono.hpow:
+            parts.append(var if mono.hpow == 1 else f"{var}^{mono.hpow}")
+    return parts
+
+
+def _format_dws(mono: E.Mono) -> list[str]:
+    return [f"dW{m}" if p == 1 else f"dW{m}^{p}" for m, p in mono.dws]
+
+
+def _format_ints(mono: E.Mono, depth: int) -> list[str]:
+    out = []
+    for atom, p in mono.ints:
+        inner = ",".join(_format_mono(atom.integrand, depth + 1)) or "1"
+        body = f"Int{atom.color}[{inner}]"
+        out.append(body if p == 1 else f"{body}^{p}")
+    return out
+
+
+def _oracle_format_expr(expr: E.WeightExpr) -> str:
+    if expr.is_zero:
+        return "0"
+    pieces = []
+    for i, (coeff, mono) in enumerate(expr.terms):
+        sign = "-" if coeff < 0 else "+"
+        mag = -coeff if coeff < 0 else coeff
+        factors = _format_mono(mono, 0)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if i == 0:
+            pieces.append(body if sign == "+" else f"-{body}")
+        else:
+            pieces.append(f" {sign} {body}")
+    return "".join(pieces)
+
+
+def _monos(depth: int = 3):
+    """Normalized-shape monomials whose integrals nest at most ``depth`` deep."""
+    dws = st.dictionaries(st.integers(1, 2), st.integers(1, 3), max_size=2)
+    if depth == 0:
+        ints = st.just({})
+    else:
+        atoms = st.builds(E.IntAtom, st.integers(0, 2), _monos(depth - 1))
+        ints = st.dictionaries(atoms, st.integers(1, 2), max_size=2)
+    return st.builds(
+        lambda hpow, d, i: E.Mono(
+            hpow, tuple(sorted(d.items())),
+            tuple(sorted(i.items(), key=lambda ap: _oracle_atom_key(ap[0])))),
+        st.integers(0, 3), dws, ints)
+
+
+def _fresh(mono: E.Mono) -> E.Mono:
+    """An equal monomial built from new instances all the way down."""
+    return E.Mono(mono.hpow, tuple(mono.dws),
+                  tuple((E.IntAtom(a.color, _fresh(a.integrand)), p) for a, p in mono.ints))
+
+
+class TestExprCaches:
+    @given(_monos())
+    @settings(max_examples=150, deadline=None)
+    def test_stored_keys_equal_the_oracle(self, mono):
+        assert E.mono_key(mono) == _oracle_mono_key(mono)
+        assert E.mono_key(mono) is E.mono_key(mono)
+        assert E.mono_key(_fresh(mono)) == E.mono_key(mono)
+        for atom, _ in mono.ints:
+            assert E.atom_key(atom) == _oracle_atom_key(atom)
+
+    @given(_monos(), _monos())
+    @settings(max_examples=150, deadline=None)
+    def test_memoized_product_equals_the_oracle(self, a, b):
+        got = E.mono_mul(a, b)
+        want = _oracle_mono_mul(a, b)
+        assert got == want and hash(got) == hash(want)
+        assert (got.hpow, got.dws, got.ints) == (want.hpow, want.dws, want.ints)
+        assert E.mono_key(got) == _oracle_mono_key(want)
+        assert E.mono_mul(a, b) is got
+        assert E.mono_mul(_fresh(a), _fresh(b)) is got
+
+    @given(st.lists(st.tuples(_scales, _monos()), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_cached_text_equals_the_oracle(self, terms):
+        acc = {}
+        for c, mono in terms:
+            acc[mono] = acc.get(mono, 0) + c
+        expr = E.from_acc(acc)
+        assert E.format_expr(expr) == _oracle_format_expr(expr)
+        for _, mono in expr.terms:
+            text = E._mono_text(mono, False)
+            assert E._mono_text(mono, False) is text
+            assert E._mono_text(_fresh(mono), False) is text
+
+    def test_compose_product_misses(self):
+        # 19,202 products of 1,079 distinct pairs: a change that defeats
+        # the memo, or multiplies other monomials, fails here
+        phi = exact_solution_series(T.SemiLinear(1), HalfInt(7))
+        E.mono_mul.cache_clear()
+        compose(phi, phi)
+        info = E.mono_mul.cache_info()
+        assert info.misses == 1079
+        assert info.hits > 10 * info.misses
+
+
 class TestExactWeights:
     def test_leaf_weights(self):
         assert exact_weight(parse_tree("1")) == E.dw(1)

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from sbseries import cli
 from sbseries import expr as E
+from sbseries import serk
 from sbseries.elementary import eval_elementary, get_problem
 from sbseries.expr import parse_expr
 from sbseries.forest_ops import split_pairs
+from sbseries.paths import eval_weight, sample_path
 from sbseries.serk import (
     CapUnsupported,
     NoAdmissibleSplit,
@@ -330,6 +333,62 @@ class TestResiduals:
         res = residual_at(midpoint, parse_tree("[1]1")).residual
         stats = mc_moments(res * res, 0.5, 64, 200, "stratonovich", seed=8)
         assert abs(stats.mean) < 1e-15
+
+
+def _probe_oracle(residual: E.WeightExpr, interp: str) -> bool:
+    """The probe decision with every probe path drawn again on each call."""
+    if residual.is_zero:
+        return True
+    colors = max(residual.colors(), default=0)
+    for k in range(serk._PROBE_PATHS):
+        path = sample_path(serk._PROBE_H, serk._PROBE_STEPS, max(colors, 1),
+                           (serk._PROBE_SEED, k))
+        if abs(eval_weight(residual, path, interp)) > serk._PROBE_TOL:
+            return False
+    return True
+
+
+class TestProbePaths:
+    @pytest.mark.parametrize("interp, certified", [("stratonovich", 1), ("ito", 0)])
+    def test_decisions_equal_the_sampling_oracle(self, midpoint, interp, certified):
+        rows = order_residuals(midpoint, HalfInt(7))
+        assert len(rows) == 970
+        got = [residual_is_pathwise_zero(r.residual, interp) for r in rows]
+        assert got == [_probe_oracle(r.residual, interp) for r in rows]
+        # 10 symbolic zeros; under Stratonovich the residual of [1]1,
+        # Int1[dW1] - 1/2*dW1^2, is certified as well, under Ito it is not
+        assert sum(r.residual.is_zero for r in rows) == 10
+        assert sum(got) == 10 + certified
+
+    def test_cached_paths_are_read_only(self):
+        paths = serk._probe_paths(1)
+        assert len(paths) == serk._PROBE_PATHS
+        assert serk._probe_paths(1) is paths
+        for path in paths:
+            with pytest.raises(ValueError):
+                path.values[1, 3] = 0.0
+            with pytest.raises(ValueError):
+                path.times[:] = 0.0
+
+    def test_cached_paths_are_the_sampled_paths(self):
+        for k, path in enumerate(serk._probe_paths(2)):
+            fresh = sample_path(serk._PROBE_H, serk._PROBE_STEPS, 2,
+                                (serk._PROBE_SEED, k))
+            assert path.values.tobytes() == fresh.values.tobytes()
+
+    def test_residuals_command_samples_each_probe_path_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_path(*args, **kwargs)
+
+        serk._probe_paths.cache_clear()
+        monkeypatch.setattr(serk, "sample_path", counted)
+        assert cli.main(["erk", "residuals", "--method", "builtin:midpoint",
+                         "--cap", "7/2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 971
+        assert len(calls) == serk._PROBE_PATHS == 8
 
 
 class TestMethodJSON:
