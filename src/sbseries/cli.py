@@ -10,7 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
+
+import numpy as np
 
 from sbseries import trees as T
 from sbseries.elementary import get_problem, problem_names
@@ -133,8 +136,12 @@ def cmd_erk(args, out) -> int:
 
 
 def cmd_weights(args, out) -> int:
-    stats = mc_moments(parse_expr(args.expr), args.h, args.N, args.paths,
-                       args.interp, args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = mc_moments(parse_expr(args.expr), args.h, args.N, args.paths,
+                           args.interp, args.seed)
+    if not all(map(math.isfinite, (stats.mean, stats.variance, stats.stderr))):
+        raise SimulationError(f"moments are not finite: mean {stats.mean}, "
+                              f"variance {stats.variance}")
     _write_rows(out, ["mean", "variance", "stderr"],
                 [[_float_repr(stats.mean), _float_repr(stats.variance),
                   _float_repr(stats.stderr)]])

@@ -10,6 +10,14 @@ call; the midpoint levels and the quadrature run over chunks of paths, with
 the same elementwise operations and sequential sums as one path at a time,
 so chunked results equal per-path ones bit for bit.
 
+Each call builds its chunk-sized scratch arrays once and reuses them for
+every chunk: the sampler keeps one normals buffer, one row of per-normal
+scales (all refinement levels are scaled by one multiply) and one contiguous
+buffer for a level's midpoints; the evaluator one profile array per integral
+nesting depth, one increment array and each color's Wiener steps, computed
+once per chunk however many integrals use them.  Fresh chunk-sized arrays
+would be handed back to the OS and faulted in again for every chunk.
+
 Evaluation of an integral atom walks the grid once: color 0 uses the
 trapezoidal rule in time, stochastic colors use left-endpoint sums for the
 Ito interpretation and trapezoidal integrand averaging for Stratonovich.
@@ -82,9 +90,10 @@ class PathGrid:
     def restrict(self, h_sub: float) -> "PathGrid":
         """The sub-path over [0, h_sub]; h_sub must lie on the grid."""
         dt = self.h / self.n_steps
-        k = int(round(h_sub / dt))
+        k = int(round(h_sub / dt)) if math.isfinite(h_sub) else 0
         if k < 1 or abs(k * dt - h_sub) > 1e-12 * max(1.0, self.h):
-            raise PathTooShort(f"horizon {h_sub} not on the grid of {self}")
+            raise PathTooShort(f"horizon {h_sub} not on the grid of "
+                               f"h={self.h}, n_steps={self.n_steps}")
         if k > self.n_steps:
             raise PathTooShort(f"path spans [0, {self.h}], requested {h_sub}")
         return PathGrid(h_sub, k, self.values[:, :k + 1].copy())
@@ -96,7 +105,8 @@ def _seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-# Paths per batch: 8 to 16 measured fastest, 64 slower (its arrays outgrow L2).
+# Paths per chunk.  With the per-call workspace, 8 and 16 took the same time
+# on the two `weights mc` benchmark jobs, 4 and 32 took 5-7% longer.
 _CHUNK = 8
 
 
@@ -122,32 +132,62 @@ def sample_path(h: float, n_steps: int, n_colors: int, seed) -> PathGrid:
 
 def _sample_wiener_rows(out: np.ndarray, h: float, seeds) -> None:
     """Fill ``out`` (P, N + 1) with Wiener paths over [0, h], row i drawn
-    from ``SeedSequence(seeds[i])``.  Levy construction for power-of-two N:
-    the endpoint first, then per level all midpoints left to right; coarse
-    levels come first in the stream, so a refinement reproduces the coarse
-    grid exactly."""
-    n_steps = out.shape[1] - 1
-    _check_grid(h, n_steps)
+    from ``SeedSequence(seeds[i])``, ``_CHUNK`` rows at a time through one
+    sampler."""
+    sampler = _WienerSampler(h, out.shape[1] - 1, min(len(seeds), _CHUNK))
     for start in range(0, len(seeds), _CHUNK):
-        w = out[start:start + _CHUNK]
-        zc = np.empty((len(w), n_steps))
-        for row, seed in zip(zc, seeds[start:start + _CHUNK]):
-            np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(out=row)
-        w[:, 0] = 0.0
-        if n_steps & (n_steps - 1) == 0:
-            w[:, n_steps] = np.sqrt(h) * zc[:, 0]
+        sampler.draw(out[start:start + _CHUNK], seeds[start:start + _CHUNK])
+
+
+class _WienerSampler:
+    """Draws Wiener rows over [0, h] with ``n_steps`` steps, up to ``rows``
+    per draw, into the caller's arrays; the normals buffer, the scale of
+    each normal and a contiguous buffer for one level's midpoints are built
+    once.
+
+    Levy construction for power-of-two N: the endpoint first, then per level
+    all midpoints left to right; coarse levels come first in the stream, so a
+    refinement reproduces the coarse grid exactly."""
+
+    def __init__(self, h: float, n_steps: int, rows: int):
+        _check_grid(h, n_steps)
+        self.normals = np.empty((rows, n_steps))
+        self.dyadic = n_steps & (n_steps - 1) == 0
+        # (midpoint offset, span, first normal, count) per refinement level
+        self.levels = []
+        if self.dyadic:
+            self.midpoints = np.empty((rows, n_steps // 2))
+            self.scale = np.empty(n_steps)
+            self.scale[0] = np.sqrt(h)
             span, pos = n_steps, 1
             while span > 1:
-                # 0.5 * (left + right) + scale * z, computed in place
-                half, count = span // 2, n_steps // span
-                mids, z = w[:, half::span], zc[:, pos:pos + count]
-                np.add(w[:, :n_steps - half:span], w[:, span::span], out=mids)
-                mids *= 0.5
-                z *= np.sqrt((span / n_steps) * h / 4.0)
-                mids += z
-                span, pos = half, pos + count
+                count = n_steps // span
+                self.levels.append((span // 2, span, pos, count))
+                self.scale[pos:pos + count] = np.sqrt((span / n_steps) * h / 4.0)
+                span, pos = span // 2, pos + count
         else:
-            w[:, 1:] = np.cumsum(np.sqrt(h / n_steps) * zc, axis=1)
+            self.scale = np.full(n_steps, np.sqrt(h / n_steps))
+
+    def draw(self, out: np.ndarray, seeds) -> None:
+        """Fill ``out`` (P, N + 1), P <= rows, row i from ``seeds[i]``."""
+        z = self.normals[:len(seeds)]
+        for row, seed in zip(z, seeds):
+            np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(out=row)
+        z *= self.scale
+        out[:, 0] = 0.0
+        if not self.dyadic:
+            np.cumsum(z, axis=1, out=out[:, 1:])
+            return
+        n_steps = out.shape[1] - 1
+        out[:, n_steps] = z[:, 0]
+        for half, span, pos, count in self.levels:
+            # 0.5 * (left + right) + scale * z, computed contiguously (the
+            # strided columns of ``out`` are a third slower) and copied in
+            mids = self.midpoints[:len(seeds), :count]
+            np.add(out[:, :n_steps - half:span], out[:, span::span], out=mids)
+            mids *= 0.5
+            mids += z[:, pos:pos + count]
+            out[:, half::span] = mids
 
 
 # ---------------------------------------------------------------------------
@@ -168,58 +208,107 @@ def eval_weight(expr: WeightExpr, path: PathGrid, interp: str = STRATONOVICH) ->
 def _eval_rows(expr: WeightExpr, times: np.ndarray, w: np.ndarray,
                interp: str) -> np.ndarray:
     """Values of the expression on the paths ``w`` (M, P, N + 1), color m in
-    ``w[m - 1]``, over the time grid ``times`` (N + 1,).
-
-    Only the integrals need the whole grid; the top-level factors of each
-    monomial multiply on the last column alone, as (P, 1) arrays (numpy's
-    elementwise ``**`` gives the same bits at any array length, its scalar
-    ``**`` does not)."""
-    total = np.zeros(w.shape[1])
-    for coeff, mono in expr.terms:
-        atoms = [_atom_profile(atom, times, w, interp)[:, -1:] for atom, _ in mono.ints]
-        total += float(coeff) * _product(mono, times[-1:], w[..., -1:], atoms)[:, 0]
-    return total
+    ``w[m - 1]``, over the time grid ``times`` (N + 1,)."""
+    return _Workspace(times, w.shape[1], interp).eval(expr, w)
 
 
-def _mono_profile(mono: Mono, times: np.ndarray, w: np.ndarray,
-                  interp: str) -> np.ndarray:
-    """Values of the monomial as a function of the upper limit, on the grid,
-    one row per path, in a new array.  Integrals are evaluated first, so a
-    nesting holds one array per level."""
-    atoms = [_atom_profile(atom, times, w, interp) for atom, _ in mono.ints]
-    return _product(mono, times, w, atoms)
+class _Workspace:
+    """Scratch arrays for evaluating expressions on chunks of up to ``rows``
+    paths over one time grid, each allocated on first use and reused for
+    every later chunk: one profile array per integral nesting depth, one
+    increment array, arrays for powers of driver values, and each color's
+    Wiener steps, computed once per chunk.  The time steps are computed once."""
+
+    def __init__(self, times: np.ndarray, rows: int, interp: str):
+        self.times, self.rows, self.interp = times, rows, interp
+        self._arrays, self._dt = {}, None
+
+    def _scratch(self, key, n_cols: int) -> np.ndarray:
+        """This chunk's rows of the (rows, n_cols) scratch array ``key``."""
+        a = self._arrays.get(key)
+        if a is None:
+            a = self._arrays[key] = np.empty((self.rows, n_cols))
+        return a[:self.p]
+
+    def eval(self, expr: WeightExpr, w: np.ndarray) -> np.ndarray:
+        """Values of the expression on the chunk ``w`` (M, P, N + 1), P <= rows.
+
+        Only the integrals need the whole grid; the top-level factors of each
+        monomial multiply on the last column alone, as (P, 1) arrays (numpy's
+        elementwise ``**`` gives the same bits at any array length, its
+        scalar ``**`` does not)."""
+        self.w, self.p, self.steps = w, w.shape[1], {}
+        total = np.zeros(self.p)
+        end = self._scratch("end", 1)
+        for coeff, mono in expr.terms:
+            _product(mono, end, self.times[-1:], w[..., -1:],
+                     lambda: self._scratch("end power", 1),
+                     lambda atom: self._atom_profile(atom, 0)[:, -1:])
+            total += float(coeff) * end[:, 0]
+        return total
+
+    def _atom_profile(self, atom: IntAtom, depth: int) -> np.ndarray:
+        """The integral as a function of its upper limit, one row per path,
+        in the profile array of ``depth`` (its integrand's first); nested
+        integrals use the deeper ones."""
+        n_points = len(self.times)
+        f = self._scratch(("profile", depth), n_points)
+        _product(atom.integrand, f, self.times, self.w,
+                 lambda: self._scratch("power", n_points),
+                 lambda inner: self._atom_profile(inner, depth + 1))
+        step = self._step(atom.color)
+        # in place, in the order of 0.5 * (f[:-1] + f[1:]) * step
+        incr = self._scratch("increments", n_points - 1)
+        if atom.color and self.interp == ITO and not atom.integrand.is_deterministic:
+            np.multiply(f[:, :-1], step, out=incr)
+        else:
+            # the calculi agree for deterministic integrands, so both use
+            # the better trapezoidal average there (bitwise identical)
+            np.add(f[:, :-1], f[:, 1:], out=incr)
+            incr *= 0.5
+            incr *= step
+        f[:, 0] = 0.0  # f is spent: it takes the running sums
+        np.cumsum(incr, axis=1, out=f[:, 1:])
+        return f
+
+    def _step(self, color: int) -> np.ndarray:
+        """The steps of the driver: the time steps, or the Wiener steps of
+        the color on this chunk, computed once per chunk."""
+        if not color:
+            if self._dt is None:
+                self._dt = self.times[1:] - self.times[:-1]
+            return self._dt
+        step = self.steps.get(color)
+        if step is None:
+            w = self.w[color - 1]
+            step = self.steps[color] = np.subtract(
+                w[:, 1:], w[:, :-1], out=self._scratch(("steps", color), w.shape[1] - 1))
+        return step
 
 
-def _product(mono: Mono, times: np.ndarray, w: np.ndarray, atoms) -> np.ndarray:
-    """The monomial's factors multiplied in order, on the columns of ``times``
-    and ``w``, with ``atoms`` the profiles of its integrals there."""
-    out = np.ones(w.shape[1:])
+def _product(mono: Mono, out: np.ndarray, times: np.ndarray, w: np.ndarray,
+             power, atom_profile) -> None:
+    """Multiply the monomial's factors into ``out`` in order, on the columns
+    of ``times`` and ``w``.  ``power()`` returns scratch of the shape of
+    ``out`` for powers of ``w``; ``atom_profile(atom)`` returns an integral's
+    values on those columns in scratch the product may overwrite, and is
+    called only after the factors before it are in ``out``."""
+    out.fill(1.0)
     if mono.hpow:
         out *= times ** mono.hpow
     for m, p in mono.dws:
-        out *= w[m - 1] if p == 1 else w[m - 1] ** p
-    for a, (_, p) in zip(atoms, mono.ints):
-        out *= a if p == 1 else a ** p
-    return out
-
-
-def _atom_profile(atom: IntAtom, times: np.ndarray, w: np.ndarray,
-                  interp: str) -> np.ndarray:
-    f = _mono_profile(atom.integrand, times, w, interp)
-    driver = w[atom.color - 1] if atom.color else times
-    step = driver[..., 1:] - driver[..., :-1]
-    # in place, in the order of 0.5 * (f[:-1] + f[1:]) * step (fewer page faults)
-    if atom.color and interp == ITO and not atom.integrand.is_deterministic:
-        incr = f[:, :-1] * step
-    else:
-        # the calculi agree for deterministic integrands, so both use
-        # the better trapezoidal average there (bitwise identical)
-        incr = f[:, :-1] + f[:, 1:]
-        incr *= 0.5
-        incr *= step
-    f[:, 0] = 0.0  # f is spent: it takes the running sums
-    np.cumsum(incr, axis=1, out=f[:, 1:])
-    return f
+        if p == 1:
+            out *= w[m - 1]
+        else:
+            a = power()
+            np.copyto(a, w[m - 1])
+            a **= p
+            out *= a
+    for atom, p in mono.ints:
+        a = atom_profile(atom)
+        if p != 1:
+            a **= p
+        out *= a
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +352,15 @@ def mc_moments(expr: WeightExpr, h: float, n_steps: int, n_paths: int,
     interp = normalize_interpretation(interp)
     n_colors = max(expr.colors(), default=0)
     base = _seed_tuple(seed)
+    rows = min(n_paths, _CHUNK)
     times = np.linspace(0.0, h, n_steps + 1)
-    w = np.empty((n_colors, _CHUNK, n_steps + 1))
+    w = np.empty((n_colors, rows, n_steps + 1))
+    sampler = _WienerSampler(h, n_steps, rows)
+    workspace = _Workspace(times, rows, interp)
     values = np.empty(n_paths)
-    for start in range(0, n_paths, _CHUNK):
-        idx = range(start, min(start + _CHUNK, n_paths))
+    for start in range(0, n_paths, rows):
+        idx = range(start, min(start + rows, n_paths))
         for m in range(1, n_colors + 1):
-            _sample_wiener_rows(w[m - 1, :len(idx)], h, [base + (i, m) for i in idx])
-        values[idx.start:idx.stop] = _eval_rows(expr, times, w[:, :len(idx)], interp)
+            sampler.draw(w[m - 1, :len(idx)], [base + (i, m) for i in idx])
+        values[idx.start:idx.stop] = workspace.eval(expr, w[:, :len(idx)])
     return MCStats.of(values)

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -268,7 +269,7 @@ class TestExitCodes:
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
+    def test_numerical_failure_is_three(self, tmp_path, monkeypatch, capsys):
         import sbseries.cli as cli
         from sbseries.sim import StageDivergence
 
@@ -279,6 +280,15 @@ class TestExitCodes:
         code, _ = run("converge", "--problem", "scalar-semilinear",
                       "--paths", "2", "--seed", "1")
         assert code == 3
+        capsys.readouterr()
+        # moments that overflow: one line, no numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run("weights", "mc", "--expr", "dW1^400", "--h", "1e10",
+                             "--N", "4", "--paths", "3", "--seed", "1")
+        err = capsys.readouterr().err
+        assert (code, text) == (3, "")
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_out_of_memory_is_two_with_one_line_error(self, monkeypatch, capsys):
         import sbseries.cli as cli

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbseries import expr as E
@@ -13,6 +13,7 @@ from sbseries.paths import (
     MCStats,
     PathTooShort,
     _eval_rows,
+    _sample_wiener_rows,
     eval_weight,
     mc_moments,
     sample_path,
@@ -127,8 +128,11 @@ class TestSamplePath:
         sub = path.restrict(0.5)
         assert sub.n_steps == 32
         assert np.array_equal(sub.wiener(1), path.wiener(1)[:33])
-        with pytest.raises(PathTooShort):
-            path.restrict(2.0)
+        for h_sub in (2.0, 0.3, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(PathTooShort) as err:
+                path.restrict(h_sub)
+            assert len(str(err.value)) < 80  # no grid values in the message
+        assert "h=1.0, n_steps=64" in str(err.value)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -147,13 +151,21 @@ class TestSamplePath:
            n_steps=st.one_of(st.sampled_from([1, 2, 64, 4096]),
                              st.integers(1, 300)),
            n_colors=st.integers(0, 3),
-           seed=st.tuples(st.integers(0, 2 ** 32), st.integers(0, 50)))
+           seed=st.tuples(st.integers(0, 2 ** 32), st.integers(0, 50)),
+           n_rows=st.sampled_from([1, 17, 250]))
     @settings(max_examples=60, deadline=None)
-    def test_equals_level_by_level_oracle(self, h, n_steps, n_colors, seed):
+    def test_equals_level_by_level_oracle(self, h, n_steps, n_colors, seed, n_rows):
         path = sample_path(h, n_steps, n_colors, seed)
         for m in range(1, n_colors + 1):
             rng = np.random.default_rng(np.random.SeedSequence(seed + (m,)))
             assert np.array_equal(path.wiener(m), _sample_wiener(rng, h, n_steps))
+        # many rows reuse one sampler over chunks, the last one ragged
+        seeds = [seed + (i,) for i in range(n_rows)]
+        rows = np.empty((n_rows, n_steps + 1))
+        _sample_wiener_rows(rows, h, seeds)
+        for row, row_seed in zip(rows, seeds):
+            rng = np.random.default_rng(np.random.SeedSequence(row_seed))
+            assert np.array_equal(row, _sample_wiener(rng, h, n_steps))
 
 
 class TestEvalWeight:
@@ -269,14 +281,21 @@ class TestMCMoments:
     @given(text=st.sampled_from([
                "dW1", "h", "0", "dW1^7 - 1/3*h*dW2", "Int1[dW1]", "Int0[dW1]",
                "Int1[Int1[dW1]]*dW2 - 1/2*Int0[dW1]", "Int2[s^2] + Int0[Int1[s^4],s]",
-               "Int1[Int1[Int1[Int1[dW1]]]] - 1/64*dW1^7"]),
+               "Int1[Int1[Int1[Int1[dW1]]]] - 1/64*dW1^7", "Int1[Int1[dW1]]*dW1",
+               "Int2[Int1[dW2^2]^2*dW1] + Int1[Int2[s]]^2"]),
            interp=st.sampled_from(["ito", "stratonovich"]),
-           n_paths=st.sampled_from([1, 7, 8, 9, 203]),
+           n_paths=st.sampled_from([1, 7, 8, 9, 17, 203, 250]),
            n_steps=st.sampled_from([1, 8, 37, 64, 100]),
            seed=st.integers(0, 2 ** 32))
     @settings(max_examples=40, deadline=None)
+    @example(text="Int2[Int1[dW2^2]^2*dW1] + Int1[Int2[s]]^2", interp="ito",
+             n_paths=17, n_steps=100, seed=3)
+    @example(text="Int1[Int1[dW1]]*dW1", interp="stratonovich",
+             n_paths=250, n_steps=64, seed=4)
     def test_equals_per_path_loop(self, text, interp, n_paths, n_steps, seed):
         expr = parse_expr(text)
+        # a call on another grid and color count first: nothing may carry over
+        mc_moments(parse_expr("Int3[Int1[dW2]]"), 0.7, n_steps + 3, 5, interp, seed)
         colors = max(expr.colors(), default=0)
         values = np.array([
             eval_weight(expr, sample_path(0.3, n_steps, colors, (seed, i)), interp)

@@ -211,6 +211,21 @@ class TestOrderEstimate:
             sums = fine_increments.reshape(-1, per).sum(axis=1)
             assert np.allclose(np.diff(coarse), sums, rtol=0, atol=1e-15)
 
+    def test_sample_equals_single_paths(self, monkeypatch):
+        # 250 rows are drawn in chunks through one sampler; row p is the
+        # path seeded (seed, p), bit for bit
+        import sbseries.sim as sim
+        seen, reference = [], sim.reference_solution
+        monkeypatch.setattr(sim, "reference_solution",
+                            lambda problem, T, n_fine, w: seen.append(w.copy())
+                            or reference(problem, T, n_fine, w))
+        ms_order_estimate(get_problem("scalar-semilinear"), [2 ** -2, 2 ** -3],
+                          250, 1.0, 12, n_fine=64)
+        (w,) = seen
+        assert w.shape == (250, 65)
+        for p in range(250):
+            assert w[p].tobytes() == sample_path(1.0, 64, 1, (12, p)).wiener(1).tobytes()
+
     def test_validates_ladder(self):
         prob = get_problem("scalar-semilinear")
         with pytest.raises(ValueError):
