@@ -46,6 +46,9 @@ def _model_from_flags(args) -> T.TreeModel:
     if args.M < 0 or args.l < 0:
         raise CLIError(f"--M and --l must not be negative, got {args.M} and {args.l}")
     if args.model == "semilinear":
+        if args.M > T.MAX_G_COLOR:
+            raise CLIError(f"--M must be at most {T.MAX_G_COLOR} for the semilinear "
+                           f"model (g-node colors are single digits), got {args.M}")
         return T.SemiLinear(args.M)
     if args.model == "general":
         if args.model_preset == "langevin":

@@ -1,5 +1,5 @@
 """Numerical evaluation of elementary differentials and truncated B-series
-for concrete SDE problems, plus the finite-difference derivative fallback.
+for concrete SDE problems.
 
 Problems come in two flavors sharing one class:
 
@@ -10,10 +10,13 @@ Problems come in two flavors sharing one class:
   ``g_m(x, t)``; the state is the x-block with time as a second block of
   length one; used with the semi-linear tree family.
 
-Directional derivatives use supplied analytic routines when present and
-central finite differences otherwise.  Mixed central differences of order
-k are exact on polynomials of degree k, which pins the accuracy contracts
-of the tests.
+Bracket nodes and A-nodes differentiate their coefficient, ``g_m(x, t)``
+or ``A(t)``, through one function.  The default mode, "analytic", passes
+truncated Taylor jets (``sbseries.jets``) through the coefficient
+functions as they are written: exact up to rounding, at any order.  The
+"fd" mode takes mixed central finite differences of order at most 3
+instead; they are exact on polynomials of degree k and serve as the
+independent oracle of the tests.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from sbseries import jets
 from sbseries import trees as T
 from sbseries.paths import PathGrid, eval_weight
 from sbseries.series import BSeries
@@ -44,7 +48,7 @@ from sbseries.trees import (
 
 
 class DerivativeOrderUnsupported(TreeError):
-    """Derivative order above 3 requires analytic derivatives."""
+    """The "fd" oracle takes mixed derivatives up to order 3 only."""
 
 
 _EPS = float(np.finfo(float).eps)
@@ -66,10 +70,8 @@ class SDEProblem:
     interpretation: str = "stratonovich"
     # partitioned flavor
     coeffs: dict = field(default_factory=dict)
-    coeff_derivs: dict = field(default_factory=dict)
     # semi-linear flavor
     A: Callable | None = None
-    A_derivs: tuple = ()
     g: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -108,32 +110,30 @@ class SDEProblem:
         return sum(self.dims[:q - 1])
 
     def coefficient(self, q: int, v: int, m: int) -> Callable:
-        """Coefficient as a function of the flat state."""
+        """Coefficient as a function of the flat state, an array or a jet."""
         if self.is_semilinear:
             if (q, v) != (1, 1) or m not in self.g:
                 raise ModelMismatch(f"no coefficient ({q},{v},{m}) on {self.name}")
             gm = self.g[m]
-            return lambda x: np.asarray(gm(x[:self.dim], float(x[self.dim])),
-                                        dtype=float)
+            return lambda x: gm(x[:self.dim], x[self.dim])
         fn = self.coeffs.get((q, v, m))
         if fn is None:
             raise ModelMismatch(f"no coefficient ({q},{v},{m}) on {self.name}")
-        return lambda x: np.asarray(fn(*self.blocks(x)), dtype=float)
+        return lambda x: fn(*self.blocks(x))
 
-    def a_derivative(self, k: int, t: float) -> np.ndarray:
-        """k-th time derivative of A (0 = A itself), analytic or central FD."""
+    def a_derivative(self, k: int, t: float, derivatives: str = "analytic") -> np.ndarray:
+        """k-th time derivative of A at t (0 = A itself) in the given
+        ``derivatives`` mode."""
         if self.A is None:
             raise ModelMismatch(f"{self.name} has no linear part")
         if k == 0:
             return np.asarray(self.A(t), dtype=float)
-        if k <= len(self.A_derivs):
-            return np.asarray(self.A_derivs[k - 1](t), dtype=float)
-        return _central_difference(lambda s: np.asarray(self.A(s[0]), dtype=float),
-                                   np.array([t], dtype=float), [np.ones(1)] * k)
+        return _derivative(lambda s: self.A(s[0]), np.array([t], dtype=float),
+                           [np.ones(1)] * k, derivatives)
 
 
 # ---------------------------------------------------------------------------
-# Finite differences
+# Derivatives
 # ---------------------------------------------------------------------------
 
 
@@ -146,14 +146,12 @@ def _fd_steps(order: int, x: np.ndarray, directions) -> list[float]:
 
 def _central_difference(fn: Callable, x: np.ndarray, directions) -> np.ndarray:
     """Mixed central finite difference of ``fn`` at the flat point ``x``
-    along the flat ``directions``; |directions| <= 3."""
+    along the flat ``directions``; 1 <= |directions| <= 3."""
     k = len(directions)
-    if k == 0:
-        return fn(x)
     if k > 3:
         raise DerivativeOrderUnsupported(
-            "finite differences support mixed derivatives up to order 3; "
-            "higher orders need analytic routines")
+            f"the finite-difference oracle takes mixed derivatives up to "
+            f"order 3, not {k}; the default jets take any order")
     eps = _fd_steps(k, x, directions)
     values = {}  # fn at each distinct computed point: repeated directions repeat points
     total = None
@@ -164,16 +162,27 @@ def _central_difference(fn: Callable, x: np.ndarray, directions) -> np.ndarray:
             point += sj * ej * uj
         key = point.tobytes()
         if key not in values:
-            values[key] = fn(point)
+            values[key] = np.asarray(fn(point), dtype=float)
         value = values[key] * float(np.prod(s))
         total = value if total is None else total + value
     return total / float(np.prod([2 * e for e in eps]))
 
 
-def fd_directional(problem: SDEProblem, q: int, v: int, m: int,
-                   x: np.ndarray, directions) -> np.ndarray:
-    """Mixed central finite difference of the (q, v, m) coefficient along
-    the given (partition, vector) directions; |directions| <= 3."""
+def _derivative(fn: Callable, x: np.ndarray, directions, mode: str) -> np.ndarray:
+    """Mixed directional derivative of ``fn`` at the flat point ``x`` along
+    the flat ``directions`` (``fn(x)`` for none): jets, or central
+    differences in mode "fd"."""
+    if not directions:
+        return np.asarray(fn(x), dtype=float)
+    if mode == "fd":
+        return _central_difference(fn, x, directions)
+    return jets.derivative(fn, x, directions)
+
+
+def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
+                            x: np.ndarray, directions, mode: str) -> np.ndarray:
+    """Mixed derivative of the (q, v, m) coefficient along the given
+    (partition, vector) directions."""
     flat_dirs = []
     for part, vec in directions:
         u = np.zeros_like(problem.x0)
@@ -181,20 +190,14 @@ def fd_directional(problem: SDEProblem, q: int, v: int, m: int,
         vec = np.asarray(vec, dtype=float)
         u[off:off + vec.size] = vec
         flat_dirs.append(u)
-    return _central_difference(problem.coefficient(q, v, m), x, flat_dirs)
+    return _derivative(problem.coefficient(q, v, m), x, flat_dirs, mode)
 
 
-def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
-                            x: np.ndarray, directions, mode: str) -> np.ndarray:
-    if mode not in ("auto", "analytic", "fd"):
-        raise ValueError(f"unknown derivative mode {mode!r}")
-    analytic = problem.coeff_derivs.get((q, v, m))
-    if mode == "analytic" and analytic is None:
-        raise ModelMismatch(f"{problem.name} has no analytic derivatives "
-                            f"for ({q},{v},{m})")
-    if analytic is not None and mode != "fd":
-        return np.asarray(analytic(problem.blocks(x), list(directions)), dtype=float)
-    return fd_directional(problem, q, v, m, x, directions)
+def fd_directional(problem: SDEProblem, q: int, v: int, m: int,
+                   x: np.ndarray, directions) -> np.ndarray:
+    """Mixed central finite difference of the (q, v, m) coefficient along
+    the given (partition, vector) directions; |directions| <= 3."""
+    return _directional_derivative(problem, q, v, m, x, directions, "fd")
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +213,15 @@ def value_partition(problem: SDEProblem, label) -> int:
 
 
 def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
-                    derivatives: str = "auto") -> np.ndarray:
+                    derivatives: str = "analytic") -> np.ndarray:
     """The elementary differential of ``tau`` at the flat state ``x``.
 
-    ``derivatives`` selects how bracket nodes differentiate their
-    coefficient: "auto" prefers analytic routines, "analytic" requires
-    them, "fd" forces central finite differences.
+    ``derivatives`` selects how bracket nodes and A-nodes differentiate
+    their coefficient: "analytic" by jets, at any order; "fd" by central
+    finite differences, up to order 3.
     """
+    if derivatives not in ("analytic", "fd"):
+        raise ValueError(f"unknown derivative mode {derivatives!r}; known: analytic, fd")
     if x is None:
         x = problem.x0
     return _elementary(problem, tau, np.asarray(x, dtype=float), derivatives, {})
@@ -248,7 +253,7 @@ def _elementary_node(problem: SDEProblem, tau: Tree, x: np.ndarray,
             target = x[:problem.dim]
         else:
             target = _elementary(problem, other, x, derivatives, memo)
-        return problem.a_derivative(len(times), t) @ target
+        return problem.a_derivative(len(times), t, derivatives) @ target
     if isinstance(label, GLabel):
         q, v, m = 1, 1, label.m
     elif isinstance(label, GeneralLabel):
@@ -257,8 +262,6 @@ def _elementary_node(problem: SDEProblem, tau: Tree, x: np.ndarray,
         q, v, m = label.q, label.v, label.m
     else:
         raise ModelMismatch(f"cannot evaluate {label!r}")
-    if tau.is_leaf:
-        return problem.coefficient(q, v, m)(x)
     directions = [(value_partition(problem, c.label),
                    _elementary(problem, c, x, derivatives, memo))
                   for c in tau.children]
@@ -284,7 +287,7 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
             continue
         part = value_partition(problem, tree.label)
         off = problem.block_offset(part)
-        value = _elementary(problem, tree, x, "auto", memo)
+        value = _elementary(problem, tree, x, "analytic", memo)
         out[off:off + value.size] += scale * value
     return out
 
@@ -294,105 +297,21 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-class _Separable:
-    """Scalar coefficient of the form c * phi(r) * psi(v) * chi(t) with all
-    partial derivatives up to order three available analytically."""
-
-    def __init__(self, c, phi, psi, chi):
-        self.c = c
-        self.tables = (phi, psi, chi)  # each: [f, f', f'', f''']
-
-    def partial(self, a: int, b: int, d: int, r: float, v: float, t: float):
-        phi, psi, chi = self.tables
-        return self.c * phi[a](r) * psi[b](v) * chi[d](t)
-
-    def dderiv(self, r, v, t, dirs):
-        """Sum over variable assignments of mixed partials times direction
-        components; ``dirs`` holds (dr, dv, dt) triples."""
-        total = 0.0
-        for assign in np.ndindex(*(3,) * len(dirs)):
-            counts = [0, 0, 0]
-            weight = 1.0
-            for j, var in enumerate(assign):
-                counts[var] += 1
-                weight *= dirs[j][var]
-                if weight == 0.0:
-                    break
-            if weight == 0.0:
-                continue
-            total += weight * self.partial(counts[0], counts[1], counts[2], r, v, t)
-        return total
-
-
-_MAX_ANALYTIC_ORDER = 8
-
-
-def _poly(*coeffs):
-    """Derivative table of a polynomial given by coefficients (c0, c1, ...)."""
-    out = []
-    current = list(coeffs)
-    for _ in range(_MAX_ANALYTIC_ORDER):
-        cur = list(current)
-        out.append(lambda s, cur=cur: sum(c * s ** k for k, c in enumerate(cur)))
-        current = [k * c for k, c in enumerate(current)][1:] or [0.0]
-    return out
-
-
-_TRIG = [np.sin, np.cos, lambda s: -np.sin(s), lambda s: -np.cos(s)]
-_SIN = [_TRIG[k % 4] for k in range(_MAX_ANALYTIC_ORDER)]
-_COS = [_TRIG[(k + 1) % 4] for k in range(_MAX_ANALYTIC_ORDER)]
-_ONE = _poly(1.0)
-_ID = _poly(0.0, 1.0)
-
-
-def _langevin_scalars(v_dependent: bool):
-    """Second components of the Langevin coefficients as separable scalars."""
-    f_d = _Separable(-1.0, _SIN, _ONE, _poly(1.0, 1.0))
-    friction = _Separable(-1.0, _ONE, _ID, _poly(1.0, 0.0, 0.25))  # -alpha(t) v
-    psi = _poly(1.0, 0.0, 0.125) if v_dependent else _ONE
-    f_s = _Separable(0.2, _COS, psi, _poly(1.0, 0.5))
-    return f_d, friction, f_s
+def _langevin_alpha(t):
+    return 1.0 + 0.25 * t * t
 
 
 def _make_langevin_partitioned(name: str, v_dependent: bool) -> SDEProblem:
-    f_d, friction, f_s = _langevin_scalars(v_dependent)
-
-    def vec2(scalar_fn):
-        return lambda x1, x2: np.array([0.0, scalar_fn(x1[0], x1[1], x2[0])])
+    def noise_velocity_factor(v):
+        return 1.0 + 0.125 * v * v if v_dependent else 1.0
 
     coeffs = {
-        (1, 1, 0): vec2(lambda r, v, t: f_d.partial(0, 0, 0, r, v, t)),
-        (1, 2, 0): lambda x1, x2: np.array(
-            [x1[1], friction.partial(0, 0, 0, x1[0], x1[1], x2[0])]),
-        (1, 1, 1): vec2(lambda r, v, t: f_s.partial(0, 0, 0, r, v, t)),
+        (1, 1, 0): lambda x1, x2: np.array([0.0, -np.sin(x1[0]) * (1.0 + x2[0])]),
+        (1, 2, 0): lambda x1, x2: np.array([x1[1], -_langevin_alpha(x2[0]) * x1[1]]),
+        (1, 1, 1): lambda x1, x2: np.array(
+            [0.0, 0.2 * np.cos(x1[0]) * noise_velocity_factor(x1[1])
+             * (1.0 + 0.5 * x2[0])]),
         (2, 1, 0): lambda x1, x2: np.array([1.0]),
-    }
-
-    def _dirs3(blocks, directions):
-        return [(float(vec[0]) if part == 1 else 0.0,
-                 float(vec[1]) if part == 1 else 0.0,
-                 float(vec[0]) if part == 2 else 0.0)
-                for part, vec in directions]
-
-    def deriv_second_component(scalar: _Separable):
-        def deriv(blocks, directions):
-            r, v = blocks[0]
-            t = blocks[1][0]
-            return np.array([0.0, scalar.dderiv(r, v, t, _dirs3(blocks, directions))])
-        return deriv
-
-    def deriv_friction(blocks, directions):
-        r, v = blocks[0]
-        t = blocks[1][0]
-        dirs = _dirs3(blocks, directions)
-        first = dirs[0][1] if len(directions) == 1 else 0.0
-        return np.array([first, friction.dderiv(r, v, t, dirs)])
-
-    coeff_derivs = {
-        (1, 1, 0): deriv_second_component(f_d),
-        (1, 2, 0): deriv_friction,
-        (1, 1, 1): deriv_second_component(f_s),
-        (2, 1, 0): lambda blocks, directions: np.array([0.0]),
     }
     return SDEProblem(
         name=name,
@@ -401,35 +320,26 @@ def _make_langevin_partitioned(name: str, v_dependent: bool) -> SDEProblem:
         x0=np.array([0.5, 0.3, 0.4]),
         interpretation="stratonovich",
         coeffs=coeffs,
-        coeff_derivs=coeff_derivs,
     )
-
-
-def _langevin_alpha(t):
-    return 1.0 + 0.25 * t * t
 
 
 def _make_langevin_semilinear() -> SDEProblem:
     def A(t):
         return np.array([[0.0, 1.0], [0.0, -_langevin_alpha(t)]])
 
-    A1 = lambda t: np.array([[0.0, 0.0], [0.0, -0.5 * t]])
-    A2 = lambda t: np.array([[0.0, 0.0], [0.0, -0.5]])
-    A3 = lambda t: np.zeros((2, 2))
-
-    # the position row of both coefficients is zero: fill the force row of
-    # a zero array (np.zeros_like on a numpy scalar costs most of a call)
-    def g0(x, t):
-        r = x[0]
-        out = np.zeros((2,) + np.shape(r))
-        out[1] = -np.sin(r) * (1.0 + t)
+    # the position row of both coefficients is zero: fill the velocity row
+    # of a zero array (np.zeros_like on a numpy scalar costs most of a call)
+    # of the input's dtype, so that it can hold jets
+    def velocity_row(r, value):
+        out = np.zeros((2,) + np.shape(r), dtype=np.asarray(r).dtype)
+        out[1] = value
         return out
+
+    def g0(x, t):
+        return velocity_row(x[0], -np.sin(x[0]) * (1.0 + t))
 
     def g1(x, t):
-        r = x[0]
-        out = np.zeros((2,) + np.shape(r))
-        out[1] = 0.2 * np.cos(r) * (1.0 + 0.5 * t)
-        return out
+        return velocity_row(x[0], 0.2 * np.cos(x[0]) * (1.0 + 0.5 * t))
 
     return SDEProblem(
         name="langevin",
@@ -437,7 +347,7 @@ def _make_langevin_semilinear() -> SDEProblem:
         dims=(2, 1),
         x0=np.array([0.5, 0.3, 0.4]),
         interpretation="stratonovich",
-        A=A, A_derivs=(A1, A2, A3),
+        A=A,
         g={0: g0, 1: g1},
     )
 
@@ -446,10 +356,6 @@ def _make_noncommutative() -> SDEProblem:
     def A(t):
         return np.array([[0.0, 1.0 + 0.5 * t],
                          [-1.0 + 0.125 * t * t, -0.5 - 0.25 * t]])
-
-    A1 = lambda t: np.array([[0.0, 0.5], [0.25 * t, -0.25]])
-    A2 = lambda t: np.array([[0.0, 0.0], [0.25, 0.0]])
-    A3 = lambda t: np.zeros((2, 2))
 
     def g0(x, t):
         return np.array([0.3 * np.sin(x[1]),
@@ -465,16 +371,13 @@ def _make_noncommutative() -> SDEProblem:
         dims=(2, 1),
         x0=np.array([0.6, 0.4, 0.0]),
         interpretation="stratonovich",
-        A=A, A_derivs=(A1, A2, A3),
+        A=A,
         g={0: g0, 1: g1},
     )
 
 
 def _make_scalar_semilinear() -> SDEProblem:
     A = lambda t: np.array([[-0.5 - 0.25 * t]])
-    A1 = lambda t: np.array([[-0.25]])
-    A2 = lambda t: np.zeros((1, 1))
-    A3 = lambda t: np.zeros((1, 1))
 
     def g0(x, t):
         return 0.4 * np.sin(x) * (1.0 + t / 3.0)
@@ -488,7 +391,7 @@ def _make_scalar_semilinear() -> SDEProblem:
         dims=(1, 1),
         x0=np.array([0.8, 0.0]),
         interpretation="stratonovich",
-        A=A, A_derivs=(A1, A2, A3),
+        A=A,
         g={0: g0, 1: g1},
     )
 

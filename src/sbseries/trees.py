@@ -124,6 +124,10 @@ class ALabel:
     """The linear-part node of the semi-linear family."""
 
 
+# the bracket grammar writes a g-node's color as one digit
+MAX_G_COLOR = 9
+
+
 @dataclass(frozen=True)
 class GLabel:
     """Coefficient-function node of color m in the semi-linear family."""
@@ -577,8 +581,8 @@ def format_label(label: NodeLabel) -> str:
     if isinstance(label, ALabel):
         return "A"
     if isinstance(label, GLabel):
-        if label.m > 9:
-            raise ValueError("single-digit grammar: g-node color must be <= 9")
+        if label.m > MAX_G_COLOR:
+            raise ValueError(f"single-digit grammar: g-node color must be <= {MAX_G_COLOR}")
         return str(label.m)
     if isinstance(label, FLabel):
         return "f"

@@ -2,10 +2,13 @@
 
 Everything here is computed by a route that does not touch the code under
 test: classical Runge-Kutta elementary weights by their textbook recursion,
-and closed-form moments of iterated integrals by isometry and Fubini.
+closed-form moments of iterated integrals by isometry and Fubini, and
+hand-written derivative tables of the built-in problems' coefficients.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from sbseries import expr as E
 from sbseries.trees import Tree
@@ -42,3 +45,93 @@ EXAMPLE_WEIGHT_SECOND_MOMENT = Fraction(2, 11583)
 
 def example_weight_second_moment(h: float) -> float:
     return float(EXAMPLE_WEIGHT_SECOND_MOMENT) * h ** 13
+
+
+# ---------------------------------------------------------------------------
+# Hand-written derivative tables of the built-in problems
+# ---------------------------------------------------------------------------
+
+# first, second and third time derivatives of each semi-linear A(t)
+A_DERIVATIVES = {
+    "langevin": (
+        lambda t: np.array([[0.0, 0.0], [0.0, -0.5 * t]]),
+        lambda t: np.array([[0.0, 0.0], [0.0, -0.5]]),
+        lambda t: np.zeros((2, 2)),
+    ),
+    "noncomm-2x2": (
+        lambda t: np.array([[0.0, 0.5], [0.25 * t, -0.25]]),
+        lambda t: np.array([[0.0, 0.0], [0.25, 0.0]]),
+        lambda t: np.zeros((2, 2)),
+    ),
+    "scalar-semilinear": (
+        lambda t: np.array([[-0.25]]),
+        lambda t: np.zeros((1, 1)),
+        lambda t: np.zeros((1, 1)),
+    ),
+}
+
+_TABLE_ORDER = 8
+
+
+def _poly(*coeffs):
+    """Derivative table [f, f', f'', ...] of the polynomial sum c_k s^k."""
+    out = []
+    current = list(coeffs)
+    for _ in range(_TABLE_ORDER):
+        cur = list(current)
+        out.append(lambda s, cur=cur: sum(c * s ** k for k, c in enumerate(cur)))
+        current = [k * c for k, c in enumerate(current)][1:] or [0.0]
+    return out
+
+
+_TRIG = [np.sin, np.cos, lambda s: -np.sin(s), lambda s: -np.cos(s)]
+_SIN = [_TRIG[k % 4] for k in range(_TABLE_ORDER)]
+_COS = [_TRIG[(k + 1) % 4] for k in range(_TABLE_ORDER)]
+_ONE = _poly(1.0)
+_ID = _poly(0.0, 1.0)
+
+
+class _Separable:
+    """Scalar c * phi(r) * psi(v) * chi(t) with tabulated derivatives."""
+
+    def __init__(self, c, phi, psi, chi):
+        self.c = c
+        self.tables = (phi, psi, chi)
+
+    def dderiv(self, r, v, t, dirs):
+        """Sum over variable assignments of mixed partials times direction
+        components; ``dirs`` holds (dr, dv, dt) triples."""
+        phi, psi, chi = self.tables
+        total = 0.0
+        for assign in np.ndindex(*(3,) * len(dirs)):
+            counts = [0, 0, 0]
+            weight = 1.0
+            for j, var in enumerate(assign):
+                counts[var] += 1
+                weight *= dirs[j][var]
+            total += weight * self.c * phi[counts[0]](r) * psi[counts[1]](v) \
+                * chi[counts[2]](t)
+        return total
+
+
+def langevin_coefficient_derivative(v_dependent: bool, key, x, directions):
+    """Mixed derivative of the partitioned Langevin coefficient ``key`` =
+    (q, v, m) at the flat state ``x`` = (r, v, t) along (partition,
+    vector) directions, from the separable hand tables."""
+    r, v, t = x
+    dirs = [(float(vec[0]) if part == 1 else 0.0,
+             float(vec[1]) if part == 1 else 0.0,
+             float(vec[0]) if part == 2 else 0.0)
+            for part, vec in directions]
+    if key == (2, 1, 0):
+        return np.array([0.0])
+    if key == (1, 2, 0):
+        friction = _Separable(-1.0, _ONE, _ID, _poly(1.0, 0.0, 0.25))
+        first = dirs[0][1] if len(dirs) == 1 else 0.0
+        return np.array([first, friction.dderiv(r, v, t, dirs)])
+    if key == (1, 1, 0):
+        scalar = _Separable(-1.0, _SIN, _ONE, _poly(1.0, 1.0))
+    else:
+        psi = _poly(1.0, 0.0, 0.125) if v_dependent else _ONE
+        scalar = _Separable(0.2, _COS, psi, _poly(1.0, 0.5))
+    return np.array([0.0, scalar.dderiv(r, v, t, dirs)])

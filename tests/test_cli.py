@@ -317,9 +317,11 @@ class TestInputValidation:
         ("trees", "enum", "--M", "-1", "--cap", "1"),
         ("series", "exact", "--M", "-2", "--cap", "1"),
         ("trees", "enum", "--model", "nonautonomous", "--l", "-3", "--cap", "1"),
+        ("trees", "enum", "--model", "semilinear", "--M", "10", "--cap", "1/2"),
+        ("series", "exact", "--model", "semilinear", "--M", "100000", "--cap", "1/2"),
     ], ids=["cap-zero-denominator", "cap-negative", "expr-zero-denominator",
             "paths-zero", "steps-zero", "colors-negative", "series-colors-negative",
-            "wiener-index-negative"])
+            "wiener-index-negative", "colors-above-digit", "series-colors-above-digit"])
     def test_rejected_with_one_line_error(self, argv, capsys):
         code, text = run(*argv)
         err = capsys.readouterr().err

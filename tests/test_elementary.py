@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import A_DERIVATIVES, langevin_coefficient_derivative
+
 from sbseries import expr as E
 from sbseries import trees as T
 from sbseries.elementary import (
@@ -10,6 +12,7 @@ from sbseries.elementary import (
     ModelMismatch,
     SDEProblem,
     _central_difference,
+    _directional_derivative,
     _fd_steps,
     eval_bseries,
     eval_elementary,
@@ -20,7 +23,8 @@ from sbseries.elementary import (
 )
 from sbseries.paths import eval_weight, sample_path
 from sbseries.series import BSeries, derivative_product, exact_solution_series
-from sbseries.sim import reference_solution
+from sbseries.serk import builtin_exponential_midpoint, erk_weights
+from sbseries.sim import exponential_midpoint_step, reference_solution
 from sbseries.trees import HalfInt, Tree, empty_tree, enumerate_trees, parse_tree
 
 EX2 = "[[[g(2,1,0),g(2,1,0)]g(1,2,0),g(1,1,0)]g(1,1,1),g(2,1,0)]g(1,2,0)"
@@ -100,32 +104,72 @@ class TestElementary:
         x, t = prob.x0_state, prob.t0
         # all-time children: k-th derivative of A times the state
         got = eval_elementary(prob, parse_tree("[t,t]A"))
-        assert np.allclose(got, prob.A_derivs[1](t) @ x)
+        table = A_DERIVATIVES["noncomm-2x2"]
+        assert np.allclose(got, table[1](t) @ x)
         # one non-time child: derivative order drops by the non-time child
         inner = eval_elementary(prob, parse_tree("0"))
         got = eval_elementary(prob, parse_tree("[0,t]A"))
-        assert np.allclose(got, prob.A_derivs[0](t) @ inner)
+        assert np.allclose(got, table[0](t) @ inner)
 
     def test_semilinear_fd_matches_analytic_a(self):
         prob = get_problem("noncomm-2x2")
-        no_analytic = get_problem("noncomm-2x2")
-        no_analytic.A_derivs = ()
         for ts in ["[t]A", "[t,t]A", "[0,t]A"]:
             a = eval_elementary(prob, parse_tree(ts))
-            b = eval_elementary(no_analytic, parse_tree(ts))
+            b = eval_elementary(prob, parse_tree(ts), derivatives="fd")
             assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("name", ["noncomm-2x2", "langevin", "scalar-semilinear"])
     def test_semilinear_fd_matches_analytic_a_to_order_three(self, name):
         prob = get_problem(name)
-        no_analytic = get_problem(name)
-        no_analytic.A_derivs = ()
         for ts in ["[t,t,t]A", "[[t]A,t,t]A"]:
             a = eval_elementary(prob, parse_tree(ts))
-            b = eval_elementary(no_analytic, parse_tree(ts))
+            b = eval_elementary(prob, parse_tree(ts), derivatives="fd")
             assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
         with pytest.raises(DerivativeOrderUnsupported):
-            eval_elementary(no_analytic, parse_tree("[t,t,t,t]A"))
+            eval_elementary(prob, parse_tree("[t,t,t,t]A"), derivatives="fd")
+
+    @pytest.mark.parametrize("name", ["noncomm-2x2", "langevin", "scalar-semilinear"])
+    def test_a_jets_match_hand_tables(self, name):
+        prob = get_problem(name)
+        for t in (0.0, 0.4, -1.3):
+            for k, table in enumerate(A_DERIVATIVES[name], start=1):
+                got, want = prob.a_derivative(k, t), table(t)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["langevin-partitioned", "langevin-vdep"])
+    def test_coefficient_jets_match_hand_tables(self, name):
+        rng = np.random.default_rng(11)
+        prob = get_problem(name)
+        for key in [(1, 1, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0)]:
+            for order in (1, 2, 3):
+                for _ in range(10):
+                    x = prob.x0 + rng.standard_normal(3)
+                    dirs = [(1, rng.standard_normal(2)) if rng.random() < 0.6
+                            else (2, rng.standard_normal(1)) for _ in range(order)]
+                    got = _directional_derivative(prob, *key, x, dirs, "analytic")
+                    want = langevin_coefficient_derivative(
+                        name == "langevin-vdep", key, x, dirs)
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) \
+                        <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+    def test_reassigned_coefficients_change_derivatives(self):
+        # derivatives come from the coefficient functions themselves, so a
+        # reassigned A or coefficient is differentiated as it now reads
+        prob = get_problem("noncomm-2x2")
+        prob.A = lambda t: np.zeros((2, 2))
+        assert eval_elementary(prob, parse_tree("[t]A")).tolist() == [0.0, 0.0]
+        langevin = get_problem("langevin-partitioned")
+        langevin.coeffs[(1, 2, 0)] = lambda x1, x2: np.array([x1[1], -x1[1]])
+        got = eval_elementary(langevin, parse_tree(APPENDIX_TREE))
+        assert got.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mode", ["bogus", "auto"])
+    @pytest.mark.parametrize("tree", ["[t]A", "0", "[0]1"])
+    def test_unknown_derivative_mode_rejected(self, mode, tree):
+        with pytest.raises(ValueError, match="unknown derivative mode"):
+            eval_elementary(get_problem("langevin"), parse_tree(tree),
+                            derivatives=mode)
 
     def test_model_mismatch(self, langevin):
         with pytest.raises(ModelMismatch):
@@ -142,10 +186,10 @@ class TestCentralDifference:
     @pytest.mark.parametrize("order, calls", [(1, 2), (2, 3), (3, 4)])
     def test_repeated_time_direction_evaluates_each_point_once(self, order, calls):
         prob = get_problem("langevin")
-        prob.A_derivs = ()
         seen, A = [], prob.A
         prob.A = lambda t: seen.append(t) or A(t)
-        prob.a_derivative(order, 0.4)
+        tree = parse_tree("[" + ",".join(["t"] * order) + "]A")
+        eval_elementary(prob, tree, derivatives="fd")
         assert len(seen) == len(set(seen)) == calls
 
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -188,6 +232,10 @@ class TestFDDirectional:
     def test_directional_derivative_linear_in_each_slot(self, langevin_vdep):
         rng = np.random.default_rng(3)
         prob = langevin_vdep
+
+        def jet(dirs):
+            return _directional_derivative(prob, 1, 1, 1, prob.x0, dirs, "analytic")
+
         for _ in range(20):
             u = (1, rng.standard_normal(2))
             v = (1, rng.standard_normal(2))
@@ -198,10 +246,8 @@ class TestFDDirectional:
             want = fd_directional(prob, 1, 1, 1, prob.x0, [u, w]) \
                 + c * fd_directional(prob, 1, 1, 1, prob.x0, [v, w])
             assert np.allclose(got, want, atol=1e-6)
-            analytic = prob.coeff_derivs[(1, 1, 1)]
-            got_a = analytic(prob.blocks(prob.x0), [combined, w])
-            want_a = analytic(prob.blocks(prob.x0), [u, w]) \
-                + c * analytic(prob.blocks(prob.x0), [v, w])
+            got_a = jet([combined, w])
+            want_a = jet([u, w]) + c * jet([v, w])
             assert np.allclose(got_a, want_a, atol=1e-12)
 
     def test_matches_analytic_on_langevin(self, langevin_vdep):
@@ -248,7 +294,7 @@ class TestEvalBSeries:
         prob = SDEProblem(
             name="scalar-ode", model=T.SemiLinear(0), dims=base.dims,
             x0=base.x0, interpretation="stratonovich",
-            A=base.A, A_derivs=base.A_derivs,
+            A=base.A,
             g={0: base.g[0], 1: lambda x, t: np.zeros_like(x)})
         series = exact_solution_series(T.SemiLinear(0), HalfInt(6))
         errs = []
@@ -266,6 +312,36 @@ class TestEvalBSeries:
         out = eval_bseries(prob, series, prob.x0, 0.25, path)
         assert out[-1] == pytest.approx(prob.t0 + 0.25)
 
+
+    @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2", "scalar-semilinear"])
+    def test_midpoint_series_finite_at_cap_seven_halves(self, name):
+        # jets differentiate at any order, so the whole 7/2 series evaluates
+        prob = get_problem(name)
+        solution, _ = erk_weights(builtin_exponential_midpoint(), HalfInt(7))
+        out = eval_bseries(prob, solution, prob.x0, 0.125,
+                           sample_path(0.125, 64, 1, (13, 1)))
+        assert out.shape == prob.x0.shape and np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2", "scalar-semilinear"])
+    def test_midpoint_series_matches_midpoint_step(self, name):
+        # the symbolic midpoint series at cap 2 against one numerical step:
+        # the difference is the series truncation, O(h^(5/2)) in RMS
+        prob = get_problem(name)
+        solution, _ = erk_weights(builtin_exponential_midpoint(), HalfInt(4))
+        ladder = [2.0 ** -k for k in range(3, 8)]
+        rms = []
+        for h in ladder:
+            errs = []
+            for k in range(8):
+                path = sample_path(h, 64, 1, (41, k))
+                approx = eval_bseries(prob, solution, prob.x0, h, path)
+                w = path.wiener(1)
+                step = exponential_midpoint_step(prob, prob.t0, h, prob.x0_state,
+                                                 w[-1] - w[0])
+                errs.append(np.sum((approx[:prob.dim] - step) ** 2))
+            rms.append(np.sqrt(np.mean(errs)))
+        slope = np.polyfit(np.log2(ladder), np.log2(rms), 1)[0]
+        assert slope > 2.25
 
     @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2", "scalar-semilinear"])
     def test_equals_sum_of_per_tree_differentials(self, name):
@@ -311,6 +387,26 @@ class TestBuiltinCoefficients:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
+
+    @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2", "scalar-semilinear"])
+    def test_linear_part_bytes(self, name):
+        # A(t) as the steppers call it: scalar times and the nodes of the
+        # three Simpson rules of one exponential-midpoint step
+        written = {
+            "langevin": lambda t: np.array([[0.0, 1.0], [0.0, -(1.0 + 0.25 * t * t)]]),
+            "noncomm-2x2": lambda t: np.array([[0.0, 1.0 + 0.5 * t],
+                                               [-1.0 + 0.125 * t * t, -0.5 - 0.25 * t]]),
+            "scalar-semilinear": lambda t: np.array([[-0.5 - 0.25 * t]]),
+        }[name]
+        prob = get_problem(name)
+        times = [0.0, -0.0, 0.4, -1.3, 1e-3]
+        t, h = prob.t0, 0.25
+        for lo, hi in ((t, t + 0.5 * h), (t + 0.5 * h, t + h), (t, t + h)):
+            times += [lo, 0.5 * (lo + hi), hi]
+        for s in times:
+            got, want = prob.A(s), written(s)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("r", [0.0, -0.0, np.pi], ids=["zero", "minus-zero", "pi"])
     @pytest.mark.parametrize("t", [0.7, -2.0], ids=["t", "root"])

@@ -43,7 +43,6 @@ class TestStepper:
         # A = 0 and drift only: classical implicit midpoint, second order
         prob = get_problem("scalar-semilinear")
         prob.A = lambda t: np.zeros((1, 1))
-        prob.A_derivs = (lambda t: np.zeros((1, 1)),) * 3
         prob.g = {0: prob.g[0], 1: lambda x, t: np.zeros_like(x)}
         path = sample_path(1.0, 2 ** 12, 1, 5)
         ref = reference_solution(prob, 1.0, 2 ** 12, path)
@@ -61,7 +60,6 @@ class TestStepper:
         a = -0.4
         prob = get_problem("scalar-semilinear")
         prob.A = lambda t: np.array([[a]])
-        prob.A_derivs = (lambda t: np.zeros((1, 1)),) * 3
         x, t = float(prob.x0_state[0]), prob.t0
         g0 = lambda s: 0.4 * np.sin(s) * (1.0 + t / 3.0)
         dg0 = lambda s: 0.4 * np.cos(s) * (1.0 + t / 3.0)
@@ -153,7 +151,6 @@ class TestReference:
     def test_zero_coefficients_stay_at_x0(self):
         prob = _zero_g(get_problem("scalar-semilinear"))
         prob.A = lambda t: np.zeros((1, 1))
-        prob.A_derivs = (lambda t: np.zeros((1, 1)),) * 3
         path = sample_path(1.0, 256, 1, 2)
         assert np.allclose(reference_solution(prob, 1.0, 256, path), prob.x0_state)
 
