@@ -250,12 +250,18 @@ class _Workspace:
     def _atom_profile(self, atom: IntAtom, depth: int) -> np.ndarray:
         """The integral as a function of its upper limit, one row per path,
         in the profile array of ``depth`` (its integrand's first); nested
-        integrals use the deeper ones."""
+        integrals use the deeper ones.  An integrand that is one atom is
+        that atom's profile, in the same array, summed again in place."""
         n_points = len(self.times)
-        f = self._scratch(("profile", depth), n_points)
-        _product(atom.integrand, f, self.times, self.w,
-                 lambda: self._scratch("power", n_points),
-                 lambda inner: self._atom_profile(inner, depth + 1))
+        mono = atom.integrand
+        if not mono.hpow and not mono.dws and len(mono.ints) == 1 and mono.ints[0][1] == 1:
+            # the product would be 1.0 * profile, the same bits
+            f = self._atom_profile(mono.ints[0][0], depth)
+        else:
+            f = self._scratch(("profile", depth), n_points)
+            _product(mono, f, self.times, self.w,
+                     lambda: self._scratch("power", n_points),
+                     lambda inner: self._atom_profile(inner, depth + 1))
         step = self._step(atom.color)
         # in place, in the order of 0.5 * (f[:-1] + f[1:]) * step
         incr = self._scratch("increments", n_points - 1)

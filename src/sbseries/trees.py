@@ -27,11 +27,9 @@ stochastic nodes 1/2, and the empty tree has order 1 by convention.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-import math
 import re
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -152,9 +150,7 @@ NodeLabel = GeneralLabel | WLabel | TLabel | ALabel | GLabel | FLabel | EmptyLab
 
 def label_color(label: NodeLabel) -> int:
     """Driving-process color of a node; deterministic nodes are color 0."""
-    if isinstance(label, GeneralLabel):
-        return label.m
-    if isinstance(label, GLabel):
+    if isinstance(label, (GeneralLabel, GLabel)):
         return label.m
     if isinstance(label, WLabel):
         return label.i
@@ -208,13 +204,14 @@ class Tree:
 
     __slots__ = ("label", "children", "_hash", "_rho2", "_key", "_text",
                  "_sigma", "__weakref__")
+    is_empty = False  # True on the trees of EmptyLabel, which are _EmptyTree
 
     def __new__(cls, label: NodeLabel, children: tuple["Tree", ...] = ()) -> "Tree":
-        table, forget, own = _INTERN.get(label) or _intern_table(label)
+        table, forget, own, kind, label = _INTERN.get(label) or _intern_table(label)
         ref = table.get(children)
         tree = ref() if ref is not None else None
         if tree is None:
-            tree = object.__new__(cls)
+            tree = object.__new__(kind)
             init = object.__setattr__
             init(tree, "label", label)
             init(tree, "children", children)
@@ -239,15 +236,19 @@ class Tree:
         return f"Tree(label={self.label!r}, children={self.children!r})"
 
     @property
-    def is_empty(self) -> bool:
-        return isinstance(self.label, EmptyLabel)
-
-    @property
     def is_leaf(self) -> bool:
         return not self.children
 
     def __str__(self) -> str:
         return format_tree(self)
+
+
+class _EmptyTree(Tree):
+    """The class of the empty trees, so that ``is_empty`` is a class
+    attribute read with no per-tree slot."""
+
+    __slots__ = ()
+    is_empty = True
 
 
 class _Ref(weakref.ref):
@@ -263,8 +264,9 @@ _INTERN: dict[NodeLabel, tuple] = {}
 
 def _intern_table(label: NodeLabel):
     """The intern table of one label (children tuple -> weak reference to
-    the tree), the callback that drops the entry of a tree that died, and
-    the label's own share of 2*rho."""
+    the tree), the callback that drops the entry of a tree that died, the
+    label's own share of 2*rho, the class of its trees and the one label
+    object all of them hold."""
     table: dict[tuple[Tree, ...], _Ref] = {}
 
     def forget(ref: _Ref) -> None:
@@ -273,7 +275,8 @@ def _intern_table(label: NodeLabel):
             del table[ref.key]
 
     own = 2 if label_color(label) == 0 else 1
-    return _INTERN.setdefault(label, (table, forget, own))
+    kind = _EmptyTree if isinstance(label, EmptyLabel) else Tree
+    return _INTERN.setdefault(label, (table, forget, own, kind, label))
 
 
 EMPTY = Tree(EmptyLabel(1))
@@ -325,6 +328,8 @@ def _canonical_label(label: NodeLabel) -> NodeLabel:
 
 def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
     """Canonical form: children canonicalized and sorted at every node.
+    ``tree`` may also be any node with ``label`` and ``children``, such as
+    the parser's.
 
     Idempotent and invariant under child permutations.  Validates the
     A-node arity rule always, and that every label is one of
@@ -364,13 +369,17 @@ def rho(tree: Tree) -> HalfInt:
 
 def symmetry(tree: Tree) -> int:
     """Symmetry factor sigma: the product over nodes of rep! for each run
-    of ``rep`` equal children, cached on the tree."""
+    of ``rep`` equal children, cached on the tree.
+
+    One pass over the (sorted) children: the k-th child of a run of equal
+    children contributes its own sigma times k."""
     sigma = getattr(tree, "_sigma", None)
     if sigma is None:
-        sigma = 1
-        for child, run in itertools.groupby(tree.children):
-            rep = len(list(run))
-            sigma *= math.factorial(rep) * symmetry(child) ** rep
+        sigma, prev, rep = 1, None, 0
+        for child in tree.children:
+            rep = rep + 1 if child is prev else 1
+            prev = child
+            sigma *= symmetry(child) * rep
         object.__setattr__(tree, "_sigma", sigma)
     return sigma
 
@@ -506,64 +515,71 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
                     cap: int = DEFAULT_ENUMERATION_CAP) -> list[Tree]:
     """All distinct canonical trees of the model with rho <= rho_max,
     excluding the empty tree and the child-only time/Wiener leaves,
-    sorted by (rho, canonical order).
+    in ``tree_key`` order: by rho, then root label, then children.
+
+    The trees are built in that order, with no sorting.  Half-order ``b``
+    takes the node labels in ``label_key`` order, and for each label the
+    child tuples in the order :func:`_weighted_multisets` yields them:
+    lexicographic in their positions in the pool of child candidates.
+    The pool is in ``tree_key`` order, because each half-order appends
+    its adjoined leaves (t and W_i, whose labels sort before every node
+    label) and then its trees.  So positions compare as keys do, and as
+    two child tuples of equal weight are never prefixes of one another,
+    their positions compare as their key tuples do.
 
     Raises :class:`CapExceeded` if more than ``cap`` trees would be produced.
     """
     budget = rho_max.twice
     if budget < 1:
         return []
-    levels: list[list[Tree]] = []  # one per half-order, added when reached
-    count = 0
-    # Child candidates, kept sorted by tree_key (whose leading component is
-    # 2*rho, so a weight bound is a prefix of the pool).
-    pool: list[Tree] = sorted(model.adjoined_leaves(), key=tree_key)
-    leaves = [Tree(label) for label in model.node_labels()]
+    leaves = [Tree(label) for label in sorted(model.node_labels(), key=label_key)]
+    adjoined = sorted(model.adjoined_leaves(), key=lambda leaf: label_key(leaf.label))
+    pool: list[Tree] = []  # child candidates, in tree_key order
+    out: list[Tree] = []
     for b in range(1, budget + 1):
-        level: list[Tree] = []
-        levels.append(level)
+        pool += [leaf for leaf in adjoined if rho2(leaf) == b]
+        start = len(out)
         for leaf in leaves:
             label, rem = leaf.label, b - rho2(leaf)
             if rem < 0:
                 continue
-            prefix = pool[:bisect.bisect_right(pool, rem, key=rho2)]
-            for combo in _weighted_multisets(prefix, rem):
+            for combo in _weighted_multisets(pool, rem):
                 if isinstance(label, ALabel):
                     try:
                         a_node_children(combo)
                     except SemiLinearArity:
                         continue
-                level.append(Tree(label, combo))
-                count += 1
-                if count > cap:
+                out.append(Tree(label, combo))
+                if len(out) > cap:
                     raise CapExceeded(f"more than {cap} trees below order {rho_max}")
-        pool = sorted(pool + level, key=tree_key)
-    out = [t for level in levels for t in level]
-    out.sort(key=tree_key)
+        pool += out[start:]
     return out
 
 
 def _weighted_multisets(pool: list[Tree], budget: int):
     """Nondecreasing tuples over ``pool`` whose 2*rho weights sum to budget
-    (budget 0 yields the empty tuple).
+    (budget 0 yields the empty tuple), in lexicographic order of the
+    positions in ``pool``.
 
-    The pool is sorted by tree_key, whose leading component is the weight,
-    so iteration can stop at the first item that no longer fits."""
-    weights = [rho2(t) for t in pool]
+    The pool is sorted by weight, so iteration can stop at the first item
+    that no longer fits."""
+    return _multisets_from(pool, 0, budget, [])
 
-    def rec(start: int, remaining: int, acc: list[Tree]):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for i in range(start, len(pool)):
-            w = weights[i]
-            if w > remaining:
-                break
-            acc.append(pool[i])
-            yield from rec(i, remaining - w, acc)
-            acc.pop()
 
-    yield from rec(0, budget, [])
+def _multisets_from(pool: list[Tree], start: int, remaining: int, acc: list[Tree]):
+    # a module-level function: a nested recursive one would be a reference
+    # cycle holding ``pool``, and with it every tree, until a full collection
+    if remaining == 0:
+        yield tuple(acc)
+        return
+    for i in range(start, len(pool)):
+        tree = pool[i]
+        w = tree._rho2
+        if w > remaining:
+            break
+        acc.append(tree)
+        yield from _multisets_from(pool, i, remaining - w, acc)
+        acc.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -602,83 +618,73 @@ def format_tree(tree: Tree) -> str:
     return text
 
 
-_GENERAL_RE = re.compile(r"g\((\d+),(\d+),(\d+)\)")
+# one label token of the bracket grammar; digits are ASCII only
+_TOKEN_RE = re.compile(r"g\([0-9]+,[0-9]+,[0-9]+\)|W[0-9]+|\(\)[0-9]*|[tAf0-9]")
+_FIXED_LABELS = {"t": TLabel(), "A": ALabel(), "f": FLabel()}
+_TOKEN_LABELS: dict[str, NodeLabel] = {}  # token in its formatted spelling -> label
+# the error at a character no token starts with: (offset, message)
+_TOKEN_ERRORS = {"g": (0, "malformed g(q,v,m) label"), "W": (1, "W-label needs an index"),
+                 "(": (0, "malformed empty-tree token")}
+# a parsed node, neither canonical nor interned
+_Node = namedtuple("_Node", "label children")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _token_label(token: str) -> NodeLabel:
+    """The label of a token.  Tokens spelled as :func:`format_label` writes
+    them are cached, with the label object of the intern table."""
+    label = _TOKEN_LABELS.get(token)
+    if label is None:
+        head = token[0]
+        if head == "g":
+            label = GeneralLabel(*map(int, token[2:-1].split(",")))
+        elif head == "W":
+            label = WLabel(int(token[1:]))
+        elif head == "(":
+            label = EmptyLabel(int(token[2:]) if len(token) > 2 else 1)
+        else:
+            label = _FIXED_LABELS.get(head) or GLabel(int(head))
+        if format_label(label) == token:
+            label = _TOKEN_LABELS[token] = (_INTERN.get(label) or _intern_table(label))[4]
+    return label
 
-    def error(self, msg: str):
-        raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _syntax_error(text: str, pos: int, msg: str):
+    raise ParseError(f"{msg} at position {pos} in {text!r}")
 
-    def _peek_is_ascii_digit(self) -> bool:
-        ch = self.peek()
-        return len(ch) == 1 and ch in "0123456789"
 
-    def parse_tree(self) -> Tree:
-        if self.peek() == "[":
-            self.pos += 1
-            children = [self.parse_tree()]
-            while self.peek() == ",":
-                self.pos += 1
-                children.append(self.parse_tree())
-            if self.peek() != "]":
-                self.error("expected ']'")
-            self.pos += 1
-            label = self.parse_label()
-            return Tree(label, tuple(children))
-        return Tree(self.parse_label())
-
-    def parse_label(self) -> NodeLabel:
-        ch = self.peek()
-        if ch == "g":
-            match = _GENERAL_RE.match(self.text, self.pos)
-            if not match:
-                self.error("malformed g(q,v,m) label")
-            self.pos = match.end()
-            return GeneralLabel(int(match.group(1)), int(match.group(2)),
-                                int(match.group(3)))
-        if ch == "W":
-            self.pos += 1
-            start = self.pos
-            while self._peek_is_ascii_digit():
-                self.pos += 1
-            if start == self.pos:
-                self.error("W-label needs an index")
-            return WLabel(int(self.text[start:self.pos]))
-        if ch == "t":
-            self.pos += 1
-            return TLabel()
-        if ch == "A":
-            self.pos += 1
-            return ALabel()
-        if ch == "f":
-            self.pos += 1
-            return FLabel()
-        if ch == "(":
-            if self.text.startswith("()", self.pos):
-                self.pos += 2
-                start = self.pos
-                while self._peek_is_ascii_digit():
-                    self.pos += 1
-                q = int(self.text[start:self.pos]) if self.pos > start else 1
-                return EmptyLabel(q)
-            self.error("malformed empty-tree token")
-        if len(ch) == 1 and ch in "0123456789":
-            self.pos += 1
-            return GLabel(int(ch))
-        self.error(f"unexpected character {ch!r}")
+def _read(text: str) -> _Node:
+    """The whole bracket text as :class:`_Node` trees, read without
+    recursion; a syntax error raises :class:`ParseError` with its position."""
+    stack: list[list[_Node]] = []  # the children read so far, per open bracket
+    pos = 0
+    while True:
+        while text.startswith("[", pos):
+            stack.append([])
+            pos += 1
+        children = ()
+        while True:  # a label, which closes the node of its bracket
+            token = _TOKEN_RE.match(text, pos)
+            if token is None:
+                ch = text[pos:pos + 1]
+                shift, msg = _TOKEN_ERRORS.get(ch, (0, f"unexpected character {ch!r}"))
+                _syntax_error(text, pos + shift, msg)
+            pos = token.end()
+            node = _Node(_token_label(token.group()), children)
+            if not stack:
+                if pos != len(text):
+                    _syntax_error(text, pos, "trailing input")
+                return node
+            stack[-1].append(node)
+            if text.startswith(",", pos):
+                pos += 1
+                break
+            if not text.startswith("]", pos):
+                _syntax_error(text, pos, "expected ']'")
+            children = tuple(stack.pop())
+            pos += 1
 
 
 def parse_tree(text: str, model: TreeModel | None = None) -> Tree:
-    """Parse the bracket grammar and return the canonical tree."""
-    parser = _Parser(text.strip())
-    tree = parser.parse_tree()
-    if parser.pos != len(parser.text):
-        parser.error("trailing input")
-    return canonicalize(tree, model)
+    """Parse the bracket grammar and return the canonical tree: the whole
+    text is read first, then each canonical tree is built once."""
+    return canonicalize(_read(text.strip()), model)

@@ -2,16 +2,35 @@
 
 Everything here is computed by a route that does not touch the code under
 test: classical Runge-Kutta elementary weights by their textbook recursion,
-closed-form moments of iterated integrals by isometry and Fubini, and
-hand-written derivative tables of the built-in problems' coefficients.
+closed-form moments of iterated integrals by isometry and Fubini,
+hand-written derivative tables of the built-in problems' coefficients, and
+the sorting tree enumeration and recursive-descent tree parser that the
+in-order ones replaced.
 """
 
+import bisect
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from sbseries import expr as E
-from sbseries.trees import Tree
+from sbseries.trees import (
+    ALabel,
+    EmptyLabel,
+    FLabel,
+    GeneralLabel,
+    GLabel,
+    ParseError,
+    SemiLinearArity,
+    TLabel,
+    Tree,
+    WLabel,
+    a_node_children,
+    canonicalize,
+    rho2,
+    tree_key,
+)
 
 
 def rk_elementary_weight(tree: Tree, a, b, step_scale: Fraction) -> E.WeightExpr:
@@ -135,3 +154,136 @@ def langevin_coefficient_derivative(v_dependent: bool, key, x, directions):
         psi = _poly(1.0, 0.0, 0.125) if v_dependent else _ONE
         scalar = _Separable(0.2, _COS, psi, _poly(1.0, 0.5))
     return np.array([0.0, scalar.dderiv(r, v, t, dirs)])
+
+
+# ---------------------------------------------------------------------------
+# Tree enumeration by sorting, and the recursive-descent tree parser
+# ---------------------------------------------------------------------------
+
+
+def sorted_enumeration(model, rho_max) -> list[Tree]:
+    """The trees of ``enumerate_trees``, with the child pool re-sorted by
+    ``tree_key`` after every half-order and the result sorted at the end
+    (no cap)."""
+    budget = rho_max.twice
+    if budget < 1:
+        return []
+    levels: list[list[Tree]] = []
+    pool: list[Tree] = sorted(model.adjoined_leaves(), key=tree_key)
+    leaves = [Tree(label) for label in model.node_labels()]
+    for b in range(1, budget + 1):
+        level: list[Tree] = []
+        levels.append(level)
+        for leaf in leaves:
+            label, rem = leaf.label, b - rho2(leaf)
+            if rem < 0:
+                continue
+            prefix = pool[:bisect.bisect_right(pool, rem, key=rho2)]
+            for combo in _multisets(prefix, rem):
+                if isinstance(label, ALabel):
+                    try:
+                        a_node_children(combo)
+                    except SemiLinearArity:
+                        continue
+                level.append(Tree(label, combo))
+        pool = sorted(pool + level, key=tree_key)
+    out = [t for level in levels for t in level]
+    out.sort(key=tree_key)
+    return out
+
+
+def _multisets(pool: list[Tree], budget: int, start: int = 0):
+    """Nondecreasing tuples over ``pool[start:]`` (sorted by weight) whose
+    2*rho weights sum to ``budget``."""
+    if budget == 0:
+        yield ()
+        return
+    for i in range(start, len(pool)):
+        if rho2(pool[i]) > budget:
+            break
+        for rest in _multisets(pool, budget - rho2(pool[i]), i):
+            yield (pool[i],) + rest
+
+
+_GENERAL_RE = re.compile(r"g\(([0-9]+),([0-9]+),([0-9]+)\)")
+
+
+class RecursiveParser:
+    """The bracket grammar read by recursive descent into interned trees,
+    then canonicalized (:func:`oracle_parse_tree`)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg: str):
+        raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _peek_is_ascii_digit(self) -> bool:
+        ch = self.peek()
+        return len(ch) == 1 and ch in "0123456789"
+
+    def parse_tree(self) -> Tree:
+        if self.peek() == "[":
+            self.pos += 1
+            children = [self.parse_tree()]
+            while self.peek() == ",":
+                self.pos += 1
+                children.append(self.parse_tree())
+            if self.peek() != "]":
+                self.error("expected ']'")
+            self.pos += 1
+            label = self.parse_label()
+            return Tree(label, tuple(children))
+        return Tree(self.parse_label())
+
+    def parse_label(self):
+        ch = self.peek()
+        if ch == "g":
+            match = _GENERAL_RE.match(self.text, self.pos)
+            if not match:
+                self.error("malformed g(q,v,m) label")
+            self.pos = match.end()
+            return GeneralLabel(int(match.group(1)), int(match.group(2)),
+                                int(match.group(3)))
+        if ch == "W":
+            self.pos += 1
+            start = self.pos
+            while self._peek_is_ascii_digit():
+                self.pos += 1
+            if start == self.pos:
+                self.error("W-label needs an index")
+            return WLabel(int(self.text[start:self.pos]))
+        if ch == "t":
+            self.pos += 1
+            return TLabel()
+        if ch == "A":
+            self.pos += 1
+            return ALabel()
+        if ch == "f":
+            self.pos += 1
+            return FLabel()
+        if ch == "(":
+            if self.text.startswith("()", self.pos):
+                self.pos += 2
+                start = self.pos
+                while self._peek_is_ascii_digit():
+                    self.pos += 1
+                q = int(self.text[start:self.pos]) if self.pos > start else 1
+                return EmptyLabel(q)
+            self.error("malformed empty-tree token")
+        if len(ch) == 1 and ch in "0123456789":
+            self.pos += 1
+            return GLabel(int(ch))
+        self.error(f"unexpected character {ch!r}")
+
+
+def oracle_parse_tree(text: str, model=None) -> Tree:
+    parser = RecursiveParser(text.strip())
+    tree = parser.parse_tree()
+    if parser.pos != len(parser.text):
+        parser.error("trailing input")
+    return canonicalize(tree, model)

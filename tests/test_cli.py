@@ -319,9 +319,11 @@ class TestInputValidation:
         ("trees", "enum", "--model", "nonautonomous", "--l", "-3", "--cap", "1"),
         ("trees", "enum", "--model", "semilinear", "--M", "10", "--cap", "1/2"),
         ("series", "exact", "--model", "semilinear", "--M", "100000", "--cap", "1/2"),
+        ("trees", "info", "g(\u0661,1,0)"),
     ], ids=["cap-zero-denominator", "cap-negative", "expr-zero-denominator",
             "paths-zero", "steps-zero", "colors-negative", "series-colors-negative",
-            "wiener-index-negative", "colors-above-digit", "series-colors-above-digit"])
+            "wiener-index-negative", "colors-above-digit", "series-colors-above-digit",
+            "g-label-non-ascii-digit"])
     def test_rejected_with_one_line_error(self, argv, capsys):
         code, text = run(*argv)
         err = capsys.readouterr().err
@@ -369,9 +371,9 @@ CAPS = st.one_of(
 
 
 # Tree-string fragments: brackets, separators and the labels of all three
-# families, valid or not.
+# families, valid or not, and a non-ASCII digit.
 TREE_TOKENS = ["[", "]", ",", "0", "1", "2", "A", "t", "W", "()", "f",
-               "g(1,1,0)"]
+               "g(1,1,0)", "\u0661"]
 # Small order caps (<= 3/2) keep 'series exact' and 'erk residuals' fast.
 SMALL_CAPS = st.sampled_from(["-1", "0", "1/2", "1", "3/2", "0.5", "1/0",
                               "x"])

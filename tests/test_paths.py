@@ -77,11 +77,14 @@ def _full_atom_profile(atom, times, w, interp):
     return f
 
 
-# integrands nest up to three levels; top-level terms carry dW1^p, p >= 3
+# integrands nest up to three levels, some of them a single integral (to a
+# power); top-level terms carry dW1^p, p >= 3
 _INTEGRAND = st.recursive(
     st.sampled_from(["1", "s", "s^3", "dW1", "dW2^2", "dW1^3"]),
-    lambda inner: st.builds(lambda c, f, g: f"Int{c}[{f},{g}]",
-                            st.integers(0, 2), inner, inner),
+    lambda inner: st.one_of(
+        st.builds(lambda c, f, g: f"Int{c}[{f},{g}]", st.integers(0, 2), inner, inner),
+        st.builds(lambda c, f, p: f"Int{c}[{f}]^{p}", st.integers(0, 2), inner,
+                  st.integers(1, 2))),
     max_leaves=4)
 _ATOM = st.builds(lambda c, f: f"Int{c}[{f}]", st.integers(0, 2), _INTEGRAND)
 _TERM = st.builds(lambda c, a, p, atom, q: f"{c}*h^{a}*dW1^{p}*{atom}^{q}",
@@ -282,6 +285,8 @@ class TestMCMoments:
                "dW1", "h", "0", "dW1^7 - 1/3*h*dW2", "Int1[dW1]", "Int0[dW1]",
                "Int1[Int1[dW1]]*dW2 - 1/2*Int0[dW1]", "Int2[s^2] + Int0[Int1[s^4],s]",
                "Int1[Int1[Int1[Int1[dW1]]]] - 1/64*dW1^7", "Int1[Int1[dW1]]*dW1",
+               "Int1[Int1[Int1[Int1[Int1[Int1[dW1]]]]]] - 1/64*dW1^7",
+               "Int1[Int1[dW1]^2] + Int0[Int1[s]^3]",
                "Int2[Int1[dW2^2]^2*dW1] + Int1[Int2[s]]^2"]),
            interp=st.sampled_from(["ito", "stratonovich"]),
            n_paths=st.sampled_from([1, 7, 8, 9, 17, 203, 250]),
@@ -292,6 +297,10 @@ class TestMCMoments:
              n_paths=17, n_steps=100, seed=3)
     @example(text="Int1[Int1[dW1]]*dW1", interp="stratonovich",
              n_paths=250, n_steps=64, seed=4)
+    @example(text="Int1[Int1[Int1[Int1[Int1[Int1[dW1]]]]]] - 1/64*dW1^7", interp="ito",
+             n_paths=9, n_steps=37, seed=5)
+    @example(text="Int1[Int1[dW1]^2] + Int0[Int1[s]^3]", interp="stratonovich",
+             n_paths=9, n_steps=64, seed=6)
     def test_equals_per_path_loop(self, text, interp, n_paths, n_steps, seed):
         expr = parse_expr(text)
         # a call on another grid and color count first: nothing may carry over

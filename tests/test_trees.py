@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_parse_tree, sorted_enumeration
+
 from sbseries import trees as T
 from sbseries.trees import (
     CapExceeded,
@@ -32,6 +34,19 @@ from sbseries.trees import (
 
 EX2 = "[[[g(2,1,0),g(2,1,0)]g(1,2,0),g(1,1,0)]g(1,1,1),g(2,1,0)]g(1,2,0)"
 EX4 = "[[[t,t]A,0]1,t]A"
+
+# Models checked against the sorting enumeration, at every cap 1/2 .. 4.
+# In the last three, model.node_labels() is not in label_key order.
+ORACLE_MODELS = [
+    T.SemiLinear(1),
+    T.SemiLinear(2),
+    T.langevin_model(),
+    T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1}),
+    T.NonAutonomous.from_table(M=1, l=2, variants={0: 2, 1: 1}),
+    T.GeneralPartitioned.from_table(Q=2, M=1, table={(0, 1): 1, (1, 1): 1, (0, 2): 1}),
+]
+ORACLE_IDS = ["semilinear-1", "semilinear-2", "langevin", "nonautonomous-l1",
+              "nonautonomous-l2", "general"]
 
 
 def shuffled(tree: Tree, rng: random.Random) -> Tree:
@@ -265,7 +280,12 @@ class TestAlpha:
         (T.SemiLinear(1), HalfInt(8)),
         (T.langevin_model(), HalfInt(7)),
         (T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1}), HalfInt(6)),
-    ], ids=["semilinear", "langevin", "nonautonomous"])
+        (T.SemiLinear(2), HalfInt(7)),
+        (T.NonAutonomous.from_table(M=1, l=2, variants={0: 2, 1: 1}), HalfInt(7)),
+        (T.GeneralPartitioned.from_table(Q=2, M=1, table={(0, 1): 1, (1, 1): 1, (0, 2): 1}),
+         HalfInt(7)),
+    ], ids=["semilinear", "langevin", "nonautonomous", "semilinear-2", "nonautonomous-l2",
+            "general"])
     def test_symmetry_factor_matches_fraction_recursion(self, model, cap):
         for tree in enumerate_trees(model, cap):
             assert alpha(tree) == fraction_alpha(tree) == Fraction(1, T.symmetry(tree))
@@ -325,6 +345,11 @@ class TestEnumeration:
         keys = [tree_key(t) for t in got]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+    def test_equals_sorting_enumeration_element_for_element(self, model):
+        for cap in map(HalfInt, range(1, 9)):
+            assert enumerate_trees(model, cap) == sorted_enumeration(model, cap)
+
     @pytest.mark.parametrize("model", [
         T.SemiLinear(1),
         T.langevin_model(),
@@ -374,6 +399,13 @@ class TestEnumeration:
             T.validate_tree(tree, model)
 
 
+# The bracket alphabet with label starts, ASCII and non-ASCII digits and
+# whole labels, so that both valid and broken trees come up.
+PARSE_TOKENS = ["[", "]", ",", "(", ")", "g(", "W", "()", "t", "A", "f", " ",
+                "0", "1", "2", "7", "\u0661", "\uff13", "g(1,1,0)", "g(2,1,0)",
+                "g(1,2,1)", "W1", "W0", "[t,t]A"]
+
+
 class TestSerialization:
     @pytest.mark.parametrize("model,cap", [
         (T.SemiLinear(1), HalfInt(5)),
@@ -395,6 +427,19 @@ class TestSerialization:
             parse_tree(text)
         except (T.ParseError, InvalidLabel, SemiLinearArity):
             pass
+
+    @given(text=st.lists(st.sampled_from(PARSE_TOKENS), max_size=16).map("".join),
+           model=st.sampled_from([None, T.SemiLinear(1), T.langevin_model()]))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_recursive_descent_parser(self, text, model):
+        try:
+            want = oracle_parse_tree(text, model)
+        except Exception as err:
+            with pytest.raises(Exception) as got:
+                parse_tree(text, model)
+            assert (type(got.value), str(got.value)) == (type(err), str(err))
+        else:
+            assert parse_tree(text, model) is want
 
 
 # The per-model label checks that model_labels replaced, kept as an oracle.
