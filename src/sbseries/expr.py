@@ -21,20 +21,29 @@ Normalization is applied by every constructor:
 * equal atom structures merge, zero terms vanish.
 
 Sums of many products are accumulated, then normalized once: callers add
-``scale * f1 * .. * fk`` into a ``dict[Mono, Fraction]`` with
-:func:`accumulate` and call :func:`from_acc` once per output weight, never
-``total = total + term``.
+``scale * f1 * .. * fk`` (``scale`` an int or a ``Fraction``) into a
+``dict[Mono, tuple[int, int]]`` with :func:`accumulate` and call
+:func:`from_acc` once per output weight, never ``total = total + term``.
+The accumulator holds one (numerator, denominator) pair of Python ints per
+monomial: products multiply the pairs, and a sum over two different
+denominators is taken over their lcm, so the coefficient arithmetic runs
+on ints.  :func:`from_acc` builds the only ``Fraction`` of the sum, one
+normalized coefficient per nonzero term; :func:`integral`, ``scaled`` and
+``+`` go through the same accumulator.
 
 Every pure result is computed once: ``Mono`` and ``IntAtom`` set their
 hash and their sort key (:func:`mono_key`, :func:`atom_key`) at
-construction, :func:`mono_mul` is memoized, and the text of a monomial is
-built once per depth class (top level or inside an integrand).  Instances
-keep value semantics: fresh equal instances are equal, not identical.
+construction, :func:`mono_mul` is memoized, the monomial and divisor of an
+integral of a monomial are memoized per (color, integrand), and the text
+of a monomial is built once per depth class (top level or inside an
+integrand).  Instances keep value semantics: fresh equal instances are
+equal, not identical; the memos hand out one instance per result.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -188,19 +197,19 @@ class WeightExpr:
 
     def __mul__(self, other):
         if isinstance(other, WeightExpr):
-            acc: dict[Mono, Fraction] = {}
+            acc: dict[Mono, tuple[int, int]] = {}
             accumulate(acc, (self, other))
             return from_acc(acc)
         if isinstance(other, (int, Fraction)):
-            return self.scaled(Fraction(other))
+            return self.scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def scaled(self, c: Fraction) -> "WeightExpr":
-        if c == 0:
-            return ZERO
-        return WeightExpr(tuple((c * coeff, mono) for coeff, mono in self.terms))
+    def scaled(self, c: int | Fraction) -> "WeightExpr":
+        acc: dict[Mono, tuple[int, int]] = {}
+        accumulate(acc, (self,), c)
+        return from_acc(acc)
 
     def __pow__(self, n: int) -> "WeightExpr":
         if n < 0:
@@ -218,31 +227,41 @@ class WeightExpr:
         return format_expr(self)
 
 
-def accumulate(acc: dict[Mono, Fraction], factors,
-               scale: Fraction = Fraction(1)) -> None:
+def accumulate(acc: dict[Mono, tuple[int, int]], factors,
+               scale: int | Fraction = 1) -> None:
     """Add ``scale * f1 * .. * fk`` to the accumulator ``acc`` without
     normalizing; a zero factor adds nothing and multiplies nothing."""
     if any(f.is_zero for f in factors):
         return
-    terms = [(scale, ONE_MONO)]
+    terms = [(scale.numerator, scale.denominator, ONE_MONO)]
     for f in factors:
-        terms = [(c1 * c2, mono_mul(m1, m2))
-                 for c1, m1 in terms for c2, m2 in f.terms]
-    for c, mono in terms:
-        acc[mono] = acc.get(mono, 0) + c
+        terms = [(n * c.numerator, d * c.denominator, mono_mul(m1, m2))
+                 for n, d, m1 in terms for c, m2 in f.terms]
+    for n, d, mono in terms:
+        _add_pair(acc, mono, n, d)
 
 
-def from_acc(acc: dict[Mono, Fraction]) -> WeightExpr:
-    """The normalized sum held by an accumulator: zero coefficients dropped,
-    terms sorted by :func:`mono_key`."""
-    return WeightExpr(tuple(sorted(((c, m) for m, c in acc.items() if c != 0),
+def _add_pair(acc: dict[Mono, tuple[int, int]], mono: Mono, n: int, d: int) -> None:
+    """Add n/d to the pair at ``mono``, over the lcm of the two denominators."""
+    old = acc.get(mono)
+    if old is None:
+        acc[mono] = (n, d)
+    else:
+        g = math.gcd(old[1], d)
+        acc[mono] = (old[0] * (d // g) + n * (old[1] // g), old[1] // g * d)
+
+
+def from_acc(acc: dict[Mono, tuple[int, int]]) -> WeightExpr:
+    """The normalized sum held by an accumulator: one normalized ``Fraction``
+    per nonzero pair, terms sorted by :func:`mono_key`."""
+    return WeightExpr(tuple(sorted(((Fraction(n, d), m) for m, (n, d) in acc.items() if n),
                                    key=lambda cm: cm[1]._key)))
 
 
 def _from_term_list(raw) -> WeightExpr:
-    acc: dict[Mono, Fraction] = {}
+    acc: dict[Mono, tuple[int, int]] = {}
     for c, mono in raw:
-        acc[mono] = acc.get(mono, 0) + c
+        _add_pair(acc, mono, c.numerator, c.denominator)
     return from_acc(acc)
 
 
@@ -273,22 +292,26 @@ def integral(color: int, factors) -> WeightExpr:
     color-``color`` driver, normalized."""
     if color < 0:
         raise ExprError(f"invalid color {color}")
-    product: dict[Mono, Fraction] = {}
+    product: dict[Mono, tuple[int, int]] = {}
     accumulate(product, list(factors))
-    return _from_term_list(term for mono, c in product.items()
-                           for term in _reduced_integral(color, c, mono))
+    out: dict[Mono, tuple[int, int]] = {}
+    for mono, (n, d) in product.items():
+        result, divisor = _integral_mono(color, mono)
+        _add_pair(out, result, n, d * divisor)
+    return from_acc(out)
 
 
-def _reduced_integral(color: int, coeff: Fraction, mono: Mono):
+@functools.lru_cache(maxsize=None)
+def _integral_mono(color: int, mono: Mono) -> tuple[Mono, int]:
+    """``Int_color[mono]`` as (monomial, divisor of the coefficient),
+    memoized so that equal integrals share one result instance."""
     if mono.is_deterministic:
         a = mono.hpow
         if color == 0:
-            yield (coeff * Fraction(1, a + 1), Mono(hpow=a + 1))
-            return
+            return Mono(hpow=a + 1), a + 1
         if a == 0:
-            yield (coeff, Mono(dws=((color, 1),)))
-            return
-    yield (coeff, Mono(ints=((IntAtom(color, mono), 1),)))
+            return Mono(dws=((color, 1),)), 1
+    return Mono(ints=((IntAtom(color, mono), 1),)), 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +343,16 @@ def format_expr(expr: WeightExpr) -> str:
         return "0"
     pieces = []
     for i, (coeff, mono) in enumerate(expr.terms):
-        sign = "-" if coeff < 0 else "+"
-        mag = -coeff if coeff < 0 else coeff
+        n, d = coeff.numerator, coeff.denominator
+        sign = "-" if n < 0 else "+"
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         factors = _mono_text(mono, False)
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = factors
         else:
-            body = str(mag) + "*" + factors
+            body = mag + "*" + factors
         if i == 0:
             pieces.append(body if sign == "+" else f"-{body}")
         else:

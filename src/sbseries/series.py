@@ -19,13 +19,12 @@ leaf keys but are not members of the enumerated tree families.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr
-from sbseries.forest_ops import SubtreePair, split_pairs, subtree_pairs
+from sbseries.forest_ops import _st_table
 from sbseries.trees import (
     FLabel,
     HalfInt,
@@ -135,7 +134,7 @@ def compose(phi_x: BSeries, phi_y: BSeries) -> BSeries:
     _require_same_model(phi_x, phi_y)
     if phi_x.empty_weight != ex.ONE:
         raise EmptyWeightNotOne("composition requires phi_x(empty) = 1")
-    return _decomposition_sum(phi_x, phi_y, subtree_pairs, phi_y.empty_weight)
+    return _decomposition_sum(phi_x, phi_y, _st_table, phi_y.empty_weight)
 
 
 def derivative_product(phi_x: BSeries, phi_y: BSeries) -> BSeries:
@@ -146,22 +145,25 @@ def derivative_product(phi_x: BSeries, phi_y: BSeries) -> BSeries:
     _require_same_model(phi_x, phi_y)
     if not phi_x.empty_weight.is_zero:
         raise EmptyWeightNotZero("derivative product requires phi_x(empty) = 0")
-    return _decomposition_sum(phi_x, phi_y, split_pairs, ex.ZERO)
+    return _decomposition_sum(phi_x, phi_y,
+                              lambda tau: [r for r in _st_table(tau) if len(r[1]) == 1],
+                              ex.ZERO)
 
 
 def _decomposition_sum(phi_x: BSeries, phi_y: BSeries,
-                       pairs: Callable[[Tree], list[SubtreePair]],
+                       pairs: Callable[[Tree], Iterable[tuple[Tree, tuple[Tree, ...], int]]],
                        empty_weight: WeightExpr) -> BSeries:
-    """For every tree up to the smaller cap, the sum over ``pairs(tree)``
-    of gamma * phi_y(theta) * product of phi_x over omega."""
+    """For every tree up to the smaller cap, the sum over the rows
+    (theta, omega, gamma) of ``pairs(tree)`` of gamma * phi_y(theta) *
+    product of phi_x over omega."""
     cap = min(phi_x.order_cap, phi_y.order_cap)
     out: dict[Tree, WeightExpr] = {}
     for tree in _series_domain(phi_x, phi_y, cap):
-        acc: dict[ex.Mono, Fraction] = {}
-        for pair in pairs(tree):
-            factors = [phi_y.weight(pair.subtree)]
-            factors.extend(phi_x.weight(delta) for delta in pair.remainder)
-            ex.accumulate(acc, factors, pair.coefficient)
+        acc: dict[ex.Mono, tuple[int, int]] = {}
+        for theta, omega, g in pairs(tree):
+            factors = [phi_y.weight(theta)]
+            factors.extend(phi_x.weight(delta) for delta in omega)
+            ex.accumulate(acc, factors, g)
         total = ex.from_acc(acc)
         if not total.is_zero:
             out[tree] = total
@@ -190,7 +192,7 @@ def function_series(phi: BSeries, order_cap: HalfInt) -> BSeries:
     weights: dict[Tree, WeightExpr] = {}
     for budget in range(order_cap.twice + 1):
         for children in _weighted_multisets(pool, budget):
-            acc: dict[ex.Mono, Fraction] = {}
+            acc: dict[ex.Mono, tuple[int, int]] = {}
             ex.accumulate(acc, [phi.weight(child) for child in children])
             value = ex.from_acc(acc)
             if not value.is_zero:

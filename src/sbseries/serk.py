@@ -195,7 +195,7 @@ class _WeightComputer:
         # later children's weights are not computed
         theta, delta = _admissible_split(tau)
         row = m.z[delta.label.m] if i is None else m.Z[delta.label.m][i]
-        acc: dict[ex.Mono, Fraction] = {}
+        acc: dict[ex.Mono, tuple[int, int]] = {}
         for j in range(m.stages):
             factors = [row[j].weight(theta)]
             for child in delta.children:
@@ -281,16 +281,18 @@ def exp_integral_series(lo: Fraction, hi: Fraction, order: int) -> dict[Tree, We
                for k in range(order)]
     weights: dict[Tree, WeightExpr] = {}
 
-    def walk(inner: Tree | None, length: int, product: Fraction, used: int) -> None:
-        # prepend one letter as the new root of the chain below it
+    def walk(inner: Tree | None, length: int, num: int, den: int, used: int) -> None:
+        # prepend one letter as the new root of the chain below it; the
+        # product of the letters so far is num/den
         for k, c in enumerate(letters[:order - used]):
             children = ((inner,) if inner is not None else ()) + (T_LEAF,) * k
             chain = canonicalize(Tree(ALabel(), children))
+            n, d = num * c.numerator, den * c.denominator
             weights[chain] = ex.h_power(used + k + 1,
-                                        product * c / math.factorial(length + 1))
-            walk(chain, length + 1, product * c, used + k + 1)
+                                        Fraction(n, d * math.factorial(length + 1)))
+            walk(chain, length + 1, n, d, used + k + 1)
 
-    walk(None, 0, Fraction(1), 0)
+    walk(None, 0, 1, 1, 0)
     return weights
 
 

@@ -83,7 +83,7 @@ class HalfInt:
             frac = Fraction(text)
         if frac.denominator not in (1, 2):
             raise ValueError(f"not a half-integer: {text!r}")
-        return cls(int(frac * 2))
+        return cls(2 * frac.numerator // frac.denominator)
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -341,8 +341,9 @@ def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
             raise InvalidLabel("the empty tree cannot have children")
         out = Tree(label)
     else:
-        children = tuple(sorted((canonicalize(c, model) for c in tree.children),
-                                key=tree_key))
+        children = tuple(canonicalize(c, model) for c in tree.children)
+        if len(children) > 1:
+            children = tuple(sorted(children, key=tree_key))
         for child in children:
             if child.is_empty:
                 raise InvalidLabel("the empty tree cannot appear as a child")

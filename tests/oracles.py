@@ -3,9 +3,10 @@
 Everything here is computed by a route that does not touch the code under
 test: classical Runge-Kutta elementary weights by their textbook recursion,
 closed-form moments of iterated integrals by isometry and Fubini,
-hand-written derivative tables of the built-in problems' coefficients, and
-the sorting tree enumeration and recursive-descent tree parser that the
-in-order ones replaced.
+hand-written derivative tables of the built-in problems' coefficients, the
+sorting tree enumeration and recursive-descent tree parser that the
+in-order ones replaced, and the ``Fraction`` accumulator that the integer
+pair accumulator of :mod:`sbseries.expr` replaced.
 """
 
 import bisect
@@ -52,6 +53,41 @@ def rk_elementary_weight(tree: Tree, a, b, step_scale: Fraction) -> E.WeightExpr
 
 def _nodes(tree: Tree) -> int:
     return 1 + sum(_nodes(c) for c in tree.children)
+
+
+def fraction_accumulate(acc: dict, factors, scale=Fraction(1)) -> None:
+    """``expr.accumulate`` with one ``Fraction`` per coefficient product and
+    sum, into a ``dict[Mono, Fraction]``."""
+    if any(f.is_zero for f in factors):
+        return
+    terms = [(Fraction(scale), E.ONE_MONO)]
+    for f in factors:
+        terms = [(c1 * c2, E.mono_mul(m1, m2))
+                 for c1, m1 in terms for c2, m2 in f.terms]
+    for c, mono in terms:
+        acc[mono] = acc.get(mono, 0) + c
+
+
+def fraction_from_acc(acc: dict) -> E.WeightExpr:
+    return E.WeightExpr(tuple(sorted(((c, m) for m, c in acc.items() if c != 0),
+                                     key=lambda cm: E.mono_key(cm[1]))))
+
+
+def fraction_integral(color: int, factors) -> E.WeightExpr:
+    """``expr.integral`` on ``Fraction`` coefficients, each integral
+    monomial built anew."""
+    product: dict = {}
+    fraction_accumulate(product, list(factors))
+    out: dict = {}
+    for mono, c in product.items():
+        if mono.is_deterministic and color == 0:
+            c, mono = c * Fraction(1, mono.hpow + 1), E.Mono(hpow=mono.hpow + 1)
+        elif mono.is_deterministic and mono.hpow == 0:
+            mono = E.Mono(dws=((color, 1),))
+        else:
+            mono = E.Mono(ints=((E.IntAtom(color, mono), 1),))
+        out[mono] = out.get(mono, 0) + c
+    return fraction_from_acc(out)
 
 
 # Second moment of the weight (1/3) * int_0^h s X(s) ds with

@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fraction_accumulate, fraction_from_acc, fraction_integral
 
 from sbseries import expr as E
 from sbseries import trees as T
@@ -174,6 +176,57 @@ class TestAccumulator:
         assert E.from_acc(acc) == E.ZERO
 
 
+def _normalized_fractions(expr: E.WeightExpr) -> bool:
+    return all(type(c) is Fraction and c.denominator > 0
+               and math.gcd(c.numerator, c.denominator) == 1 for c, _ in expr.terms)
+
+
+class TestIntPairAccumulator:
+    """The integer-pair accumulator against the Fraction one it replaced."""
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(-4, 4), _scales),
+                              st.lists(_exprs(), max_size=3)), max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_fraction_accumulator(self, products):
+        acc, want = {}, {}
+        for scale, factors in products:
+            E.accumulate(acc, factors, scale)
+            fraction_accumulate(want, factors, scale)
+        got = E.from_acc(acc)
+        assert got.terms == fraction_from_acc(want).terms
+        assert _normalized_fractions(got)
+
+    @given(st.integers(0, 2), st.lists(_exprs(), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_integral_equals_the_fraction_integral(self, color, factors):
+        got = E.integral(color, factors)
+        assert got.terms == fraction_integral(color, factors).terms
+        assert _normalized_fractions(got)
+
+    def test_exact_cancellation_drops_the_term(self):
+        acc = {}
+        E.accumulate(acc, [E.H + E.dw(1)], Fraction(2, 3))
+        E.accumulate(acc, [E.H], Fraction(-2, 3))
+        E.accumulate(acc, [E.dw(2)], 3)
+        E.accumulate(acc, [E.dw(2)], -3)
+        assert E.from_acc(acc) == E.dw(1).scaled(Fraction(2, 3))
+        assert E.H.scaled(0) == E.ZERO
+
+    def test_unequal_denominators_sum_over_their_lcm(self):
+        acc = {}
+        E.accumulate(acc, [E.rational(Fraction(1, 7919)), E.rational(Fraction(1, 7907))])
+        E.accumulate(acc, [E.rational(Fraction(1, 7883))])
+        assert acc[E.ONE_MONO][1] == 7919 * 7907 * 7883
+        got = E.from_acc(acc)
+        assert got == E.rational(Fraction(1, 7919 * 7907) + Fraction(1, 7883))
+        assert _normalized_fractions(got)
+        acc = {}
+        E.accumulate(acc, [E.H], Fraction(1, 6))
+        E.accumulate(acc, [E.H], Fraction(-1, 10))
+        assert acc[E.H.terms[0][1]] == (2, 30)
+        assert E.from_acc(acc).terms == ((Fraction(1, 15), E.H.terms[0][1]),)
+
+
 class TestValueTypes:
     def _atom(self):
         return E.IntAtom(1, E.Mono(2, ((1, 1),)))
@@ -321,7 +374,7 @@ class TestExprCaches:
     def test_cached_text_equals_the_oracle(self, terms):
         acc = {}
         for c, mono in terms:
-            acc[mono] = acc.get(mono, 0) + c
+            E.accumulate(acc, [E.WeightExpr(((Fraction(1), mono),))], c)
         expr = E.from_acc(acc)
         assert E.format_expr(expr) == _oracle_format_expr(expr)
         for _, mono in expr.terms:
@@ -338,6 +391,18 @@ class TestExprCaches:
         info = E.mono_mul.cache_info()
         assert info.misses == 1079
         assert info.hits > 10 * info.misses
+
+
+    def test_exact_series_integral_misses(self):
+        # 967 integrals of 322 distinct (color, integrand) pairs: a change
+        # that defeats the memo, or integrates other monomials, fails here
+        E._integral_mono.cache_clear()
+        exact_weight.cache_clear()
+        exact_solution_series(T.SemiLinear(1), HalfInt(7))
+        info = E._integral_mono.cache_info()
+        assert info.misses == 322
+        assert info.hits > info.misses
+        assert E.integral(1, [E.H]).terms[0][1] is E.integral(1, [E.H]).terms[0][1]
 
 
 class TestExactWeights:
