@@ -35,6 +35,8 @@ from sbseries.trees import (
     format_tree,
     parse_tree,
     rho,
+    rho2,
+    symmetry,
 )
 
 
@@ -88,17 +90,28 @@ def _float_repr(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _tree_rows(trees) -> list[list[str]]:
+    """One [tree, rho, alpha] text row per tree; the text of each distinct
+    rho and alpha is built once."""
+    rho_text: dict[int, str] = {}  # 2*rho -> text
+    alpha_text: dict[int, str] = {}  # sigma -> text
+    rows = []
+    for tree in trees:
+        twice, sigma = rho2(tree), symmetry(tree)
+        rows.append([format_tree(tree),
+                     rho_text.get(twice) or rho_text.setdefault(twice, str(rho(tree))),
+                     alpha_text.get(sigma) or alpha_text.setdefault(sigma, str(alpha(tree)))])
+    return rows
+
+
 def cmd_trees(args, out) -> int:
     if args.tree_cmd == "enum":
         model = _model_from_flags(args)
         trees = enumerate_trees(model, _order_cap(args.cap))
-        _write_rows(out, ["tree", "rho", "alpha"],
-                    [[format_tree(t), str(rho(t)), str(alpha(t))] for t in trees])
+        _write_rows(out, ["tree", "rho", "alpha"], _tree_rows(trees))
         return 0
     if args.tree_cmd == "info":
-        tree = parse_tree(args.tree)
-        _write_rows(out, ["tree", "rho", "alpha"],
-                    [[format_tree(tree), str(rho(tree)), str(alpha(tree))]])
+        _write_rows(out, ["tree", "rho", "alpha"], _tree_rows([parse_tree(args.tree)]))
         return 0
     return cmd_split(args, out)
 
@@ -117,8 +130,10 @@ def cmd_split(args, out) -> int:
 def cmd_series(args, out) -> int:
     model = _model_from_flags(args)
     series = exact_solution_series(model, _order_cap(args.cap))
-    rows = [[format_tree(t), str(rho(t)), str(alpha(t)), str(series.weight(t))]
-            for t in series.trees()]
+    trees = series.trees()
+    rows = _tree_rows(trees)
+    for row, tree in zip(rows, trees):
+        row.append(str(series.weight(tree)))
     _write_rows(out, ["tree", "rho", "alpha", "weight"], rows)
     return 0
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from sbseries import jets
 from sbseries import trees as T
-from sbseries.paths import PathGrid, eval_weight
+from sbseries.paths import PathGrid, eval_weights
 from sbseries.series import BSeries
 from sbseries.trees import (
     ALabel,
@@ -276,13 +276,14 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
     interp = problem.interpretation
     step_path = path.restrict(h)
     x = np.asarray(x, dtype=float)
-    out = eval_weight(series.empty_weight, step_path, interp) * x
+    trees = series.trees()
+    # one workspace for every weight; a zero weight evaluates to 0.0
+    weights = eval_weights([series.empty_weight] + [series.weight(t) for t in trees],
+                           step_path, interp)
+    out = weights[0] * x
     memo = {}
-    for tree in series.trees():
-        weight = series.weight(tree)
-        if weight.is_zero:
-            continue
-        scale = float(alpha(tree)) * eval_weight(weight, step_path, interp)
+    for tree, weight in zip(trees, weights[1:]):
+        scale = float(alpha(tree)) * weight
         if scale == 0.0:
             continue
         part = value_partition(problem, tree.label)

@@ -28,8 +28,8 @@ The accumulator holds one (numerator, denominator) pair of Python ints per
 monomial: products multiply the pairs, and a sum over two different
 denominators is taken over their lcm, so the coefficient arithmetic runs
 on ints.  :func:`from_acc` builds the only ``Fraction`` of the sum, one
-normalized coefficient per nonzero term; :func:`integral`, ``scaled`` and
-``+`` go through the same accumulator.
+normalized coefficient per nonzero term; :func:`integral`, ``scaled``,
+``+`` and ``-`` go through the same accumulator.
 
 Every pure result is computed once: ``Mono`` and ``IntAtom`` set their
 hash and their sort key (:func:`mono_key`, :func:`atom_key`) at
@@ -187,13 +187,15 @@ class WeightExpr:
     def __add__(self, other: "WeightExpr") -> "WeightExpr":
         if not isinstance(other, WeightExpr):
             return NotImplemented
-        return _from_term_list(self.terms + other.terms)
+        return _signed_sum(self, other, 1)
 
     def __neg__(self) -> "WeightExpr":
         return WeightExpr(tuple((-c, m) for c, m in self.terms))
 
     def __sub__(self, other: "WeightExpr") -> "WeightExpr":
-        return self + (-other)
+        if not isinstance(other, WeightExpr):
+            return NotImplemented
+        return _signed_sum(self, other, -1)
 
     def __mul__(self, other):
         if isinstance(other, WeightExpr):
@@ -258,10 +260,14 @@ def from_acc(acc: dict[Mono, tuple[int, int]]) -> WeightExpr:
                                    key=lambda cm: cm[1]._key)))
 
 
-def _from_term_list(raw) -> WeightExpr:
+def _signed_sum(a: WeightExpr, b: WeightExpr, sign: int) -> WeightExpr:
+    """``a + sign * b`` for a sign of 1 or -1: the terms of ``b`` enter the
+    accumulator with their numerators times ``sign``."""
     acc: dict[Mono, tuple[int, int]] = {}
-    for c, mono in raw:
+    for c, mono in a.terms:
         _add_pair(acc, mono, c.numerator, c.denominator)
+    for c, mono in b.terms:
+        _add_pair(acc, mono, sign * c.numerator, c.denominator)
     return from_acc(acc)
 
 

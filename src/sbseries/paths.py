@@ -197,19 +197,27 @@ class _WienerSampler:
 
 def eval_weight(expr: WeightExpr, path: PathGrid, interp: str = STRATONOVICH) -> float:
     """Value of the expression over the path's full horizon."""
+    return eval_weights([expr], path, interp)[0]
+
+
+def eval_weights(exprs, path: PathGrid, interp: str = STRATONOVICH) -> list[float]:
+    """Values of the expressions over the path's full horizon, each equal
+    to its :func:`eval_weight` bit for bit, evaluated in one workspace: an
+    integral at the top level of several terms is integrated once."""
     interp = normalize_interpretation(interp)
-    missing = {m for m in expr.colors() if m > path.n_colors}
+    missing = {m for expr in exprs for m in expr.colors() if m > path.n_colors}
     if missing:
         raise ColorMissing(f"path carries {path.n_colors} colors, "
                            f"expression needs {sorted(missing)}")
-    return _eval_rows(expr, path.times, path.values[1:, None, :], interp)[0]
+    w = path.values[1:, None, :]
+    return [value[0] for value in _Workspace(path.times, 1, interp).eval(exprs, w)]
 
 
 def _eval_rows(expr: WeightExpr, times: np.ndarray, w: np.ndarray,
                interp: str) -> np.ndarray:
     """Values of the expression on the paths ``w`` (M, P, N + 1), color m in
     ``w[m - 1]``, over the time grid ``times`` (N + 1,)."""
-    return _Workspace(times, w.shape[1], interp).eval(expr, w)
+    return _Workspace(times, w.shape[1], interp).eval([expr], w)[0]
 
 
 class _Workspace:
@@ -230,22 +238,36 @@ class _Workspace:
             a = self._arrays[key] = np.empty((self.rows, n_cols))
         return a[:self.p]
 
-    def eval(self, expr: WeightExpr, w: np.ndarray) -> np.ndarray:
-        """Values of the expression on the chunk ``w`` (M, P, N + 1), P <= rows.
+    def eval(self, exprs, w: np.ndarray) -> list[np.ndarray]:
+        """Values of each expression on the chunk ``w`` (M, P, N + 1), P <= rows.
 
         Only the integrals need the whole grid; the top-level factors of each
         monomial multiply on the last column alone, as (P, 1) arrays (numpy's
         elementwise ``**`` gives the same bits at any array length, its
-        scalar ``**`` does not)."""
+        scalar ``**`` does not).  The endpoint values of a top-level integral
+        are computed once per chunk and kept as a copy, since the profile
+        array is reused and the product takes powers in place."""
         self.w, self.p, self.steps = w, w.shape[1], {}
-        total = np.zeros(self.p)
+        ends: dict[IntAtom, np.ndarray] = {}
         end = self._scratch("end", 1)
-        for coeff, mono in expr.terms:
-            _product(mono, end, self.times[-1:], w[..., -1:],
-                     lambda: self._scratch("end power", 1),
-                     lambda atom: self._atom_profile(atom, 0)[:, -1:])
-            total += float(coeff) * end[:, 0]
-        return total
+
+        def atom_end(atom: IntAtom) -> np.ndarray:
+            value = ends.get(atom)
+            if value is None:
+                value = ends[atom] = self._atom_profile(atom, 0)[:, -1:].copy()
+            out = self._scratch("end atom", 1)
+            np.copyto(out, value)
+            return out
+
+        values = []
+        for expr in exprs:
+            total = np.zeros(self.p)
+            for coeff, mono in expr.terms:
+                _product(mono, end, self.times[-1:], w[..., -1:],
+                         lambda: self._scratch("end power", 1), atom_end)
+                total += float(coeff) * end[:, 0]
+            values.append(total)
+        return values
 
     def _atom_profile(self, atom: IntAtom, depth: int) -> np.ndarray:
         """The integral as a function of its upper limit, one row per path,
@@ -368,5 +390,5 @@ def mc_moments(expr: WeightExpr, h: float, n_steps: int, n_paths: int,
         idx = range(start, min(start + rows, n_paths))
         for m in range(1, n_colors + 1):
             sampler.draw(w[m - 1, :len(idx)], [base + (i, m) for i in idx])
-        values[idx.start:idx.stop] = workspace.eval(expr, w[:, :len(idx)])
+        values[idx.start:idx.stop] = workspace.eval([expr], w[:, :len(idx)])[0]
     return MCStats.of(values)

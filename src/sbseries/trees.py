@@ -17,7 +17,10 @@ is built once and looked up in one intern table, so equality of trees is
 object identity.  The hash is content-derived and deterministic,
 ``hash((label, children))``, so a set of trees iterates in the same order
 in every run.  The table holds weak references: a tree that nothing else
-references is freed and leaves the table.
+references is freed and leaves the table.  Node labels are interned as
+well, one object per distinct label with its content hash computed once,
+and ``rho`` and ``alpha`` hand out one shared value per order and per
+symmetry factor.
 
 All operations expect canonical trees (children sorted by the total order
 below) and :func:`canonicalize` produces them.
@@ -96,53 +99,106 @@ class HalfInt:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralLabel:
+class _Label:
+    """Base of the node labels.  Labels are interned: the constructor
+    returns the one label object with the class and field values given, so
+    equality is identity.  The hash is the content hash of a frozen
+    dataclass, ``hash(field values)``, computed once when the label is
+    created.  Setting an attribute raises; copies and unpickled labels are
+    the interned label."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._interned = {}  # field values -> the label
+
+    def __new__(cls):
+        return cls._intern(())
+
+    @classmethod
+    def _intern(cls, values: tuple):
+        label = cls._interned.get(values)
+        if label is None:
+            label = object.__new__(cls)
+            for name, value in zip(cls.__slots__, values):
+                object.__setattr__(label, name, value)
+            object.__setattr__(label, "_hash", hash(values))
+            label = cls._interned.setdefault(values, label)
+        return label
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GeneralLabel(_Label):
     """Node of shape (q, v) and color m in the general partitioned family."""
 
-    q: int
-    v: int
-    m: int
+    __slots__ = ("q", "v", "m")
+
+    def __new__(cls, q: int, v: int, m: int) -> "GeneralLabel":
+        return cls._intern((q, v, m))
 
 
-@dataclass(frozen=True)
-class WLabel:
+class WLabel(_Label):
     """Wiener leaf W_i of the non-autonomous family (i >= 1; W_0 is TLabel)."""
 
-    i: int
+    __slots__ = ("i",)
+
+    def __new__(cls, i: int) -> "WLabel":
+        return cls._intern((i,))
 
 
-@dataclass(frozen=True)
-class TLabel:
+class TLabel(_Label):
     """The time leaf (alias of W_0); child-only in its families."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ALabel:
+
+class ALabel(_Label):
     """The linear-part node of the semi-linear family."""
+
+    __slots__ = ()
 
 
 # the bracket grammar writes a g-node's color as one digit
 MAX_G_COLOR = 9
 
 
-@dataclass(frozen=True)
-class GLabel:
+class GLabel(_Label):
     """Coefficient-function node of color m in the semi-linear family."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __new__(cls, m: int) -> "GLabel":
+        return cls._intern((m,))
 
 
-@dataclass(frozen=True)
-class FLabel:
+class FLabel(_Label):
     """Root marker of function-expansion trees."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class EmptyLabel:
+
+class EmptyLabel(_Label):
     """The empty tree of partition q (a root-only placeholder)."""
 
-    q: int = 1
+    __slots__ = ("q",)
+
+    def __new__(cls, q: int = 1) -> "EmptyLabel":
+        return cls._intern((q,))
 
 
 NodeLabel = GeneralLabel | WLabel | TLabel | ALabel | GLabel | FLabel | EmptyLabel
@@ -207,7 +263,7 @@ class Tree:
     is_empty = False  # True on the trees of EmptyLabel, which are _EmptyTree
 
     def __new__(cls, label: NodeLabel, children: tuple["Tree", ...] = ()) -> "Tree":
-        table, forget, own, kind, label = _INTERN.get(label) or _intern_table(label)
+        table, forget, own, kind = _INTERN.get(label) or _intern_table(label)
         ref = table.get(children)
         tree = ref() if ref is not None else None
         if tree is None:
@@ -265,8 +321,7 @@ _INTERN: dict[NodeLabel, tuple] = {}
 def _intern_table(label: NodeLabel):
     """The intern table of one label (children tuple -> weak reference to
     the tree), the callback that drops the entry of a tree that died, the
-    label's own share of 2*rho, the class of its trees and the one label
-    object all of them hold."""
+    label's own share of 2*rho and the class of its trees."""
     table: dict[tuple[Tree, ...], _Ref] = {}
 
     def forget(ref: _Ref) -> None:
@@ -276,7 +331,7 @@ def _intern_table(label: NodeLabel):
 
     own = 2 if label_color(label) == 0 else 1
     kind = _EmptyTree if isinstance(label, EmptyLabel) else Tree
-    return _INTERN.setdefault(label, (table, forget, own, kind, label))
+    return _INTERN.setdefault(label, (table, forget, own, kind))
 
 
 EMPTY = Tree(EmptyLabel(1))
@@ -319,11 +374,8 @@ def a_node_children(children: tuple[Tree, ...]) -> tuple[tuple[Tree, ...], Tree 
     return tuple(times), others[0] if others else None
 
 
-def _canonical_label(label: NodeLabel) -> NodeLabel:
-    # Exactly one spelling of the time leaf survives canonicalization.
-    if isinstance(label, WLabel) and label.i == 0:
-        return TLabel()
-    return label
+# W_0, the other spelling of the time leaf t: canonical trees spell it t
+_W0 = WLabel(0)
 
 
 def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
@@ -335,15 +387,18 @@ def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
     A-node arity rule always, and that every label is one of
     :func:`model_labels` when ``model`` is given.
     """
-    label = _canonical_label(tree.label)
-    if isinstance(label, EmptyLabel):
-        if tree.children:
-            raise InvalidLabel("the empty tree cannot have children")
+    label = tree.label
+    if label is _W0:
+        label = T_LEAF.label
+    if not tree.children:
         out = Tree(label)
+    elif isinstance(label, EmptyLabel):
+        raise InvalidLabel("the empty tree cannot have children")
     else:
-        children = tuple(canonicalize(c, model) for c in tree.children)
+        children = [canonicalize(c, model) for c in tree.children]
         if len(children) > 1:
-            children = tuple(sorted(children, key=tree_key))
+            children.sort(key=tree_key)
+        children = tuple(children)
         for child in children:
             if child.is_empty:
                 raise InvalidLabel("the empty tree cannot appear as a child")
@@ -364,8 +419,14 @@ def rho2(tree: Tree) -> int:
 
 def rho(tree: Tree) -> HalfInt:
     """Tree order: node contributions 1 (color 0) or 1/2 (color > 0),
-    summed over all nodes; rho of the empty tree is 1 by convention."""
-    return HalfInt(rho2(tree))
+    summed over all nodes; rho of the empty tree is 1 by convention.  One
+    shared ``HalfInt`` per value."""
+    return _half_int(tree._rho2)
+
+
+@lru_cache(maxsize=None)
+def _half_int(twice: int) -> HalfInt:
+    return HalfInt(twice)
 
 
 def symmetry(tree: Tree) -> int:
@@ -387,8 +448,14 @@ def symmetry(tree: Tree) -> int:
 
 def alpha(tree: Tree) -> Fraction:
     """Combinatorial coefficient 1/sigma: the product over nodes of inverse
-    factorials of the multiplicities of equal child subtrees."""
-    return Fraction(1, symmetry(tree))
+    factorials of the multiplicities of equal child subtrees.  One shared
+    ``Fraction`` per sigma."""
+    return _reciprocal(symmetry(tree))
+
+
+@lru_cache(maxsize=None)
+def _reciprocal(sigma: int) -> Fraction:
+    return Fraction(1, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +611,11 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
             label, rem = leaf.label, b - rho2(leaf)
             if rem < 0:
                 continue
-            for combo in _weighted_multisets(pool, rem):
-                if isinstance(label, ALabel):
-                    try:
-                        a_node_children(combo)
-                    except SemiLinearArity:
-                        continue
+            if isinstance(label, ALabel):
+                combos = _a_node_multisets(pool, rem)
+            else:
+                combos = _weighted_multisets(pool, rem)
+            for combo in combos:
                 out.append(Tree(label, combo))
                 if len(out) > cap:
                     raise CapExceeded(f"more than {cap} trees below order {rho_max}")
@@ -565,6 +631,32 @@ def _weighted_multisets(pool: list[Tree], budget: int):
     The pool is sorted by weight, so iteration can stop at the first item
     that no longer fits."""
     return _multisets_from(pool, 0, budget, [])
+
+
+def _a_node_multisets(pool: list[Tree], budget: int):
+    """The child tuples of an A-node: those of :func:`_weighted_multisets`
+    that :func:`a_node_children` accepts (time leaves and at most one other
+    child), in the same order, and no others built.  Sorted by position,
+    the other child comes first in its tuple when it stands ahead of the
+    time leaf in ``pool`` and last when it stands behind it, so the tuples
+    come in the order of the other child's position, the tuple of time
+    leaves alone in the time leaf's place."""
+    if budget == 0:
+        yield ()
+    t_weight = T_LEAF._rho2
+    behind = False  # past the time leaf in the pool
+    for tree in pool:
+        w = tree._rho2
+        if w > budget:
+            break
+        if tree is T_LEAF:
+            behind = True
+            if budget % w == 0:
+                yield (T_LEAF,) * (budget // w)
+            continue
+        times, odd = divmod(budget - w, t_weight)
+        if not odd:
+            yield (T_LEAF,) * times + (tree,) if behind else (tree,) + (T_LEAF,) * times
 
 
 def _multisets_from(pool: list[Tree], start: int, remaining: int, acc: list[Tree]):
@@ -588,6 +680,7 @@ def _multisets_from(pool: list[Tree], start: int, remaining: int, acc: list[Tree
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def format_label(label: NodeLabel) -> str:
     if isinstance(label, GeneralLabel):
         return f"g({label.q},{label.v},{label.m})"
@@ -632,7 +725,7 @@ _Node = namedtuple("_Node", "label children")
 
 def _token_label(token: str) -> NodeLabel:
     """The label of a token.  Tokens spelled as :func:`format_label` writes
-    them are cached, with the label object of the intern table."""
+    them are cached."""
     label = _TOKEN_LABELS.get(token)
     if label is None:
         head = token[0]
@@ -645,7 +738,7 @@ def _token_label(token: str) -> NodeLabel:
         else:
             label = _FIXED_LABELS.get(head) or GLabel(int(head))
         if format_label(label) == token:
-            label = _TOKEN_LABELS[token] = (_INTERN.get(label) or _intern_table(label))[4]
+            _TOKEN_LABELS[token] = label
     return label
 
 

@@ -199,8 +199,10 @@ class TestPinnedOutputs:
     """Stdout digests recorded before paths were sampled and evaluated in
     chunks (a step count that is not a power of two, two colors, Ito, a
     path count that is not a multiple of the chunk size and a ^7 power),
-    and before trees were interned (models the benchmark digests do not
-    cover, and a tree with repeated equal subtrees)."""
+    before trees were interned (models the benchmark digests do not
+    cover, and a tree with repeated equal subtrees), and before labels were
+    interned and A-node children were built only when valid (tree lists of
+    three models)."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("weights", "mc", "--expr", "Int1[Int1[dW1]]*dW2-1/2*Int0[dW1]",
@@ -221,8 +223,17 @@ class TestPinnedOutputs:
          "ec47a16f990a7e96d8399b0d938906c0926729542d908e12e6fba72b33525069"),
         (("series", "exact", "--model", "semilinear", "--M", "2", "--cap", "3"),
          "153c646f08ab8da18ed41d931efce043eb0920f761540483fd40eb8d2af1ab30"),
+        (("trees", "enum", "--model", "semilinear", "--M", "2", "--cap", "7/2"),
+         "32b6c0254886ab1ab207c5a1ca8db19b91af5a4a9199a01c2a034e2681b2c0c6"),
+        (("trees", "enum", "--model", "general", "--model-preset", "langevin",
+          "--cap", "4"),
+         "21cba0e3d7c64e4d64c599b2edfdbdd3c6138feb16d037d3303558e8dd178dee"),
+        (("trees", "enum", "--model", "nonautonomous", "--M", "1", "--l", "2",
+          "--cap", "7/2"),
+         "70455721075e9b423a1ac65779bac1f3ee2e0532a0e7d3ae00ab65f4d32db491"),
     ], ids=["mc-ito-two-colors", "mc-stratonovich-deep", "converge",
-            "enum-nonautonomous", "split-repeated-subtrees", "exact-semilinear-2"])
+            "enum-nonautonomous", "split-repeated-subtrees", "exact-semilinear-2",
+            "enum-semilinear-2", "enum-langevin", "enum-nonautonomous-l2"])
     def test_stdout_digest(self, argv, digest):
         code, text = run(*argv)
         assert code == 0

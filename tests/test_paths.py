@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbseries import expr as E
+from sbseries import paths as P
 from sbseries.expr import parse_expr
 from sbseries.paths import (
     ITO,
@@ -15,6 +16,7 @@ from sbseries.paths import (
     _eval_rows,
     _sample_wiener_rows,
     eval_weight,
+    eval_weights,
     mc_moments,
     sample_path,
 )
@@ -255,6 +257,44 @@ class TestEndpointEvaluation:
         times = np.linspace(0.0, 0.3, n_steps + 1)
         got = _eval_rows(expr, times, w, interp)
         assert got.tobytes() == _full_eval_rows(expr, times, w, interp).tobytes()
+
+
+class TestManyWeights:
+    @given(terms=st.lists(_TERM, min_size=1, max_size=4),
+           interp=st.sampled_from(["ito", "stratonovich"]),
+           n_steps=st.sampled_from([1, 8, 37]),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_each_value_is_its_own_evaluation(self, terms, interp, n_steps, seed):
+        # the expressions share atoms: every term is one expression, and
+        # pairs of terms are more
+        exprs = [parse_expr(t) for t in terms]
+        exprs += [parse_expr(f"{a} - {b}") for a, b in zip(terms, terms[1:])]
+        path = sample_path(0.3, n_steps, 2, seed)
+        got = eval_weights(exprs, path, interp)
+        want = [eval_weight(e, path, interp) for e in exprs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_a_repeated_top_level_integral_is_integrated_once(self, monkeypatch):
+        calls = []
+        original = P._Workspace._atom_profile
+
+        def counted(self, atom, depth):
+            calls.append(atom)
+            return original(self, atom, depth)
+
+        monkeypatch.setattr(P._Workspace, "_atom_profile", counted)
+        expr = parse_expr("Int1[Int0[dW1]]^2*dW1 + 3*Int1[Int0[dW1]]")
+        path = sample_path(0.25, 16, 1, 3)
+        once = eval_weights([expr], path)
+        n_once = len(calls)
+        assert n_once == 2  # the atom and its integrand's atom
+        assert eval_weights([expr, expr, expr], path) == once * 3
+        assert len(calls) == 2 * n_once
+
+    def test_missing_color_in_any_expression_raises(self):
+        with pytest.raises(ColorMissing):
+            eval_weights([parse_expr("dW1"), parse_expr("dW2")], sample_path(0.5, 4, 1, 1))
 
 
 class TestMCMoments:

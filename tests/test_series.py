@@ -120,6 +120,14 @@ class TestExprAlgebraProperties:
         assert (a - a).is_zero
 
     @given(_exprs(), _exprs())
+    @settings(max_examples=150, deadline=None)
+    def test_difference_is_the_sum_with_the_negation(self, a, b):
+        got = a - b
+        assert got == a + (-b)
+        assert _normalized_fractions(got)
+        assert (got + b) == a
+
+    @given(_exprs(), _exprs())
     @settings(max_examples=100, deadline=None)
     def test_integral_linearity(self, a, b):
         assert E.integral(1, [a + b]) == E.integral(1, [a]) + E.integral(1, [b])

@@ -207,6 +207,80 @@ class TestInterning:
         assert hash(Tree(label, children)) == old_hash
 
 
+# every label class with field values and the dataclass repr it keeps
+LABEL_CASES = [
+    (lambda: T.GeneralLabel(1, 2, 0), (1, 2, 0), "GeneralLabel(q=1, v=2, m=0)"),
+    (lambda: T.WLabel(2), (2,), "WLabel(i=2)"),
+    (lambda: T.TLabel(), (), "TLabel()"),
+    (lambda: T.ALabel(), (), "ALabel()"),
+    (lambda: T.GLabel(1), (1,), "GLabel(m=1)"),
+    (lambda: T.FLabel(), (), "FLabel()"),
+    (lambda: T.EmptyLabel(2), (2,), "EmptyLabel(q=2)"),
+]
+LABEL_IDS = ["general", "w", "t", "a", "g", "f", "empty"]
+
+
+class TestLabels:
+    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    def test_equal_labels_are_one_object(self, make, fields, text):
+        assert make() is make()
+        assert make() == make()
+
+    def test_empty_label_default_is_partition_one(self):
+        assert T.EmptyLabel() is T.EmptyLabel(1)
+        assert T.EmptyLabel(q=1) is T.EmptyLabel(1)
+
+    def test_labels_of_different_classes_differ(self):
+        assert T.GLabel(1) != T.WLabel(1)
+        assert T.TLabel() != T.ALabel()
+        assert T.GLabel(1) != T.GLabel(2)
+        assert len({T.GLabel(1), T.WLabel(1), T.TLabel(), T.ALabel(), T.FLabel()}) == 5
+
+    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    def test_hash_is_the_field_tuple_hash(self, make, fields, text):
+        assert hash(make()) == hash(fields)
+
+    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    def test_copies_are_the_interned_label(self, make, fields, text):
+        label = make()
+        assert pickle.loads(pickle.dumps(label)) is label
+        assert copy.copy(label) is label
+        assert copy.deepcopy(label) is label
+
+    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    def test_setting_an_attribute_raises(self, make, fields, text):
+        label = make()
+        for name in (*label.__slots__, "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(label, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(label, name)
+        assert hash(label) == hash(fields)
+
+    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    def test_repr_is_unchanged(self, make, fields, text):
+        assert repr(make()) == text
+
+    def test_parsed_and_enumerated_labels_are_the_interned_ones(self):
+        def labels(tree):
+            yield tree.label
+            for child in tree.children:
+                yield from labels(child)
+
+        trees = [parse_tree("[[t,W1]g(1,1,0),3,[W0]A]f"), parse_tree("()2"),
+                 *enumerate_trees(T.SemiLinear(2), HalfInt(2))]
+        for tree in trees:
+            for label in labels(tree):
+                fields = (getattr(label, name) for name in label.__slots__)
+                assert label is type(label)(*fields)
+
+    def test_rho_and_alpha_are_shared_per_value(self):
+        trees = enumerate_trees(T.SemiLinear(1), HalfInt(3))
+        for a, b in itertools.combinations(trees[::7], 2):
+            assert (rho(a) is rho(b)) == (rho(a) == rho(b))
+            assert (alpha(a) is alpha(b)) == (alpha(a) == alpha(b))
+
+
 class TestRho:
     def test_reference_tree_order(self):
         assert rho(parse_tree(EX2)) == HalfInt(13)
@@ -349,6 +423,22 @@ class TestEnumeration:
     def test_equals_sorting_enumeration_element_for_element(self, model):
         for cap in map(HalfInt, range(1, 9)):
             assert enumerate_trees(model, cap) == sorted_enumeration(model, cap)
+
+    @pytest.mark.parametrize("model", [T.SemiLinear(1), T.SemiLinear(2)],
+                             ids=["semilinear", "semilinear-2"])
+    def test_a_node_children_are_the_accepted_multisets(self, model):
+        # the pool of child candidates at half-order 2*4: the time leaf and
+        # every tree with 2*rho <= 7, in tree_key order
+        pool = sorted([T.T_LEAF, *enumerate_trees(model, HalfInt(7))], key=tree_key)
+        for budget in range(0, 8):
+            accepted = []
+            for combo in T._weighted_multisets(pool, budget):
+                try:
+                    T.a_node_children(combo)
+                except SemiLinearArity:
+                    continue
+                accepted.append(combo)
+            assert list(T._a_node_multisets(pool, budget)) == accepted
 
     @pytest.mark.parametrize("model", [
         T.SemiLinear(1),
