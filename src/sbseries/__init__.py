@@ -1,117 +1,47 @@
 """Stochastic B-series calculus: colored rooted trees, weight functions,
 composition laws, and order-condition tooling for exponential Runge-Kutta
-methods on semi-linear SDEs, with a Monte-Carlo verification harness."""
+methods on semi-linear SDEs, with a Monte-Carlo verification harness.
 
-from sbseries.elementary import (
-    SDEProblem,
-    eval_bseries,
-    eval_elementary,
-    fd_directional,
-    get_problem,
-    problem_names,
-)
-from sbseries.expr import WeightExpr, format_expr, parse_expr
-from sbseries.forest_ops import SubtreePair, gamma, split_pairs, subtree_pairs
-from sbseries.paths import MCStats, PathGrid, eval_weight, mc_moments, sample_path
-from sbseries.series import (
-    BSeries,
-    compose,
-    derivative_product,
-    exact_solution_series,
-    exact_weight,
-    function_series,
-    identity_weights,
-)
-from sbseries.serk import (
-    ERKMethodSpec,
-    OrderResidual,
-    builtin_exponential_midpoint,
-    erk_weight_at,
-    erk_weights,
-    method_from_json,
-    method_to_json,
-    order_residuals,
-    residual_at,
-    residual_is_pathwise_zero,
-    semilinear_trees,
-)
-from sbseries.sim import (
-    ConvergenceReport,
-    integrate_erk,
-    ms_order_estimate,
-    reference_solution,
-)
-from sbseries.trees import (
-    GeneralPartitioned,
-    HalfInt,
-    NonAutonomous,
-    SemiLinear,
-    Tree,
-    TreeModel,
-    alpha,
-    canonicalize,
-    enumerate_trees,
-    format_tree,
-    langevin_model,
-    parse_tree,
-    rho,
-)
+``import sbseries`` loads no submodule: each exported name imports its
+module on first access (PEP 562), so numpy and scipy load only when a name
+that needs them is used.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BSeries",
-    "ConvergenceReport",
-    "ERKMethodSpec",
-    "GeneralPartitioned",
-    "HalfInt",
-    "MCStats",
-    "NonAutonomous",
-    "OrderResidual",
-    "PathGrid",
-    "SDEProblem",
-    "SemiLinear",
-    "SubtreePair",
-    "Tree",
-    "TreeModel",
-    "WeightExpr",
-    "alpha",
-    "builtin_exponential_midpoint",
-    "canonicalize",
-    "compose",
-    "derivative_product",
-    "enumerate_trees",
-    "erk_weight_at",
-    "erk_weights",
-    "eval_bseries",
-    "eval_elementary",
-    "eval_weight",
-    "exact_solution_series",
-    "exact_weight",
-    "fd_directional",
-    "format_expr",
-    "format_tree",
-    "function_series",
-    "gamma",
-    "get_problem",
-    "identity_weights",
-    "integrate_erk",
-    "langevin_model",
-    "mc_moments",
-    "method_from_json",
-    "method_to_json",
-    "ms_order_estimate",
-    "order_residuals",
-    "parse_expr",
-    "parse_tree",
-    "problem_names",
-    "reference_solution",
-    "residual_at",
-    "residual_is_pathwise_zero",
-    "rho",
-    "sample_path",
-    "semilinear_trees",
-    "split_pairs",
-    "subtree_pairs",
-    "__version__",
-]
+# exported name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in {
+    "elementary": ("SDEProblem", "eval_bseries", "eval_elementary",
+                   "fd_directional", "get_problem", "problem_names"),
+    "expr": ("WeightExpr", "format_expr", "parse_expr"),
+    "forest_ops": ("SubtreePair", "gamma", "split_pairs", "subtree_pairs"),
+    "paths": ("MCStats", "PathGrid", "eval_weight", "mc_moments", "sample_path"),
+    "series": ("BSeries", "compose", "derivative_product", "exact_solution_series",
+               "exact_weight", "function_series", "identity_weights"),
+    "serk": ("ERKMethodSpec", "OrderResidual", "builtin_exponential_midpoint",
+             "erk_weight_at", "erk_weights", "method_from_json", "method_to_json",
+             "order_residuals", "residual_at", "residual_is_pathwise_zero",
+             "semilinear_trees"),
+    "sim": ("ConvergenceReport", "integrate_erk", "ms_order_estimate",
+            "reference_solution"),
+    "trees": ("GeneralPartitioned", "HalfInt", "NonAutonomous", "SemiLinear", "Tree",
+              "TreeModel", "alpha", "canonicalize", "enumerate_trees", "format_tree",
+              "langevin_model", "parse_tree", "rho"),
+}.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups bypass this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

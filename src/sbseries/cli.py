@@ -2,7 +2,10 @@
 
 One binary, subcommand style; every stochastic subcommand requires an
 explicit seed so runs are reproducible bit for bit.  Exit codes: 0 on
-success, 2 on usage/validation errors, 3 on numerical failure.
+success, 2 on usage/validation errors, 3 on numerical failure.  Each
+command imports the layers it uses, so that the symbolic commands (trees,
+split, series, erk residuals without the probe) load neither numpy nor
+scipy.
 """
 
 from __future__ import annotations
@@ -13,22 +16,12 @@ import io
 import math
 import sys
 
-import numpy as np
-
 from sbseries import trees as T
-from sbseries.elementary import get_problem, problem_names
 from sbseries.expr import ExprError, parse_expr
 from sbseries.forest_ops import split_pairs, subtree_pairs
-from sbseries.paths import mc_moments
-from sbseries.series import exact_solution_series
-from sbseries.serk import (
-    order_residuals,
-    residual_is_pathwise_zero,
-    resolve_method,
-)
-from sbseries.sim import SimulationError, ms_order_estimate
 from sbseries.trees import (
     HalfInt,
+    SimulationError,
     TreeError,
     alpha,
     enumerate_trees,
@@ -80,6 +73,19 @@ def _order_cap(text: str) -> HalfInt:
     return cap
 
 
+def _semilinear_problem(text: str) -> str:
+    """Type of ``converge --problem``: a registered semi-linear problem.  The
+    registry is read when the option is parsed, not when the parser is built,
+    as reading it imports numpy."""
+    from sbseries.elementary import get_problem, problem_names
+
+    names = [n for n in problem_names() if get_problem(n).is_semilinear]
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+    return text
+
+
 def _write_rows(out, header, rows) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -128,6 +134,8 @@ def cmd_split(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
+    from sbseries.series import exact_solution_series
+
     model = _model_from_flags(args)
     series = exact_solution_series(model, _order_cap(args.cap))
     trees = series.trees()
@@ -139,6 +147,8 @@ def cmd_series(args, out) -> int:
 
 
 def cmd_erk(args, out) -> int:
+    from sbseries.serk import order_residuals, residual_is_pathwise_zero, resolve_method
+
     method = resolve_method(args.method)
     residuals = order_residuals(method, _order_cap(args.cap))
     rows = []
@@ -154,6 +164,10 @@ def cmd_erk(args, out) -> int:
 
 
 def cmd_weights(args, out) -> int:
+    import numpy as np
+
+    from sbseries.paths import mc_moments
+
     with np.errstate(over="ignore", invalid="ignore"):
         stats = mc_moments(parse_expr(args.expr), args.h, args.N, args.paths,
                            args.interp, args.seed)
@@ -167,6 +181,9 @@ def cmd_weights(args, out) -> int:
 
 
 def cmd_converge(args, out) -> int:
+    from sbseries.elementary import get_problem
+    from sbseries.sim import ms_order_estimate
+
     problem = get_problem(args.problem)
     # the steps of each rung divide --n-fine and double from rung to rung
     if args.h_fine - args.h_coarse >= max(args.n_fine, 1).bit_length():
@@ -243,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "deterministic and identical for any value")
 
     p_conv = sub.add_parser("converge", help="mean-square convergence study")
-    p_conv.add_argument("--problem", required=True,
-                        choices=[n for n in problem_names() if get_problem(n).is_semilinear])
+    p_conv.add_argument("--problem", required=True, type=_semilinear_problem)
     p_conv.add_argument("--method", default="midpoint", choices=["midpoint"])
     p_conv.add_argument("--paths", type=int, required=True)
     p_conv.add_argument("--seed", type=int, required=True)

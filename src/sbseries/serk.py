@@ -21,10 +21,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr, parse_expr
-from sbseries.paths import PathGrid, eval_weight, sample_path
 from sbseries.series import BSeries, exact_weight
 from sbseries.trees import (
     ALabel,
@@ -43,8 +43,12 @@ from sbseries.trees import (
     format_tree,
     parse_tree,
     rho,
+    rho2,
     tree_key,
 )
+
+if TYPE_CHECKING:
+    from sbseries.paths import PathGrid
 
 
 class NoAdmissibleSplit(TreeError):
@@ -189,7 +193,7 @@ class _WeightComputer:
         if isinstance(tau.label, TLabel) and tau.is_leaf:
             return ex.H if i is None else ex.H.scaled(m.c[i])
         if is_a_tree(tau):
-            return (m.z0 if i is None else m.Z0[i]).weight(tau)
+            return self._coefficient(m.z0 if i is None else m.Z0[i], tau)
         # sum over stages j of the row's coefficient at theta times the
         # stage-j weights of delta's children; once a factor is zero the
         # later children's weights are not computed
@@ -197,13 +201,22 @@ class _WeightComputer:
         row = m.z[delta.label.m] if i is None else m.Z[delta.label.m][i]
         acc: dict[ex.Mono, tuple[int, int]] = {}
         for j in range(m.stages):
-            factors = [row[j].weight(theta)]
+            factors = [self._coefficient(row[j], theta)]
             for child in delta.children:
                 if factors[-1].is_zero:
                     break
                 factors.append(self.weight(j, child))
             ex.accumulate(acc, factors)
         return ex.from_acc(acc)
+
+    def _coefficient(self, series: BSeries, tau: Tree) -> WeightExpr:
+        """A coefficient series' entry at tau.  Above the series' cap the
+        truncated series holds no entry, and reading 0 there would describe
+        the truncation, not the method."""
+        if not tau.is_empty and rho2(tau) > series.order_cap.twice:
+            raise CapUnsupported(f"coefficient at {tau} (order {rho(tau)}) exceeds the "
+                                 f"cap {series.order_cap} of method {self.method.name!r}")
+        return series.weight(tau)
 
 
 def _require_within_cap(method: ERKMethodSpec, rho_max: HalfInt) -> None:
@@ -407,6 +420,8 @@ _PROBE_TOL = 1e-10
 def _probe_paths(n_colors: int) -> tuple[PathGrid, ...]:
     """The fixed probe paths with ``n_colors`` drivers, drawn once per
     process; their arrays are read-only, as every probe shares them."""
+    from sbseries.paths import sample_path
+
     paths = tuple(sample_path(_PROBE_H, _PROBE_STEPS, n_colors, (_PROBE_SEED, k))
                   for k in range(_PROBE_PATHS))
     for path in paths:
@@ -426,6 +441,8 @@ def residual_is_pathwise_zero(residual: WeightExpr, interp: str = "stratonovich"
     """
     if residual.is_zero:
         return True
+    from sbseries.paths import eval_weight
+
     colors = max(residual.colors(), default=0)
     for path in _probe_paths(max(colors, 1)):
         if abs(eval_weight(residual, path, interp)) > _PROBE_TOL:

@@ -31,10 +31,7 @@ from sbseries.paths import (
     _seed_tuple,
     normalize_interpretation,
 )
-
-
-class SimulationError(Exception):
-    pass
+from sbseries.trees import SimulationError
 
 
 class StageDivergence(SimulationError):

@@ -62,6 +62,13 @@ class ParseError(TreeError):
     """A tree string does not conform to the bracket grammar."""
 
 
+class SimulationError(Exception):
+    """A numerical computation failed (non-finite moments, a diverging
+    stage iteration).  It lives here, beside the other error bases, so that
+    handling it imports neither numpy nor scipy; ``sbseries.sim`` raises and
+    re-exports it."""
+
+
 # ---------------------------------------------------------------------------
 # Half-integers
 # ---------------------------------------------------------------------------

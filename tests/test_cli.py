@@ -281,13 +281,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch, capsys):
-        import sbseries.cli as cli
+        import sbseries.sim
         from sbseries.sim import StageDivergence
 
         def boom(*args, **kwargs):
             raise StageDivergence("stage blew up")
 
-        monkeypatch.setattr(cli, "ms_order_estimate", boom)
+        monkeypatch.setattr(sbseries.sim, "ms_order_estimate", boom)
         code, _ = run("converge", "--problem", "scalar-semilinear",
                       "--paths", "2", "--seed", "1")
         assert code == 3
@@ -302,12 +302,12 @@ class TestExitCodes:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_out_of_memory_is_two_with_one_line_error(self, monkeypatch, capsys):
-        import sbseries.cli as cli
+        import sbseries.paths
 
         def boom(*args, **kwargs):
             raise MemoryError("cannot allocate the path array")
 
-        monkeypatch.setattr(cli, "mc_moments", boom)
+        monkeypatch.setattr(sbseries.paths, "mc_moments", boom)
         code, text = run("weights", "mc", "--expr", "dW1", *MC_FLAGS)
         err = capsys.readouterr().err
         assert code == 2

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import sbseries.paths
 from sbseries import cli
 from sbseries import expr as E
 from sbseries import serk
@@ -281,6 +282,25 @@ class TestWeightRecursion:
         for tau in semilinear_trees(1, HalfInt(6)):
             erk_weight_at(midpoint, tau)  # must not raise
 
+    def test_point_queries_stop_at_the_coefficient_cap(self, midpoint):
+        # of the rho-4 trees, exactly the 8 A-trees look up a coefficient
+        # above the 7/2 cap of the built-in series; a truncated lookup would
+        # read 0 there and give [t,[t]A]A the residual 1/8*h^4
+        raised = []
+        for tau in semilinear_trees(1, HalfInt(8)):
+            if rho(tau) != HalfInt(8):
+                continue
+            try:
+                erk_weight_at(midpoint, tau)
+            except CapUnsupported:
+                raised.append(tau)
+        assert len(raised) == 8
+        assert all(is_a_tree(tau) for tau in raised)
+        for ts in ["[t,[t]A]A", "[t,t,t]A"]:
+            assert parse_tree(ts) in raised
+            with pytest.raises(CapUnsupported):
+                residual_at(midpoint, parse_tree(ts))
+
 
 class TestResiduals:
     def test_zero_up_to_order_one(self, midpoint):
@@ -384,7 +404,7 @@ class TestProbePaths:
             return sample_path(*args, **kwargs)
 
         serk._probe_paths.cache_clear()
-        monkeypatch.setattr(serk, "sample_path", counted)
+        monkeypatch.setattr(sbseries.paths, "sample_path", counted)
         assert cli.main(["erk", "residuals", "--method", "builtin:midpoint",
                          "--cap", "7/2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 971
