@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in {
-    "elementary": ("SDEProblem", "eval_bseries", "eval_elementary",
-                   "fd_directional", "get_problem", "problem_names"),
+    "elementary": ("SDEProblem", "eval_bseries", "eval_elementary", "get_problem",
+                   "problem_names"),
     "expr": ("WeightExpr", "format_expr", "parse_expr"),
     "forest_ops": ("SubtreePair", "gamma", "split_pairs", "subtree_pairs"),
     "paths": ("MCStats", "PathGrid", "eval_weight", "mc_moments", "sample_path"),

@@ -11,12 +11,11 @@ Problems come in two flavors sharing one class:
   length one; used with the semi-linear tree family.
 
 Bracket nodes and A-nodes differentiate their coefficient, ``g_m(x, t)``
-or ``A(t)``, through one function.  The default mode, "analytic", passes
-truncated Taylor jets (``sbseries.jets``) through the coefficient
-functions as they are written: exact up to rounding, at any order.  The
-"fd" mode takes mixed central finite differences of order at most 3
-instead; they are exact on polynomials of degree k and serve as the
-independent oracle of the tests.
+or ``A(t)``, through one ``derivative`` function, ``fn, x, directions ->
+array``.  Its default, :func:`sbseries.jets.derivative`, passes truncated
+Taylor jets through the coefficient functions as they are written: exact
+up to rounding, at any order.  The parameter is a seam for the tests,
+which pass a central-difference oracle in its place.
 """
 
 from __future__ import annotations
@@ -39,19 +38,11 @@ from sbseries.trees import (
     SemiLinear,
     TLabel,
     Tree,
-    TreeError,
     TreeModel,
     WLabel,
     a_node_children,
     alpha,
 )
-
-
-class DerivativeOrderUnsupported(TreeError):
-    """The "fd" oracle takes mixed derivatives up to order 3 only."""
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -121,15 +112,16 @@ class SDEProblem:
             raise ModelMismatch(f"no coefficient ({q},{v},{m}) on {self.name}")
         return lambda x: fn(*self.blocks(x))
 
-    def a_derivative(self, k: int, t: float, derivatives: str = "analytic") -> np.ndarray:
-        """k-th time derivative of A at t (0 = A itself) in the given
-        ``derivatives`` mode."""
+    def a_derivative(self, k: int, t: float,
+                     derivative: Callable = jets.derivative) -> np.ndarray:
+        """k-th time derivative of A at t (0 = A itself), taken by
+        ``derivative``."""
         if self.A is None:
             raise ModelMismatch(f"{self.name} has no linear part")
         if k == 0:
             return np.asarray(self.A(t), dtype=float)
         return _derivative(lambda s: self.A(s[0]), np.array([t], dtype=float),
-                           [np.ones(1)] * k, derivatives)
+                           [np.ones(1)] * k, derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -137,50 +129,18 @@ class SDEProblem:
 # ---------------------------------------------------------------------------
 
 
-def _fd_steps(order: int, x: np.ndarray, directions) -> list[float]:
-    base = {1: _EPS ** (1 / 3), 2: 4.0 * _EPS ** (1 / 4), 3: 4.0 * _EPS ** (1 / 5)}[order]
-    scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
-    return [base * scale / max(1.0, float(np.max(np.abs(u), initial=0.0)))
-            for u in directions]
-
-
-def _central_difference(fn: Callable, x: np.ndarray, directions) -> np.ndarray:
-    """Mixed central finite difference of ``fn`` at the flat point ``x``
-    along the flat ``directions``; 1 <= |directions| <= 3."""
-    k = len(directions)
-    if k > 3:
-        raise DerivativeOrderUnsupported(
-            f"the finite-difference oracle takes mixed derivatives up to "
-            f"order 3, not {k}; the default jets take any order")
-    eps = _fd_steps(k, x, directions)
-    values = {}  # fn at each distinct computed point: repeated directions repeat points
-    total = None
-    for signs in np.ndindex(*(2,) * k):
-        s = [1.0 if b == 0 else -1.0 for b in signs]
-        point = x.astype(float).copy()
-        for sj, ej, uj in zip(s, eps, directions):
-            point += sj * ej * uj
-        key = point.tobytes()
-        if key not in values:
-            values[key] = np.asarray(fn(point), dtype=float)
-        value = values[key] * float(np.prod(s))
-        total = value if total is None else total + value
-    return total / float(np.prod([2 * e for e in eps]))
-
-
-def _derivative(fn: Callable, x: np.ndarray, directions, mode: str) -> np.ndarray:
+def _derivative(fn: Callable, x: np.ndarray, directions,
+                derivative: Callable) -> np.ndarray:
     """Mixed directional derivative of ``fn`` at the flat point ``x`` along
-    the flat ``directions`` (``fn(x)`` for none): jets, or central
-    differences in mode "fd"."""
+    the flat ``directions``, taken by ``derivative`` (``fn(x)`` for none)."""
     if not directions:
         return np.asarray(fn(x), dtype=float)
-    if mode == "fd":
-        return _central_difference(fn, x, directions)
-    return jets.derivative(fn, x, directions)
+    return derivative(fn, x, directions)
 
 
 def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
-                            x: np.ndarray, directions, mode: str) -> np.ndarray:
+                            x: np.ndarray, directions,
+                            derivative: Callable = jets.derivative) -> np.ndarray:
     """Mixed derivative of the (q, v, m) coefficient along the given
     (partition, vector) directions."""
     flat_dirs = []
@@ -190,14 +150,7 @@ def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
         vec = np.asarray(vec, dtype=float)
         u[off:off + vec.size] = vec
         flat_dirs.append(u)
-    return _derivative(problem.coefficient(q, v, m), x, flat_dirs, mode)
-
-
-def fd_directional(problem: SDEProblem, q: int, v: int, m: int,
-                   x: np.ndarray, directions) -> np.ndarray:
-    """Mixed central finite difference of the (q, v, m) coefficient along
-    the given (partition, vector) directions; |directions| <= 3."""
-    return _directional_derivative(problem, q, v, m, x, directions, "fd")
+    return _derivative(problem.coefficient(q, v, m), x, flat_dirs, derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -213,32 +166,27 @@ def value_partition(problem: SDEProblem, label) -> int:
 
 
 def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
-                    derivatives: str = "analytic") -> np.ndarray:
-    """The elementary differential of ``tau`` at the flat state ``x``.
-
-    ``derivatives`` selects how bracket nodes and A-nodes differentiate
-    their coefficient: "analytic" by jets, at any order; "fd" by central
-    finite differences, up to order 3.
-    """
-    if derivatives not in ("analytic", "fd"):
-        raise ValueError(f"unknown derivative mode {derivatives!r}; known: analytic, fd")
+                    derivative: Callable = jets.derivative) -> np.ndarray:
+    """The elementary differential of ``tau`` at the flat state ``x``;
+    bracket nodes and A-nodes differentiate their coefficient by
+    ``derivative``."""
     if x is None:
         x = problem.x0
-    return _elementary(problem, tau, np.asarray(x, dtype=float), derivatives, {})
+    return _elementary(problem, tau, np.asarray(x, dtype=float), derivative, {})
 
 
-def _elementary(problem: SDEProblem, tau: Tree, x: np.ndarray, derivatives: str,
+def _elementary(problem: SDEProblem, tau: Tree, x: np.ndarray, derivative: Callable,
                 memo: dict) -> np.ndarray:
     """``eval_elementary`` with ``memo`` holding the differentials already
     evaluated at ``x`` in this call, one per distinct subtree."""
     value = memo.get(tau)
     if value is None:
-        value = memo[tau] = _elementary_node(problem, tau, x, derivatives, memo)
+        value = memo[tau] = _elementary_node(problem, tau, x, derivative, memo)
     return value
 
 
 def _elementary_node(problem: SDEProblem, tau: Tree, x: np.ndarray,
-                     derivatives: str, memo: dict) -> np.ndarray:
+                     derivative: Callable, memo: dict) -> np.ndarray:
     label = tau.label
     if isinstance(label, EmptyLabel):
         return problem.blocks(x)[label.q - 1]
@@ -252,8 +200,8 @@ def _elementary_node(problem: SDEProblem, tau: Tree, x: np.ndarray,
         if other is None:
             target = x[:problem.dim]
         else:
-            target = _elementary(problem, other, x, derivatives, memo)
-        return problem.a_derivative(len(times), t, derivatives) @ target
+            target = _elementary(problem, other, x, derivative, memo)
+        return problem.a_derivative(len(times), t, derivative) @ target
     if isinstance(label, GLabel):
         q, v, m = 1, 1, label.m
     elif isinstance(label, GeneralLabel):
@@ -263,9 +211,9 @@ def _elementary_node(problem: SDEProblem, tau: Tree, x: np.ndarray,
     else:
         raise ModelMismatch(f"cannot evaluate {label!r}")
     directions = [(value_partition(problem, c.label),
-                   _elementary(problem, c, x, derivatives, memo))
+                   _elementary(problem, c, x, derivative, memo))
                   for c in tau.children]
-    return _directional_derivative(problem, q, v, m, x, directions, derivatives)
+    return _directional_derivative(problem, q, v, m, x, directions, derivative)
 
 
 def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
@@ -288,7 +236,7 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
             continue
         part = value_partition(problem, tree.label)
         off = problem.block_offset(part)
-        value = _elementary(problem, tree, x, "analytic", memo)
+        value = _elementary(problem, tree, x, jets.derivative, memo)
         out[off:off + value.size] += scale * value
     return out
 

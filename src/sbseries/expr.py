@@ -57,6 +57,21 @@ class ExprParseError(ExprError):
     pass
 
 
+ITO = "ito"
+STRATONOVICH = "stratonovich"
+
+
+def normalize_interpretation(name: str) -> str:
+    """``ITO`` or ``STRATONOVICH`` for a name or short name of that calculus,
+    in any case; any other name raises ValueError."""
+    low = name.lower()
+    if low in (ITO, "i"):
+        return ITO
+    if low in (STRATONOVICH, "strat", "s"):
+        return STRATONOVICH
+    raise ValueError(f"unknown interpretation {name!r}")
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class IntAtom:
     """Irreducible integral of a monomial integrand against driver ``color``."""

@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sbseries.expr import IntAtom, Mono, WeightExpr
+from sbseries.expr import (
+    ITO,
+    STRATONOVICH,
+    IntAtom,
+    Mono,
+    WeightExpr,
+    normalize_interpretation,
+)
 
 
 class PathError(Exception):
@@ -50,19 +57,6 @@ class ColorMissing(PathError):
 
 class PathTooShort(PathError):
     """The path does not span the requested horizon."""
-
-
-ITO = "ito"
-STRATONOVICH = "stratonovich"
-
-
-def normalize_interpretation(name: str) -> str:
-    low = name.lower()
-    if low in (ITO, "i"):
-        return ITO
-    if low in (STRATONOVICH, "strat", "s"):
-        return STRATONOVICH
-    raise ValueError(f"unknown interpretation {name!r}")
 
 
 @dataclass(frozen=True)
@@ -211,13 +205,6 @@ def eval_weights(exprs, path: PathGrid, interp: str = STRATONOVICH) -> list[floa
                            f"expression needs {sorted(missing)}")
     w = path.values[1:, None, :]
     return [value[0] for value in _Workspace(path.times, 1, interp).eval(exprs, w)]
-
-
-def _eval_rows(expr: WeightExpr, times: np.ndarray, w: np.ndarray,
-               interp: str) -> np.ndarray:
-    """Values of the expression on the paths ``w`` (M, P, N + 1), color m in
-    ``w[m - 1]``, over the time grid ``times`` (N + 1,)."""
-    return _Workspace(times, w.shape[1], interp).eval([expr], w)[0]
 
 
 class _Workspace:

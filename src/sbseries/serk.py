@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from sbseries import expr as ex
-from sbseries.expr import WeightExpr, parse_expr
+from sbseries.expr import WeightExpr, normalize_interpretation, parse_expr
 from sbseries.series import BSeries, exact_weight
 from sbseries.trees import (
     ALabel,
@@ -109,6 +109,7 @@ class ERKMethodSpec:
         n = self.stages
         if n < 1:
             raise ValueError(f"a method needs at least one stage, got {n}")
+        normalize_interpretation(self.interpretation)  # kept as spelled, if known
         if self.n_colors < 0:
             raise ValueError(f"a method needs colors >= 0, got {self.n_colors}")
         if len(self.c) != n or len(self.Z0) != n:

@@ -23,14 +23,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from sbseries.elementary import SDEProblem
-from sbseries.paths import (
-    ITO,
-    MCStats,
-    PathGrid,
-    _sample_wiener_rows,
-    _seed_tuple,
-    normalize_interpretation,
-)
+from sbseries.expr import ITO, normalize_interpretation
+from sbseries.paths import MCStats, PathGrid, _sample_wiener_rows, _seed_tuple
 from sbseries.trees import SimulationError
 
 

@@ -351,10 +351,6 @@ def empty_tree(q: int = 1) -> Tree:
 T_LEAF = Tree(TLabel())
 
 
-def g_leaf(m: int) -> Tree:
-    return Tree(GLabel(m))
-
-
 def w_leaf(i: int) -> Tree:
     return T_LEAF if i == 0 else Tree(WLabel(i))
 
@@ -563,15 +559,6 @@ def model_labels(model: TreeModel) -> frozenset[NodeLabel]:
     return frozenset([*model.node_labels(),
                       *(leaf.label for leaf in model.adjoined_leaves()),
                       *(EmptyLabel(q) for q in range(1, model_partitions(model) + 1))])
-
-
-def tree_in_model(tree: Tree, model: TreeModel) -> bool:
-    """Does the (canonical) tree belong to the model's family T?"""
-    try:
-        validate_tree(tree, model)
-    except TreeError:
-        return False
-    return True
 
 
 def validate_tree(tree: Tree, model: TreeModel) -> None:

@@ -3,7 +3,8 @@
 Everything here is computed by a route that does not touch the code under
 test: classical Runge-Kutta elementary weights by their textbook recursion,
 closed-form moments of iterated integrals by isometry and Fubini,
-hand-written derivative tables of the built-in problems' coefficients, the
+hand-written derivative tables of the built-in problems' coefficients,
+mixed central finite differences in place of :mod:`sbseries.jets`, the
 sorting tree enumeration and recursive-descent tree parser that the
 in-order ones replaced, and the ``Fraction`` accumulator that the integer
 pair accumulator of :mod:`sbseries.expr` replaced.
@@ -190,6 +191,54 @@ def langevin_coefficient_derivative(v_dependent: bool, key, x, directions):
         psi = _poly(1.0, 0.0, 0.125) if v_dependent else _ONE
         scalar = _Separable(0.2, _COS, psi, _poly(1.0, 0.5))
     return np.array([0.0, scalar.dderiv(r, v, t, dirs)])
+
+
+# ---------------------------------------------------------------------------
+# Mixed central finite differences
+# ---------------------------------------------------------------------------
+
+
+class DerivativeOrderUnsupported(Exception):
+    """The central-difference oracle takes mixed derivatives up to order 3."""
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def fd_steps(order: int, x: np.ndarray, directions) -> list[float]:
+    """Step sizes of the order-``order`` central difference at ``x``, one
+    per direction."""
+    base = {1: _EPS ** (1 / 3), 2: 4.0 * _EPS ** (1 / 4), 3: 4.0 * _EPS ** (1 / 5)}[order]
+    scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
+    return [base * scale / max(1.0, float(np.max(np.abs(u), initial=0.0)))
+            for u in directions]
+
+
+def central_difference(fn, x: np.ndarray, directions) -> np.ndarray:
+    """Mixed central finite difference of ``fn`` at the flat point ``x``
+    along the flat ``directions``, 1 <= |directions| <= 3: exact on
+    polynomials of degree |directions|.  It takes the place of
+    ``jets.derivative`` through the ``derivative=`` parameter of
+    :mod:`sbseries.elementary`."""
+    k = len(directions)
+    if k > 3:
+        raise DerivativeOrderUnsupported(
+            f"the finite-difference oracle takes mixed derivatives up to "
+            f"order 3, not {k}; the default jets take any order")
+    eps = fd_steps(k, x, directions)
+    values = {}  # fn at each distinct computed point: repeated directions repeat points
+    total = None
+    for signs in np.ndindex(*(2,) * k):
+        s = [1.0 if b == 0 else -1.0 for b in signs]
+        point = x.astype(float).copy()
+        for sj, ej, uj in zip(s, eps, directions):
+            point += sj * ej * uj
+        key = point.tobytes()
+        if key not in values:
+            values[key] = np.asarray(fn(point), dtype=float)
+        value = values[key] * float(np.prod(s))
+        total = value if total is None else total + value
+    return total / float(np.prod([2 * e for e in eps]))
 
 
 # ---------------------------------------------------------------------------

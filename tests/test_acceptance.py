@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import example_weight_second_moment, rk_elementary_weight
+from oracles import central_difference, example_weight_second_moment, rk_elementary_weight
 
 from sbseries import expr as E
 from sbseries import trees as T
@@ -131,14 +131,15 @@ def test_06_elementary_differentials():
         v = prob.x0[1]
         hand = np.array([0.0, -0.5 * v])
         appendix = parse_tree("[g(2,1,0),g(2,1,0)]g(1,2,0)")
-        got = eval_elementary(prob, appendix, derivatives="analytic")
+        got = eval_elementary(prob, appendix)
         assert np.max(np.abs(got - hand)) <= 1e-8 * np.max(np.abs(hand))
-        got_fd = eval_elementary(prob, appendix, derivatives="fd")
+        got_fd = eval_elementary(prob, appendix, derivative=central_difference)
         assert np.max(np.abs(got_fd - hand)) <= 1e-6 * np.max(np.abs(hand))
         # the full tree vanishes because the noise ignores the velocity
         ex2 = parse_tree(EX2)
         assert np.max(np.abs(eval_elementary(prob, ex2))) <= 1e-12
-        assert np.max(np.abs(eval_elementary(prob, ex2, derivatives="fd"))) <= 1e-6
+        got_fd = eval_elementary(prob, ex2, derivative=central_difference)
+        assert np.max(np.abs(got_fd)) <= 1e-6
 
 
 def test_07_exact_weight_statistics():

@@ -142,6 +142,20 @@ class TestErk:
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_unknown_interpretation_is_two_without_probe(self, tmp_path, capsys):
+        # the method file's calculus is checked even when no probe reads it
+        import json
+        from sbseries.serk import builtin_exponential_midpoint, method_to_json
+        data = json.loads(method_to_json(builtin_exponential_midpoint()))
+        data["interpretation"] = "bogus"
+        path = tmp_path / "method.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, text = run("erk", "residuals", "--method", str(path), "--cap", "1",
+                         "--no-probe")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: unknown interpretation 'bogus'\n"
+
 
 class TestWeights:
     def test_mc_moments_shape(self):

@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
-from oracles import A_DERIVATIVES, langevin_coefficient_derivative
+from oracles import (
+    A_DERIVATIVES,
+    DerivativeOrderUnsupported,
+    central_difference,
+    fd_steps,
+    langevin_coefficient_derivative,
+)
 
 from sbseries import expr as E
 from sbseries import trees as T
 from sbseries.elementary import (
-    DerivativeOrderUnsupported,
     ModelMismatch,
     SDEProblem,
-    _central_difference,
     _directional_derivative,
-    _fd_steps,
     eval_bseries,
     eval_elementary,
-    fd_directional,
     get_problem,
     problem_names,
     value_partition,
@@ -29,6 +31,12 @@ from sbseries.trees import HalfInt, Tree, empty_tree, enumerate_trees, parse_tre
 
 EX2 = "[[[g(2,1,0),g(2,1,0)]g(1,2,0),g(1,1,0)]g(1,1,1),g(2,1,0)]g(1,2,0)"
 APPENDIX_TREE = "[g(2,1,0),g(2,1,0)]g(1,2,0)"
+
+
+def fd_directional(problem, q, v, m, x, directions):
+    """Mixed central finite difference of the (q, v, m) coefficient along
+    the given (partition, vector) directions; |directions| <= 3."""
+    return _directional_derivative(problem, q, v, m, x, directions, central_difference)
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +75,13 @@ class TestElementary:
         got = eval_elementary(langevin, parse_tree(APPENDIX_TREE))
         assert np.allclose(got, want, rtol=1e-12)
         got_fd = eval_elementary(langevin, parse_tree(APPENDIX_TREE),
-                                 derivatives="fd")
+                                 derivative=central_difference)
         assert np.allclose(got_fd, want, rtol=1e-6)
 
     def test_example_tree_zero_when_noise_ignores_velocity(self, langevin):
         got = eval_elementary(langevin, parse_tree(EX2))
         assert np.allclose(got, 0.0, atol=1e-12)
-        got_fd = eval_elementary(langevin, parse_tree(EX2), derivatives="fd")
+        got_fd = eval_elementary(langevin, parse_tree(EX2), derivative=central_difference)
         assert np.allclose(got_fd, 0.0, atol=1e-6)
 
     def test_example_tree_hand_formula_velocity_variant(self, langevin_vdep):
@@ -84,7 +92,8 @@ class TestElementary:
         want = np.array([0.0, -alpha_dot * d2fs_dv2 * (-alpha_ddot * v) * f_d])
         got = eval_elementary(langevin_vdep, parse_tree(EX2))
         assert np.allclose(got, want, rtol=1e-8)
-        got_fd = eval_elementary(langevin_vdep, parse_tree(EX2), derivatives="fd")
+        got_fd = eval_elementary(langevin_vdep, parse_tree(EX2),
+                                 derivative=central_difference)
         assert np.allclose(got_fd, want, rtol=1e-6)
 
     def test_child_symmetry(self, langevin_vdep):
@@ -115,7 +124,7 @@ class TestElementary:
         prob = get_problem("noncomm-2x2")
         for ts in ["[t]A", "[t,t]A", "[0,t]A"]:
             a = eval_elementary(prob, parse_tree(ts))
-            b = eval_elementary(prob, parse_tree(ts), derivatives="fd")
+            b = eval_elementary(prob, parse_tree(ts), derivative=central_difference)
             assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("name", ["noncomm-2x2", "langevin", "scalar-semilinear"])
@@ -123,10 +132,10 @@ class TestElementary:
         prob = get_problem(name)
         for ts in ["[t,t,t]A", "[[t]A,t,t]A"]:
             a = eval_elementary(prob, parse_tree(ts))
-            b = eval_elementary(prob, parse_tree(ts), derivatives="fd")
+            b = eval_elementary(prob, parse_tree(ts), derivative=central_difference)
             assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
         with pytest.raises(DerivativeOrderUnsupported):
-            eval_elementary(prob, parse_tree("[t,t,t,t]A"), derivatives="fd")
+            eval_elementary(prob, parse_tree("[t,t,t,t]A"), derivative=central_difference)
 
     @pytest.mark.parametrize("name", ["noncomm-2x2", "langevin", "scalar-semilinear"])
     def test_a_jets_match_hand_tables(self, name):
@@ -146,7 +155,7 @@ class TestElementary:
                     x = prob.x0 + rng.standard_normal(3)
                     dirs = [(1, rng.standard_normal(2)) if rng.random() < 0.6
                             else (2, rng.standard_normal(1)) for _ in range(order)]
-                    got = _directional_derivative(prob, *key, x, dirs, "analytic")
+                    got = _directional_derivative(prob, *key, x, dirs)
                     want = langevin_coefficient_derivative(
                         name == "langevin-vdep", key, x, dirs)
                     assert got.shape == want.shape
@@ -164,13 +173,6 @@ class TestElementary:
         got = eval_elementary(langevin, parse_tree(APPENDIX_TREE))
         assert got.tolist() == [0.0, 0.0]
 
-    @pytest.mark.parametrize("mode", ["bogus", "auto"])
-    @pytest.mark.parametrize("tree", ["[t]A", "0", "[0]1"])
-    def test_unknown_derivative_mode_rejected(self, mode, tree):
-        with pytest.raises(ValueError, match="unknown derivative mode"):
-            eval_elementary(get_problem("langevin"), parse_tree(tree),
-                            derivatives=mode)
-
     def test_model_mismatch(self, langevin):
         with pytest.raises(ModelMismatch):
             eval_elementary(langevin, parse_tree("A"))
@@ -179,7 +181,7 @@ class TestElementary:
         prob = get_problem("scalar-semilinear")
         tree = parse_tree("[0,0,0,0]1")
         with pytest.raises(DerivativeOrderUnsupported):
-            eval_elementary(prob, tree, derivatives="fd")
+            eval_elementary(prob, tree, derivative=central_difference)
 
 
 class TestCentralDifference:
@@ -189,7 +191,7 @@ class TestCentralDifference:
         seen, A = [], prob.A
         prob.A = lambda t: seen.append(t) or A(t)
         tree = parse_tree("[" + ",".join(["t"] * order) + "]A")
-        eval_elementary(prob, tree, derivatives="fd")
+        eval_elementary(prob, tree, derivative=central_difference)
         assert len(seen) == len(set(seen)) == calls
 
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -198,8 +200,8 @@ class TestCentralDifference:
         x = np.array([0.4, -0.7])
         directions = [np.array([1.0, 0.5]), np.array([1.0, 0.5]), np.array([0.0, 1.0])]
         directions = directions[:order]
-        got = _central_difference(fn, x, directions)
-        eps = _fd_steps(order, x, directions)
+        got = central_difference(fn, x, directions)
+        eps = fd_steps(order, x, directions)
         total = None
         for signs in np.ndindex(*(2,) * order):
             s = [1.0 if b == 0 else -1.0 for b in signs]
@@ -234,7 +236,7 @@ class TestFDDirectional:
         prob = langevin_vdep
 
         def jet(dirs):
-            return _directional_derivative(prob, 1, 1, 1, prob.x0, dirs, "analytic")
+            return _directional_derivative(prob, 1, 1, 1, prob.x0, dirs)
 
         for _ in range(20):
             u = (1, rng.standard_normal(2))
@@ -258,8 +260,8 @@ class TestFDDirectional:
         for tree in enumerate_trees(T.langevin_model(), HalfInt(5)):
             if tree.is_leaf or not fd_applicable(tree):
                 continue
-            a = eval_elementary(langevin_vdep, tree, derivatives="analytic")
-            b = eval_elementary(langevin_vdep, tree, derivatives="fd")
+            a = eval_elementary(langevin_vdep, tree)
+            b = eval_elementary(langevin_vdep, tree, derivative=central_difference)
             scale = max(1.0, float(np.max(np.abs(a))))
             assert np.allclose(a, b, atol=1e-6 * scale)
 

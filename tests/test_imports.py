@@ -15,18 +15,18 @@ import sbseries
 
 SRC = str(Path(sbseries.__file__).resolve().parents[1])
 
-# the 54 exported names; resolving them lazily must keep the same set
+# the 53 exported names; resolving them lazily must keep the same set
 EXPORTED = set("""
     BSeries ConvergenceReport ERKMethodSpec GeneralPartitioned HalfInt MCStats
     NonAutonomous OrderResidual PathGrid SDEProblem SemiLinear SubtreePair Tree
     TreeModel WeightExpr alpha builtin_exponential_midpoint canonicalize compose
     derivative_product enumerate_trees erk_weight_at erk_weights eval_bseries
-    eval_elementary eval_weight exact_solution_series exact_weight fd_directional
-    format_expr format_tree function_series gamma get_problem identity_weights
-    integrate_erk langevin_model mc_moments method_from_json method_to_json
-    ms_order_estimate order_residuals parse_expr parse_tree problem_names
-    reference_solution residual_at residual_is_pathwise_zero rho sample_path
-    semilinear_trees split_pairs subtree_pairs __version__
+    eval_elementary eval_weight exact_solution_series exact_weight format_expr
+    format_tree function_series gamma get_problem identity_weights integrate_erk
+    langevin_model mc_moments method_from_json method_to_json ms_order_estimate
+    order_residuals parse_expr parse_tree problem_names reference_solution
+    residual_at residual_is_pathwise_zero rho sample_path semilinear_trees
+    split_pairs subtree_pairs __version__
 """.split())
 
 HEAVY = "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
@@ -84,7 +84,7 @@ def test_every_exported_name_imports_in_a_fresh_interpreter():
 
 def test_exported_names_are_unchanged():
     assert set(sbseries.__all__) == EXPORTED
-    assert len(sbseries.__all__) == 54
+    assert len(sbseries.__all__) == 53
 
 
 def test_dir_lists_every_exported_name():

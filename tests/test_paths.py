@@ -13,8 +13,8 @@ from sbseries.paths import (
     ColorMissing,
     MCStats,
     PathTooShort,
-    _eval_rows,
     _sample_wiener_rows,
+    _Workspace,
     eval_weight,
     eval_weights,
     mc_moments,
@@ -255,7 +255,7 @@ class TestEndpointEvaluation:
         w = np.zeros((2, n_paths, n_steps + 1))
         w[..., 1:] = np.cumsum(0.3 * rng.standard_normal((2, n_paths, n_steps)), axis=2)
         times = np.linspace(0.0, 0.3, n_steps + 1)
-        got = _eval_rows(expr, times, w, interp)
+        got = _Workspace(times, w.shape[1], interp).eval([expr], w)[0]
         assert got.tobytes() == _full_eval_rows(expr, times, w, interp).tobytes()
 
 

@@ -1,6 +1,7 @@
 """Exponential-integrator coefficient series and order-condition residuals."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -14,8 +15,10 @@ from sbseries.elementary import eval_elementary, get_problem
 from sbseries.expr import parse_expr
 from sbseries.forest_ops import split_pairs
 from sbseries.paths import eval_weight, sample_path
+from sbseries.series import BSeries, identity_weights
 from sbseries.serk import (
     CapUnsupported,
+    ERKMethodSpec,
     NoAdmissibleSplit,
     _admissible_split,
     builtin_exponential_midpoint,
@@ -40,7 +43,6 @@ from sbseries.trees import (
     T_LEAF,
     Tree,
     canonicalize,
-    g_leaf,
     parse_tree,
     rho,
     tree_key,
@@ -53,6 +55,33 @@ EX4 = "[[[t,t]A,0]1,t]A"
 @pytest.fixture(scope="module")
 def midpoint():
     return builtin_exponential_midpoint()
+
+
+def exponential_euler(cap: HalfInt = HalfInt(7)) -> ERKMethodSpec:
+    """The explicit exponential Euler method: one stage at c = 0 with Z = 0;
+    the output propagates the state by exp of the integral of the linear
+    part over the step, to total order three in h, and the coefficients by
+    that series times h and dW1."""
+    model = SemiLinear(1)
+    full = exp_integral_series(Fraction(0), Fraction(1), 3)
+    zero = BSeries(model, cap, {}, E.ZERO)
+    return ERKMethodSpec(
+        name="exponential-euler",
+        stages=1,
+        c=(Fraction(0),),
+        n_colors=1,
+        cap=cap,
+        Z0=(identity_weights(model, cap),),
+        Z={0: ((zero,),), 1: ((zero,),)},
+        z0=BSeries(model, cap, full),
+        z={0: (BSeries(model, cap, {t: w * E.H for t, w in full.items()}, E.H),),
+           1: (BSeries(model, cap, {t: w * E.dw(1) for t, w in full.items()}, E.dw(1)),)},
+    )
+
+
+@pytest.fixture(scope="module")
+def euler():
+    return exponential_euler()
 
 
 class TestSemilinearTrees:
@@ -123,7 +152,7 @@ class TestSplitUniqueness:
 
 def test_a_node_arity_violation_raises_one_exception(midpoint):
     # the raw A-node [0,1]A has two children outside the time family
-    raw = Tree(ALabel(), (g_leaf(0), g_leaf(1)))
+    raw = Tree(ALabel(), (Tree(GLabel(0)), Tree(GLabel(1))))
     problem = get_problem("scalar-semilinear")
     for check in (lambda: canonicalize(raw),
                   lambda: validate_tree(raw, SemiLinear(1)),
@@ -355,6 +384,23 @@ class TestResiduals:
         assert abs(stats.mean) < 1e-15
 
 
+class TestExponentialEuler:
+    def test_residual_vanishes_at_order_one_half(self, euler):
+        res = residual_at(euler, parse_tree("1"))
+        assert res.tree_order == HalfInt(1)
+        assert res.residual.is_zero
+
+    def test_residuals_vanish_on_single_nodes_of_order_one(self, euler):
+        for ts in ["A", "0"]:
+            res = residual_at(euler, parse_tree(ts))
+            assert res.tree_order == HalfInt(2)
+            assert res.residual.is_zero, ts
+
+    def test_stochastic_chain_residual_is_the_iterated_integral(self, euler):
+        res = residual_at(euler, parse_tree("[1]1"))
+        assert res.residual == parse_expr("Int1[dW1]")
+
+
 def _probe_oracle(residual: E.WeightExpr, interp: str) -> bool:
     """The probe decision with every probe path drawn again on each call."""
     if residual.is_zero:
@@ -429,3 +475,13 @@ class TestMethodJSON:
         method = resolve_method(str(path))
         assert erk_weight_at(method, parse_tree(EX4)) == \
             parse_expr("1/256*h^6*dW1")
+
+    def test_interpretation_is_checked_and_kept_as_spelled(self, midpoint):
+        data = json.loads(method_to_json(midpoint))
+        data["interpretation"] = "Strat"
+        text = json.dumps(data, indent=2, sort_keys=True)
+        assert method_from_json(text).interpretation == "Strat"
+        assert method_to_json(method_from_json(text)) == text
+        data["interpretation"] = "bogus"
+        with pytest.raises(ValueError, match="unknown interpretation 'bogus'"):
+            method_from_json(json.dumps(data))

@@ -194,7 +194,7 @@ class TestInterning:
 
     def test_unreferenced_tree_leaves_the_table(self):
         label = T.GeneralLabel(9, 8, 7)
-        children = (T.g_leaf(3), T.T_LEAF)
+        children = (Tree(T.GLabel(3)), T.T_LEAF)
         tree = Tree(label, children)
         table = T._INTERN[label][0]
         assert table[children]() is tree
@@ -457,7 +457,7 @@ class TestEnumeration:
         # through validity + order, with completeness covered above.
         model = T.langevin_model()
         ex2 = parse_tree(EX2, model)
-        assert T.tree_in_model(ex2, model)
+        T.validate_tree(ex2, model)  # raises unless ex2 is a member
         assert rho(ex2) <= HalfInt(13)
         with pytest.raises(CapExceeded):
             enumerate_trees(model, HalfInt(13))
@@ -480,8 +480,9 @@ class TestEnumeration:
 
     def test_time_leaf_with_children_is_not_a_member(self):
         # [[0]t]A: the time leaf is leaf-only
-        raw = Tree(T.ALabel(), (Tree(T.TLabel(), (T.g_leaf(0),)),))
-        assert not T.tree_in_model(raw, T.SemiLinear(1))
+        raw = Tree(T.ALabel(), (Tree(T.TLabel(), (Tree(T.GLabel(0)),)),))
+        with pytest.raises(T.TreeError):
+            T.validate_tree(raw, T.SemiLinear(1))
 
     def test_every_member_satisfies_model_predicate(self):
         model = T.SemiLinear(2)
