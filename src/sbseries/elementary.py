@@ -162,7 +162,7 @@ def value_partition(problem: SDEProblem, label) -> int:
     """Partition of the space a node's elementary differential lives in."""
     if problem.is_semilinear:
         return 2 if isinstance(label, (TLabel, WLabel)) else 1
-    return T.partition_of(label)
+    return label.partition
 
 
 def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,

@@ -63,8 +63,9 @@ STRATONOVICH = "stratonovich"
 
 def normalize_interpretation(name: str) -> str:
     """``ITO`` or ``STRATONOVICH`` for a name or short name of that calculus,
-    in any case; any other name raises ValueError."""
-    low = name.lower()
+    in any case; any other name, or a value that is not a string, raises
+    ValueError."""
+    low = name.lower() if isinstance(name, str) else None
     if low in (ITO, "i"):
         return ITO
     if low in (STRATONOVICH, "strat", "s"):

@@ -29,7 +29,6 @@ from sbseries.trees import (
     Tree,
     TreeError,
     empty_tree,
-    partition_of,
     tree_key,
 )
 
@@ -60,7 +59,7 @@ def _st_table(tau: Tree) -> tuple[tuple[Tree, tuple[Tree, ...], int], ...]:
     """All (theta, omega, gamma) for tau, gamma accumulated over markings."""
     if tau.is_empty:
         return ((tau, (tau,), 1),)
-    root_empty = empty_tree(partition_of(tau.label))
+    root_empty = empty_tree(tau.label.partition)
     if tau.is_leaf:
         return ((root_empty, (tau,), 1), (tau, (root_empty,), 1))
     acc: dict[tuple[Tree, tuple[Tree, ...]], int] = {}

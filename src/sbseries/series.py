@@ -34,7 +34,6 @@ from sbseries.trees import (
     TreeModel,
     _weighted_multisets,
     enumerate_trees,
-    label_color,
     rho2,
     tree_key,
 )
@@ -87,7 +86,7 @@ def exact_weight(tree: Tree) -> WeightExpr:
     of their children's weights against the root's driver."""
     if tree.is_empty:
         return ex.ONE
-    color = label_color(tree.label)
+    color = tree.label.color
     if tree.is_leaf:
         return ex.H if color == 0 else ex.dw(color)
     return ex.integral(color, [exact_weight(c) for c in tree.children])

@@ -376,8 +376,8 @@ def method_to_json(method: ERKMethodSpec) -> str:
 
 
 def method_from_json(text: str) -> ERKMethodSpec:
-    """The method of a JSON document; a document of the wrong shape raises
-    ValueError (a missing field KeyError)."""
+    """The method of a JSON document; a document of the wrong shape or
+    with a required field missing raises ValueError."""
     data = json.loads(text)
     try:
         cap = HalfInt.parse(data["cap"])
@@ -398,6 +398,8 @@ def method_from_json(text: str) -> ERKMethodSpec:
                for m, row in data["z"].items()},
             interpretation=data.get("interpretation", "stratonovich"),
         )
+    except KeyError as err:
+        raise ValueError(f"malformed method file: missing field {err}") from err
     except (TypeError, AttributeError, ZeroDivisionError) as err:
         raise ValueError(f"malformed method file: {err}") from err
 

@@ -13,14 +13,16 @@ Three tree families are supported, selected by a model object:
   most one child that is not the time leaf.
 
 Trees are immutable and hash-consed: each distinct (label, children) pair
-is built once and looked up in one intern table, so equality of trees is
-object identity.  The hash is content-derived and deterministic,
-``hash((label, children))``, so a set of trees iterates in the same order
-in every run.  The table holds weak references: a tree that nothing else
-references is freed and leaves the table.  Node labels are interned as
-well, one object per distinct label with its content hash computed once,
-and ``rho`` and ``alpha`` hand out one shared value per order and per
-symmetry factor.
+is built once and looked up in the intern table of its root label, so
+equality of trees is object identity.  The hash is content-derived and
+deterministic, ``hash((label, children))``, so a set of trees iterates in
+the same order in every run.  The tables hold weak references: a tree that
+nothing else references is freed and leaves its table.  Node labels are
+interned as well, one object per distinct label, and each label holds
+every fact about itself, set once when it is interned: its content hash,
+its order key, color, partition and bracket token, and the intern table of
+its trees.  ``rho`` and ``alpha`` hand out one shared value per order and
+per symmetry factor.
 
 All operations expect canonical trees (children sorted by the total order
 below) and :func:`canonicalize` produces them.
@@ -112,9 +114,26 @@ class _Label:
     equality is identity.  The hash is the content hash of a frozen
     dataclass, ``hash(field values)``, computed once when the label is
     created.  Setting an attribute raises; copies and unpickled labels are
-    the interned label."""
+    the interned label.
 
-    __slots__ = ("_hash",)
+    Every fact about a label is set once, when it is interned:
+
+    * ``key`` -- its place in the total order: the class ``rank``, then the
+      field values, padded to four entries;
+    * ``color`` -- the driving process of the node, 0 when deterministic;
+    * ``partition`` -- the partition index of the space its value lives in;
+    * ``text`` -- its bracket token, None where the grammar has none;
+    * ``trees`` -- the intern table of the trees it roots (children tuple ->
+      weak reference to the tree), the callback that drops the entry of a
+      tree that died, the label's own share of 2*rho and the class of its
+      trees.
+
+    Each class declares its ``rank`` and ``_facts()``, which returns the
+    color, the partition and the text.
+    """
+
+    __slots__ = ("_hash", "key", "color", "partition", "text", "trees")
+    rank: int  # the order of the label classes in ``key``
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -128,9 +147,24 @@ class _Label:
         label = cls._interned.get(values)
         if label is None:
             label = object.__new__(cls)
+            init = object.__setattr__
             for name, value in zip(cls.__slots__, values):
-                object.__setattr__(label, name, value)
-            object.__setattr__(label, "_hash", hash(values))
+                init(label, name, value)
+            init(label, "_hash", hash(values))
+            init(label, "key", (cls.rank, *values, 0, 0, 0)[:4])
+            color, partition, text = label._facts()
+            init(label, "color", color)
+            init(label, "partition", partition)
+            init(label, "text", text)
+            table: dict[tuple[Tree, ...], _Ref] = {}
+
+            def forget(ref: _Ref) -> None:
+                # a new tree may already hold the key when a callback runs late
+                if table.get(ref.key) is ref:
+                    del table[ref.key]
+
+            kind = _EmptyTree if cls is EmptyLabel else Tree
+            init(label, "trees", (table, forget, 2 if color == 0 else 1, kind))
             label = cls._interned.setdefault(values, label)
         return label
 
@@ -154,30 +188,46 @@ class GeneralLabel(_Label):
     """Node of shape (q, v) and color m in the general partitioned family."""
 
     __slots__ = ("q", "v", "m")
+    rank = 5
 
     def __new__(cls, q: int, v: int, m: int) -> "GeneralLabel":
         return cls._intern((q, v, m))
+
+    def _facts(self):
+        return self.m, self.q, f"g({self.q},{self.v},{self.m})"
 
 
 class WLabel(_Label):
     """Wiener leaf W_i of the non-autonomous family (i >= 1; W_0 is TLabel)."""
 
     __slots__ = ("i",)
+    rank = 2
 
     def __new__(cls, i: int) -> "WLabel":
         return cls._intern((i,))
+
+    def _facts(self):
+        return self.i, 1, f"W{self.i}"
 
 
 class TLabel(_Label):
     """The time leaf (alias of W_0); child-only in its families."""
 
     __slots__ = ()
+    rank = 1
+
+    def _facts(self):
+        return 0, 1, "t"
 
 
 class ALabel(_Label):
     """The linear-part node of the semi-linear family."""
 
     __slots__ = ()
+    rank = 3
+
+    def _facts(self):
+        return 0, 1, "A"
 
 
 # the bracket grammar writes a g-node's color as one digit
@@ -188,62 +238,39 @@ class GLabel(_Label):
     """Coefficient-function node of color m in the semi-linear family."""
 
     __slots__ = ("m",)
+    rank = 4
 
     def __new__(cls, m: int) -> "GLabel":
         return cls._intern((m,))
+
+    def _facts(self):
+        return self.m, 1, str(self.m) if self.m <= MAX_G_COLOR else None
 
 
 class FLabel(_Label):
     """Root marker of function-expansion trees."""
 
     __slots__ = ()
+    rank = 6
+
+    def _facts(self):
+        return 0, 1, "f"
 
 
 class EmptyLabel(_Label):
     """The empty tree of partition q (a root-only placeholder)."""
 
     __slots__ = ("q",)
+    rank = 0
 
     def __new__(cls, q: int = 1) -> "EmptyLabel":
         return cls._intern((q,))
 
+    def _facts(self):
+        return 0, self.q, "()" if self.q == 1 else f"(){self.q}"
+
 
 NodeLabel = GeneralLabel | WLabel | TLabel | ALabel | GLabel | FLabel | EmptyLabel
-
-
-def label_color(label: NodeLabel) -> int:
-    """Driving-process color of a node; deterministic nodes are color 0."""
-    if isinstance(label, (GeneralLabel, GLabel)):
-        return label.m
-    if isinstance(label, WLabel):
-        return label.i
-    return 0
-
-
-@lru_cache(maxsize=None)
-def label_key(label: NodeLabel) -> tuple[int, int, int, int]:
-    if isinstance(label, EmptyLabel):
-        return (0, label.q, 0, 0)
-    if isinstance(label, TLabel):
-        return (1, 0, 0, 0)
-    if isinstance(label, WLabel):
-        return (2, label.i, 0, 0)
-    if isinstance(label, ALabel):
-        return (3, 0, 0, 0)
-    if isinstance(label, GLabel):
-        return (4, label.m, 0, 0)
-    if isinstance(label, GeneralLabel):
-        return (5, label.q, label.v, label.m)
-    if isinstance(label, FLabel):
-        return (6, 0, 0, 0)
-    raise TypeError(f"unknown label {label!r}")
-
-
-def partition_of(label: NodeLabel) -> int:
-    """Partition index of the space a node's value lives in."""
-    if isinstance(label, (GeneralLabel, EmptyLabel)):
-        return label.q
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +297,7 @@ class Tree:
     is_empty = False  # True on the trees of EmptyLabel, which are _EmptyTree
 
     def __new__(cls, label: NodeLabel, children: tuple["Tree", ...] = ()) -> "Tree":
-        table, forget, own, kind = _INTERN.get(label) or _intern_table(label)
+        table, forget, own, kind = label.trees
         ref = table.get(children)
         tree = ref() if ref is not None else None
         if tree is None:
@@ -322,25 +349,6 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-_INTERN: dict[NodeLabel, tuple] = {}
-
-
-def _intern_table(label: NodeLabel):
-    """The intern table of one label (children tuple -> weak reference to
-    the tree), the callback that drops the entry of a tree that died, the
-    label's own share of 2*rho and the class of its trees."""
-    table: dict[tuple[Tree, ...], _Ref] = {}
-
-    def forget(ref: _Ref) -> None:
-        # a new tree may already hold the key when a callback runs late
-        if table.get(ref.key) is ref:
-            del table[ref.key]
-
-    own = 2 if label_color(label) == 0 else 1
-    kind = _EmptyTree if isinstance(label, EmptyLabel) else Tree
-    return _INTERN.setdefault(label, (table, forget, own, kind))
-
-
 EMPTY = Tree(EmptyLabel(1))
 
 
@@ -359,7 +367,7 @@ def tree_key(tree: Tree):
     """Total order key: (2*rho, root label, child keys), cached on the tree."""
     k = getattr(tree, "_key", None)
     if k is None:
-        k = (tree._rho2, label_key(tree.label), tuple(map(tree_key, tree.children)))
+        k = (tree._rho2, tree.label.key, tuple(map(tree_key, tree.children)))
         object.__setattr__(tree, "_key", k)
     return k
 
@@ -561,13 +569,6 @@ def model_labels(model: TreeModel) -> frozenset[NodeLabel]:
                       *(EmptyLabel(q) for q in range(1, model_partitions(model) + 1))])
 
 
-def validate_tree(tree: Tree, model: TreeModel) -> None:
-    if isinstance(tree.label, (TLabel, WLabel)) and not isinstance(model, GeneralPartitioned):
-        # child-only leaves are not members of T themselves
-        raise InvalidLabel(f"{tree.label!r} is child-only in this model")
-    canonicalize(tree, model)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -580,8 +581,8 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
     in ``tree_key`` order: by rho, then root label, then children.
 
     The trees are built in that order, with no sorting.  Half-order ``b``
-    takes the node labels in ``label_key`` order, and for each label the
-    child tuples in the order :func:`_weighted_multisets` yields them:
+    takes the node labels in the order of their ``key``, and for each label
+    the child tuples in the order :func:`_weighted_multisets` yields them:
     lexicographic in their positions in the pool of child candidates.
     The pool is in ``tree_key`` order, because each half-order appends
     its adjoined leaves (t and W_i, whose labels sort before every node
@@ -594,8 +595,8 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
     budget = rho_max.twice
     if budget < 1:
         return []
-    leaves = [Tree(label) for label in sorted(model.node_labels(), key=label_key)]
-    adjoined = sorted(model.adjoined_leaves(), key=lambda leaf: label_key(leaf.label))
+    leaves = [Tree(label) for label in sorted(model.node_labels(), key=lambda lb: lb.key)]
+    adjoined = sorted(model.adjoined_leaves(), key=lambda leaf: leaf.label.key)
     pool: list[Tree] = []  # child candidates, in tree_key order
     out: list[Tree] = []
     for b in range(1, budget + 1):
@@ -674,34 +675,16 @@ def _multisets_from(pool: list[Tree], start: int, remaining: int, acc: list[Tree
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def format_label(label: NodeLabel) -> str:
-    if isinstance(label, GeneralLabel):
-        return f"g({label.q},{label.v},{label.m})"
-    if isinstance(label, WLabel):
-        return f"W{label.i}"
-    if isinstance(label, TLabel):
-        return "t"
-    if isinstance(label, ALabel):
-        return "A"
-    if isinstance(label, GLabel):
-        if label.m > MAX_G_COLOR:
-            raise ValueError(f"single-digit grammar: g-node color must be <= {MAX_G_COLOR}")
-        return str(label.m)
-    if isinstance(label, FLabel):
-        return "f"
-    if isinstance(label, EmptyLabel):
-        return "()" if label.q == 1 else f"(){label.q}"
-    raise TypeError(f"unknown label {label!r}")
-
-
 def format_tree(tree: Tree) -> str:
     """Bit-exact ASCII bracket form: ``tree := leaf | "[" tree ("," tree)* "]" leaf``,
     cached on the tree."""
     text = getattr(tree, "_text", None)
     if text is None:
+        token = tree.label.text
+        if token is None:
+            raise ValueError(f"single-digit grammar: g-node color must be <= {MAX_G_COLOR}")
         inner = ",".join(map(format_tree, tree.children))
-        text = f"[{inner}]{format_label(tree.label)}" if inner else format_label(tree.label)
+        text = f"[{inner}]{token}" if inner else token
         object.__setattr__(tree, "_text", text)
     return text
 
@@ -718,8 +701,8 @@ _Node = namedtuple("_Node", "label children")
 
 
 def _token_label(token: str) -> NodeLabel:
-    """The label of a token.  Tokens spelled as :func:`format_label` writes
-    them are cached."""
+    """The label of a token.  Tokens spelled as the label's ``text`` are
+    cached."""
     label = _TOKEN_LABELS.get(token)
     if label is None:
         head = token[0]
@@ -731,7 +714,7 @@ def _token_label(token: str) -> NodeLabel:
             label = EmptyLabel(int(token[2:]) if len(token) > 2 else 1)
         else:
             label = _FIXED_LABELS.get(head) or GLabel(int(head))
-        if format_label(label) == token:
+        if label.text == token:
             _TOKEN_LABELS[token] = label
     return label
 

@@ -6,8 +6,9 @@ closed-form moments of iterated integrals by isometry and Fubini,
 hand-written derivative tables of the built-in problems' coefficients,
 mixed central finite differences in place of :mod:`sbseries.jets`, the
 sorting tree enumeration and recursive-descent tree parser that the
-in-order ones replaced, and the ``Fraction`` accumulator that the integer
-pair accumulator of :mod:`sbseries.expr` replaced.
+in-order ones replaced, the ``Fraction`` accumulator that the integer
+pair accumulator of :mod:`sbseries.expr` replaced, and the ``isinstance``
+chains that the facts stored on each node label replaced.
 """
 
 import bisect
@@ -22,7 +23,10 @@ from sbseries.trees import (
     EmptyLabel,
     FLabel,
     GeneralLabel,
+    GeneralPartitioned,
     GLabel,
+    InvalidLabel,
+    MAX_G_COLOR,
     ParseError,
     SemiLinearArity,
     TLabel,
@@ -33,6 +37,38 @@ from sbseries.trees import (
     rho2,
     tree_key,
 )
+
+
+def label_facts(label) -> tuple[tuple[int, int, int, int], int, int, str | None]:
+    """(order key, color, partition, bracket token) of a node label, decided
+    class by class; the token is None for a g-node color the one-digit
+    grammar cannot write."""
+    if isinstance(label, EmptyLabel):
+        return (0, label.q, 0, 0), 0, label.q, "()" if label.q == 1 else f"(){label.q}"
+    if isinstance(label, TLabel):
+        return (1, 0, 0, 0), 0, 1, "t"
+    if isinstance(label, WLabel):
+        return (2, label.i, 0, 0), label.i, 1, f"W{label.i}"
+    if isinstance(label, ALabel):
+        return (3, 0, 0, 0), 0, 1, "A"
+    if isinstance(label, GLabel):
+        text = str(label.m) if label.m <= MAX_G_COLOR else None
+        return (4, label.m, 0, 0), label.m, 1, text
+    if isinstance(label, GeneralLabel):
+        return ((5, label.q, label.v, label.m), label.m, label.q,
+                f"g({label.q},{label.v},{label.m})")
+    if isinstance(label, FLabel):
+        return (6, 0, 0, 0), 0, 1, "f"
+    raise TypeError(f"unknown label {label!r}")
+
+
+def validate_tree(tree: Tree, model) -> None:
+    """Raises :class:`sbseries.trees.TreeError` unless ``tree`` is a member
+    of the model's tree family."""
+    if isinstance(tree.label, (TLabel, WLabel)) and not isinstance(model, GeneralPartitioned):
+        # child-only leaves are not members of T themselves
+        raise InvalidLabel(f"{tree.label!r} is child-only in this model")
+    canonicalize(tree, model)
 
 
 def rk_elementary_weight(tree: Tree, a, b, step_scale: Fraction) -> E.WeightExpr:

@@ -126,9 +126,12 @@ class TestErk:
         lambda d: [d],
         lambda d: d["z0"]["trees"].update({"g(1,1,0)": "h"}),
         lambda d: d.update(colors=-1, Z={}, z={}),
+        lambda d: {k: v for k, v in d.items() if k != "Z0"},
+        lambda d: {k: v for k, v in d.items() if k != "cap"},
     ], ids=["stages-two", "stages-zero", "stages-negative", "c-empty",
             "c-zero-denominator", "Z0-empty", "Z0-number", "colors-zero",
-            "top-level-list", "key-outside-model", "colors-negative"])
+            "top-level-list", "key-outside-model", "colors-negative",
+            "Z0-missing", "cap-missing"])
     def test_malformed_method_file_is_two(self, edit, tmp_path, capsys):
         import json
         from sbseries.serk import builtin_exponential_midpoint, method_to_json
@@ -141,6 +144,9 @@ class TestErk:
         assert code == 2
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        if isinstance(data, dict):  # a missing field is named
+            for field in {"Z0", "cap"} - set(data):
+                assert f"missing field '{field}'" in err
 
     def test_unknown_interpretation_is_two_without_probe(self, tmp_path, capsys):
         # the method file's calculus is checked even when no probe reads it

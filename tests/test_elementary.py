@@ -26,7 +26,12 @@ from sbseries.elementary import (
 from sbseries.paths import eval_weight, sample_path
 from sbseries.series import BSeries, derivative_product, exact_solution_series
 from sbseries.serk import builtin_exponential_midpoint, erk_weights
-from sbseries.sim import exponential_midpoint_step, reference_solution
+from sbseries.sim import (
+    _solve_stage,
+    exponential_midpoint_step,
+    midpoint_step_operators,
+    reference_solution,
+)
 from sbseries.trees import HalfInt, Tree, empty_tree, enumerate_trees, parse_tree
 
 EX2 = "[[[g(2,1,0),g(2,1,0)]g(1,2,0),g(1,1,0)]g(1,1,1),g(2,1,0)]g(1,2,0)"
@@ -330,20 +335,24 @@ class TestEvalBSeries:
         # the difference is the series truncation, O(h^(5/2)) in RMS
         prob = get_problem(name)
         solution, _ = erk_weights(builtin_exponential_midpoint(), HalfInt(4))
-        ladder = [2.0 ** -k for k in range(3, 8)]
-        rms = []
-        for h in ladder:
-            errs = []
-            for k in range(8):
-                path = sample_path(h, 64, 1, (41, k))
-                approx = eval_bseries(prob, solution, prob.x0, h, path)
-                w = path.wiener(1)
-                step = exponential_midpoint_step(prob, prob.t0, h, prob.x0_state,
-                                                 w[-1] - w[0])
-                errs.append(np.sum((approx[:prob.dim] - step) ** 2))
-            rms.append(np.sqrt(np.mean(errs)))
-        slope = np.polyfit(np.log2(ladder), np.log2(rms), 1)[0]
-        assert slope > 2.25
+
+        def step(h, dw):
+            return exponential_midpoint_step(prob, prob.t0, h, prob.x0_state, dw)
+
+        assert _truncation_slope(prob, solution, step) > 2.25
+
+    @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2", "scalar-semilinear"])
+    def test_midpoint_stage_series_matches_stage_solve(self, name):
+        # the same for the stage: its series at cap 2 against the implicit
+        # stage the step solves
+        prob = get_problem(name)
+        _, (stage_series,) = erk_weights(builtin_exponential_midpoint(), HalfInt(4))
+
+        def stage(h, dw):
+            stage_op, _, _ = midpoint_step_operators(prob, prob.t0, h)
+            return _solve_stage(prob, stage_op @ prob.x0_state, prob.t0 + 0.5 * h, h, dw)
+
+        assert _truncation_slope(prob, stage_series, stage) > 2.25
 
     @pytest.mark.parametrize("name", ["langevin", "noncomm-2x2", "scalar-semilinear"])
     def test_equals_sum_of_per_tree_differentials(self, name):
@@ -366,6 +375,23 @@ class TestEvalBSeries:
             want[off:off + value.size] += scale * value
         got = eval_bseries(prob, series, prob.x0, h, path)
         assert got.tobytes() == want.tobytes()
+
+
+def _truncation_slope(prob, series, numeric) -> float:
+    """Fitted log2 slope of the RMS gap between ``series`` over one step
+    and ``numeric(h, dw)``, the value a numerical step gives for the
+    Wiener increment dw, over h = 2^-3 .. 2^-7 with 8 paths each."""
+    ladder = [2.0 ** -k for k in range(3, 8)]
+    rms = []
+    for h in ladder:
+        errs = []
+        for k in range(8):
+            path = sample_path(h, 64, 1, (41, k))
+            approx = eval_bseries(prob, series, prob.x0, h, path)
+            w = path.wiener(1)
+            errs.append(np.sum((approx[:prob.dim] - numeric(h, w[-1] - w[0])) ** 2))
+        rms.append(np.sqrt(np.mean(errs)))
+    return np.polyfit(np.log2(ladder), np.log2(rms), 1)[0]
 
 
 class TestBuiltinCoefficients:

@@ -13,7 +13,6 @@ from sbseries.trees import (
     empty_tree,
     enumerate_trees,
     parse_tree,
-    partition_of,
     rho,
     tree_key,
 )
@@ -27,10 +26,10 @@ def marking_decompositions(tau: Tree):
     multiplicity one per marking.  The coefficient of a merged pair must
     equal the number of markings producing it."""
     if tau.is_leaf:
-        yield empty_tree(partition_of(tau.label)), (tau,)
+        yield empty_tree(tau.label.partition), (tau,)
         yield tau, ()
         return
-    yield empty_tree(partition_of(tau.label)), (tau,)
+    yield empty_tree(tau.label.partition), (tau,)
 
     def child_options(child: Tree):
         if child.is_leaf:
@@ -71,7 +70,7 @@ def counted_markings(tau: Tree) -> dict:
 def canonicalizing_st_table(tau: Tree) -> list:
     """Oracle: the decomposition table built by re-canonicalizing every
     joined prefix (theta) instead of sorting canonical kept prefixes."""
-    root_empty = empty_tree(partition_of(tau.label))
+    root_empty = empty_tree(tau.label.partition)
     if tau.is_leaf:
         return [(root_empty, (tau,), 1), (tau, (root_empty,), 1)]
     acc: dict = {}
@@ -134,7 +133,7 @@ class TestSubtreePairs:
             want = counted_markings(tau)
             # the oracle pads nothing: align the leaf base-case remainder
             if tau.is_leaf:
-                want = {(th, rem if rem else (empty_tree(partition_of(tau.label)),)): c
+                want = {(th, rem if rem else (empty_tree(tau.label.partition),)): c
                         for (th, rem), c in want.items()}
             assert got == {k: Fraction(v) for k, v in want.items()}
 
@@ -188,9 +187,9 @@ class TestGamma:
     def test_full_and_root_cut_are_one(self):
         for tau in enumerate_trees(T.langevin_model(), HalfInt(6)):
             pairs = {(p.subtree, p.remainder): p.coefficient for p in subtree_pairs(tau)}
-            root_cut = (empty_tree(partition_of(tau.label)), (tau,))
+            root_cut = (empty_tree(tau.label.partition), (tau,))
             assert pairs[root_cut] == 1
-            full = (tau, (empty_tree(partition_of(tau.label)),) if tau.is_leaf else ())
+            full = (tau, (empty_tree(tau.label.partition),) if tau.is_leaf else ())
             assert pairs[full] == 1
 
     def test_symmetric_cut_counts_positions(self):

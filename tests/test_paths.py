@@ -321,6 +321,11 @@ class TestMCMoments:
         with pytest.raises(ValueError):
             mc_moments(parse_expr("dW1"), 0.5, 4, 0, seed=1)
 
+    @pytest.mark.parametrize("interp", [None, 1, "bogus"])
+    def test_unknown_interpretation_is_a_value_error(self, interp):
+        with pytest.raises(ValueError, match=f"^unknown interpretation {interp!r}$"):
+            mc_moments(parse_expr("dW1"), 0.5, 4, 2, interp, seed=1)
+
     @given(text=st.sampled_from([
                "dW1", "h", "0", "dW1^7 - 1/3*h*dW2", "Int1[dW1]", "Int0[dW1]",
                "Int1[Int1[dW1]]*dW2 - 1/2*Int0[dW1]", "Int2[s^2] + Int0[Int1[s^4],s]",

@@ -1,11 +1,14 @@
 """Exponential-integrator coefficient series and order-condition residuals."""
 
+import dataclasses
 import hashlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
+
+from oracles import validate_tree
 
 import sbseries.paths
 from sbseries import cli
@@ -46,7 +49,6 @@ from sbseries.trees import (
     parse_tree,
     rho,
     tree_key,
-    validate_tree,
 )
 
 EX4 = "[[[t,t]A,0]1,t]A"
@@ -484,4 +486,20 @@ class TestMethodJSON:
         assert method_to_json(method_from_json(text)) == text
         data["interpretation"] = "bogus"
         with pytest.raises(ValueError, match="unknown interpretation 'bogus'"):
+            method_from_json(json.dumps(data))
+
+    def test_non_string_interpretation_is_a_value_error(self, midpoint):
+        with pytest.raises(ValueError, match="^unknown interpretation None$"):
+            dataclasses.replace(midpoint, interpretation=None)
+        data = json.loads(method_to_json(midpoint))
+        data["interpretation"] = None
+        with pytest.raises(ValueError, match="^unknown interpretation None$"):
+            method_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("field", ["Z0", "cap", "z"])
+    def test_missing_field_is_named(self, midpoint, field):
+        data = json.loads(method_to_json(midpoint))
+        data.pop(field)
+        with pytest.raises(ValueError,
+                           match=f"^malformed method file: missing field '{field}'$"):
             method_from_json(json.dumps(data))

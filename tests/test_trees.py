@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_parse_tree, sorted_enumeration
+from oracles import label_facts, oracle_parse_tree, sorted_enumeration, validate_tree
 
 from sbseries import trees as T
 from sbseries.trees import (
@@ -36,7 +36,7 @@ EX2 = "[[[g(2,1,0),g(2,1,0)]g(1,2,0),g(1,1,0)]g(1,1,1),g(2,1,0)]g(1,2,0)"
 EX4 = "[[[t,t]A,0]1,t]A"
 
 # Models checked against the sorting enumeration, at every cap 1/2 .. 4.
-# In the last three, model.node_labels() is not in label_key order.
+# In the last three, model.node_labels() is not in label key order.
 ORACLE_MODELS = [
     T.SemiLinear(1),
     T.SemiLinear(2),
@@ -196,7 +196,7 @@ class TestInterning:
         label = T.GeneralLabel(9, 8, 7)
         children = (Tree(T.GLabel(3)), T.T_LEAF)
         tree = Tree(label, children)
-        table = T._INTERN[label][0]
+        table = label.trees[0]
         assert table[children]() is tree
         ref = weakref.ref(tree)
         old_hash = hash(tree)
@@ -261,6 +261,19 @@ class TestLabels:
     def test_repr_is_unchanged(self, make, fields, text):
         assert repr(make()) == text
 
+    def test_facts_match_the_class_by_class_oracle(self):
+        labels = {make() for make, _, _ in LABEL_CASES}
+        for model in ORACLE_MODELS:
+            labels |= T.model_labels(model)
+        # 9 is the last g-node color the grammar writes, 10 the first it cannot
+        for label in [*labels, T.GLabel(9), T.GLabel(10)]:
+            assert (label.key, label.color, label.partition, label.text) == label_facts(label)
+            for name in ("key", "color", "partition", "text", "trees"):
+                with pytest.raises(AttributeError):
+                    setattr(label, name, None)
+        with pytest.raises(ValueError, match=r"^single-digit grammar: g-node color must be <= 9$"):
+            format_tree(Tree(T.GLabel(10)))
+
     def test_parsed_and_enumerated_labels_are_the_interned_ones(self):
         def labels(tree):
             yield tree.label
@@ -297,7 +310,7 @@ class TestRho:
         assert rho(parse_tree("[t]A")) == HalfInt(4)
         for tree in enumerate_trees(T.SemiLinear(1), HalfInt(5)):
             if tree.children:
-                own = 2 if T.label_color(tree.label) == 0 else 1
+                own = 2 if tree.label.color == 0 else 1
                 assert rho(tree).twice == own + sum(rho(c).twice for c in tree.children)
 
     def test_empty_tree_order_is_one_as_printed(self):
@@ -457,7 +470,7 @@ class TestEnumeration:
         # through validity + order, with completeness covered above.
         model = T.langevin_model()
         ex2 = parse_tree(EX2, model)
-        T.validate_tree(ex2, model)  # raises unless ex2 is a member
+        validate_tree(ex2, model)  # raises unless ex2 is a member
         assert rho(ex2) <= HalfInt(13)
         with pytest.raises(CapExceeded):
             enumerate_trees(model, HalfInt(13))
@@ -482,12 +495,12 @@ class TestEnumeration:
         # [[0]t]A: the time leaf is leaf-only
         raw = Tree(T.ALabel(), (Tree(T.TLabel(), (Tree(T.GLabel(0)),)),))
         with pytest.raises(T.TreeError):
-            T.validate_tree(raw, T.SemiLinear(1))
+            validate_tree(raw, T.SemiLinear(1))
 
     def test_every_member_satisfies_model_predicate(self):
         model = T.SemiLinear(2)
         for tree in enumerate_trees(model, HalfInt(5)):
-            T.validate_tree(tree, model)
+            validate_tree(tree, model)
 
 
 # The bracket alphabet with label starts, ASCII and non-ASCII digits and
