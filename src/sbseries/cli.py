@@ -15,6 +15,7 @@ import csv
 import io
 import math
 import sys
+from collections.abc import Iterator
 
 from sbseries import trees as T
 from sbseries.expr import ExprError, parse_expr
@@ -96,18 +97,17 @@ def _float_repr(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _tree_rows(trees) -> list[list[str]]:
-    """One [tree, rho, alpha] text row per tree; the text of each distinct
-    rho and alpha is built once."""
+def _tree_rows(trees) -> Iterator[list[str]]:
+    """One [tree, rho, alpha] text row per tree, yielded as it is built, so
+    the writer streams the rows; the text of each distinct rho and alpha is
+    built once."""
     rho_text: dict[int, str] = {}  # 2*rho -> text
     alpha_text: dict[int, str] = {}  # sigma -> text
-    rows = []
     for tree in trees:
         twice, sigma = rho2(tree), symmetry(tree)
-        rows.append([format_tree(tree),
-                     rho_text.get(twice) or rho_text.setdefault(twice, str(rho(tree))),
-                     alpha_text.get(sigma) or alpha_text.setdefault(sigma, str(alpha(tree)))])
-    return rows
+        yield [format_tree(tree),
+               rho_text.get(twice) or rho_text.setdefault(twice, str(rho(tree))),
+               alpha_text.get(sigma) or alpha_text.setdefault(sigma, str(alpha(tree)))]
 
 
 def cmd_trees(args, out) -> int:
@@ -139,10 +139,9 @@ def cmd_series(args, out) -> int:
     model = _model_from_flags(args)
     series = exact_solution_series(model, _order_cap(args.cap))
     trees = series.trees()
-    rows = _tree_rows(trees)
-    for row, tree in zip(rows, trees):
-        row.append(str(series.weight(tree)))
-    _write_rows(out, ["tree", "rho", "alpha", "weight"], rows)
+    rows = zip(_tree_rows(trees), trees)
+    _write_rows(out, ["tree", "rho", "alpha", "weight"],
+                (row + [str(series.weight(tree))] for row, tree in rows))
     return 0
 
 

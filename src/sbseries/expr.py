@@ -248,10 +248,22 @@ class WeightExpr:
 def accumulate(acc: dict[Mono, tuple[int, int]], factors,
                scale: int | Fraction = 1) -> None:
     """Add ``scale * f1 * .. * fk`` to the accumulator ``acc`` without
-    normalizing; a zero factor adds nothing and multiplies nothing."""
+    normalizing; a zero factor adds nothing and multiplies nothing.  When
+    every factor has one term, as every exact-series weight does, the
+    product is folded into one running (numerator, denominator, monomial)."""
+    n, d, mono = scale.numerator, scale.denominator, ONE_MONO
+    for f in factors:
+        if len(f.terms) != 1:
+            break
+    else:
+        for f in factors:
+            (c, m), = f.terms
+            n, d, mono = n * c.numerator, d * c.denominator, mono_mul(mono, m)
+        _add_pair(acc, mono, n, d)
+        return
     if any(f.is_zero for f in factors):
         return
-    terms = [(scale.numerator, scale.denominator, ONE_MONO)]
+    terms = [(n, d, mono)]
     for f in factors:
         terms = [(n * c.numerator, d * c.denominator, mono_mul(m1, m2))
                  for n, d, m1 in terms for c, m2 in f.terms]

@@ -15,11 +15,14 @@ as the base case of the recursion is written; for bracket trees full
 retention has an empty remainder.  The empty-tree entries carry no weight
 in any downstream sum (composition multiplies by phi(empty) = 1, the
 derivative product by phi(empty) = 0).
+
+The table of each tree is built once and cached.  Composition and the
+derivative product only sum over it, so its rows are in no particular
+order; :func:`subtree_pairs` presents them sorted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,35 +59,48 @@ class SubtreePair:
 
 @lru_cache(maxsize=None)
 def _st_table(tau: Tree) -> tuple[tuple[Tree, tuple[Tree, ...], int], ...]:
-    """All (theta, omega, gamma) for tau, gamma accumulated over markings."""
+    """All (theta, omega, gamma) for tau, gamma accumulated over markings.
+
+    The rows are in no particular order, since every caller sums over them
+    (:func:`subtree_pairs` sorts them for display); each omega is sorted by
+    :func:`tree_key`, so a product over omega multiplies in a fixed order."""
     if tau.is_empty:
         return ((tau, (tau,), 1),)
     root_empty = empty_tree(tau.label.partition)
     if tau.is_leaf:
         return ((root_empty, (tau,), 1), (tau, (root_empty,), 1))
-    acc: dict[tuple[Tree, tuple[Tree, ...]], int] = {}
-    child_tables = [_st_table(c) for c in tau.children]
-    for choice in product(*child_tables):
+    acc: dict[tuple[Tree, tuple[Tree, ...]], int] = {(root_empty, (tau,)): 1}
+    for choice in product(*[_st_table(c) for c in tau.children]):
+        kept, omega, g = [], [], 1
+        for th, om, gc in choice:
+            if not th.is_empty:
+                kept.append(th)
+            for t in om:
+                if not t.is_empty:
+                    omega.append(t)
+            g *= gc
         # children and kept prefixes are canonical: sorting them suffices
-        kept = [th for th, _, _ in choice if not th.is_empty]
-        theta = Tree(tau.label, tuple(sorted(kept, key=tree_key)))
-        omega = tuple(sorted((t for _, om, _ in choice for t in om if not t.is_empty),
-                             key=tree_key))
-        key = (theta, omega)
-        acc[key] = acc.get(key, 0) + math.prod(g for _, _, g in choice)
-    acc[(root_empty, (tau,))] = acc.get((root_empty, (tau,)), 0) + 1
-    items = sorted(acc.items(), key=lambda kv: (tree_key(kv[0][0]),
-                                                tuple(tree_key(t) for t in kv[0][1])))
-    return tuple((theta, omega, g) for (theta, omega), g in items)
+        if len(kept) > 1:
+            kept.sort(key=tree_key)
+        if len(omega) > 1:
+            omega.sort(key=tree_key)
+        key = (Tree(tau.label, tuple(kept)), tuple(omega))
+        acc[key] = acc.get(key, 0) + g
+    return tuple([(theta, omega, g) for (theta, omega), g in acc.items()])
 
 
 def subtree_pairs(tau: Tree) -> list[SubtreePair]:
     """The full decomposition set ST(tau), duplicates merged with gamma
-    accumulated.  Includes (empty, {tau}) and the full-retention pair."""
+    accumulated.  Includes (empty, {tau}) and the full-retention pair.
+
+    Bracket trees list their pairs by (theta, omega) in :func:`tree_key`
+    order; a single node lists the two base-case pairs as written."""
     if tau.is_empty:
         raise ValueError("ST is defined for non-empty trees")
-    return [SubtreePair(theta, omega, Fraction(g))
-            for theta, omega, g in _st_table(tau)]
+    rows = _st_table(tau)
+    if not tau.is_leaf:
+        rows = sorted(rows, key=lambda r: (tree_key(r[0]), tuple(map(tree_key, r[1]))))
+    return [SubtreePair(theta, omega, Fraction(g)) for theta, omega, g in rows]
 
 
 def split_pairs(tau: Tree) -> list[SubtreePair]:

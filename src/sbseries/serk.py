@@ -106,6 +106,8 @@ class ERKMethodSpec:
     interpretation: str = "stratonovich"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"a method name must be a string, got {self.name!r}")
         n = self.stages
         if n < 1:
             raise ValueError(f"a method needs at least one stage, got {n}")
@@ -375,26 +377,37 @@ def method_to_json(method: ERKMethodSpec) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _int_field(value, what: str) -> int:
+    """``int(value)``; a value that is not an integer raises ValueError
+    naming ``what``, the place in the method file it was read from."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed method file: {what} is not an integer: {value!r}") from None
+
+
 def method_from_json(text: str) -> ERKMethodSpec:
-    """The method of a JSON document; a document of the wrong shape or
-    with a required field missing raises ValueError."""
+    """The method of a JSON document; a document of the wrong shape, with
+    a required field missing or with an integer field or color key that is
+    not an integer raises ValueError naming the field."""
     data = json.loads(text)
     try:
         cap = HalfInt.parse(data["cap"])
-        colors = int(data["colors"])
+        colors = _int_field(data["colors"], "field 'colors'")
         model = SemiLinear(colors)
         return ERKMethodSpec(
             name=data.get("name", "unnamed"),
-            stages=int(data["stages"]),
+            stages=_int_field(data["stages"], "field 'stages'"),
             c=tuple(Fraction(ci) for ci in data["c"]),
             n_colors=colors,
             cap=cap,
             Z0=tuple(_series_from_json(s, model, cap) for s in data["Z0"]),
-            Z={int(m): tuple(tuple(_series_from_json(s, model, cap) for s in row)
-                             for row in rows)
+            Z={_int_field(m, "a color key of field 'Z'"):
+               tuple(tuple(_series_from_json(s, model, cap) for s in row) for row in rows)
                for m, rows in data["Z"].items()},
             z0=_series_from_json(data["z0"], model, cap),
-            z={int(m): tuple(_series_from_json(s, model, cap) for s in row)
+            z={_int_field(m, "a color key of field 'z'"):
+               tuple(_series_from_json(s, model, cap) for s in row)
                for m, row in data["z"].items()},
             interpretation=data.get("interpretation", "stratonovich"),
         )

@@ -307,6 +307,9 @@ class Tree:
             init(tree, "children", children)
             init(tree, "_hash", hash((label, children)))
             init(tree, "_rho2", own + sum(c._rho2 for c in children))
+            init(tree, "_key", None)
+            init(tree, "_text", None)
+            init(tree, "_sigma", None)
             ref = table[children] = _Ref(tree, forget)
             ref.key = children
         return tree
@@ -365,7 +368,7 @@ def w_leaf(i: int) -> Tree:
 
 def tree_key(tree: Tree):
     """Total order key: (2*rho, root label, child keys), cached on the tree."""
-    k = getattr(tree, "_key", None)
+    k = tree._key
     if k is None:
         k = (tree._rho2, tree.label.key, tuple(map(tree_key, tree.children)))
         object.__setattr__(tree, "_key", k)
@@ -446,7 +449,7 @@ def symmetry(tree: Tree) -> int:
 
     One pass over the (sorted) children: the k-th child of a run of equal
     children contributes its own sigma times k."""
-    sigma = getattr(tree, "_sigma", None)
+    sigma = tree._sigma
     if sigma is None:
         sigma, prev, rep = 1, None, 0
         for child in tree.children:
@@ -678,7 +681,7 @@ def _multisets_from(pool: list[Tree], start: int, remaining: int, acc: list[Tree
 def format_tree(tree: Tree) -> str:
     """Bit-exact ASCII bracket form: ``tree := leaf | "[" tree ("," tree)* "]" leaf``,
     cached on the tree."""
-    text = getattr(tree, "_text", None)
+    text = tree._text
     if text is None:
         token = tree.label.text
         if token is None:

@@ -7,7 +7,8 @@ hand-written derivative tables of the built-in problems' coefficients,
 mixed central finite differences in place of :mod:`sbseries.jets`, the
 sorting tree enumeration and recursive-descent tree parser that the
 in-order ones replaced, the ``Fraction`` accumulator that the integer
-pair accumulator of :mod:`sbseries.expr` replaced, and the ``isinstance``
+pair accumulator of :mod:`sbseries.expr` replaced, a term-by-term
+product with its own monomial product, and the ``isinstance``
 chains that the facts stored on each node label replaced.
 """
 
@@ -90,6 +91,48 @@ def rk_elementary_weight(tree: Tree, a, b, step_scale: Fraction) -> E.WeightExpr
 
 def _nodes(tree: Tree) -> int:
     return 1 + sum(_nodes(c) for c in tree.children)
+
+
+def oracle_atom_key(atom: E.IntAtom):
+    return (atom.color, oracle_mono_key(atom.integrand))
+
+
+def oracle_mono_key(mono: E.Mono):
+    return (mono.hpow, mono.dws, tuple((oracle_atom_key(a), p) for a, p in mono.ints))
+
+
+def oracle_mono_mul(a: E.Mono, b: E.Mono) -> E.Mono:
+    """The product of two monomials, exponents added afresh (no memo)."""
+    if a.is_one:
+        return b
+    if b.is_one:
+        return a
+    dws: dict[int, int] = {}
+    for m, p in a.dws + b.dws:
+        dws[m] = dws.get(m, 0) + p
+    ints: dict[E.IntAtom, int] = {}
+    for atom, p in a.ints + b.ints:
+        ints[atom] = ints.get(atom, 0) + p
+    return E.Mono(a.hpow + b.hpow,
+                  tuple(sorted(dws.items())),
+                  tuple(sorted(ints.items(), key=lambda ap: oracle_atom_key(ap[0]))))
+
+
+def fraction_product(factors, scale=1) -> E.WeightExpr:
+    """``scale * f1 * .. * fk`` expanded term by term on ``Fraction``
+    coefficients and :func:`oracle_mono_mul` monomials: it calls neither
+    ``expr.accumulate`` (nor ``WeightExpr.__mul__``, which does) nor
+    ``expr.mono_mul``."""
+    terms = {E.ONE_MONO: Fraction(scale)}
+    for f in factors:
+        product: dict = {}
+        for m1, c1 in terms.items():
+            for c2, m2 in f.terms:
+                m = oracle_mono_mul(m1, m2)
+                product[m] = product.get(m, 0) + c1 * c2
+        terms = product
+    return E.WeightExpr(tuple(sorted(((c, m) for m, c in terms.items() if c != 0),
+                                     key=lambda cm: oracle_mono_key(cm[1]))))
 
 
 def fraction_accumulate(acc: dict, factors, scale=Fraction(1)) -> None:

@@ -128,10 +128,11 @@ class TestErk:
         lambda d: d.update(colors=-1, Z={}, z={}),
         lambda d: {k: v for k, v in d.items() if k != "Z0"},
         lambda d: {k: v for k, v in d.items() if k != "cap"},
+        lambda d: d.update(name=[1]),
     ], ids=["stages-two", "stages-zero", "stages-negative", "c-empty",
             "c-zero-denominator", "Z0-empty", "Z0-number", "colors-zero",
             "top-level-list", "key-outside-model", "colors-negative",
-            "Z0-missing", "cap-missing"])
+            "Z0-missing", "cap-missing", "name-list"])
     def test_malformed_method_file_is_two(self, edit, tmp_path, capsys):
         import json
         from sbseries.serk import builtin_exponential_midpoint, method_to_json
@@ -147,6 +148,20 @@ class TestErk:
         if isinstance(data, dict):  # a missing field is named
             for field in {"Z0", "cap"} - set(data):
                 assert f"missing field '{field}'" in err
+
+    def test_non_integer_color_key_is_named(self, tmp_path, capsys):
+        import json
+        from sbseries.serk import builtin_exponential_midpoint, method_to_json
+        data = json.loads(method_to_json(builtin_exponential_midpoint()))
+        data["Z"]["x"] = data["Z"].pop("1")
+        path = tmp_path / "method.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, text = run("erk", "residuals", "--method", str(path), "--cap", "1",
+                         "--no-probe")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == ("error: malformed method file: a color key "
+                                           "of field 'Z' is not an integer: 'x'\n")
 
     def test_unknown_interpretation_is_two_without_probe(self, tmp_path, capsys):
         # the method file's calculus is checked even when no probe reads it

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from oracles import fraction_from_acc, fraction_product
 
+from sbseries import expr as E
 from sbseries import trees as T
 from sbseries.forest_ops import PairNotInST, SubtreePair, gamma, split_pairs, subtree_pairs
+from sbseries.series import BSeries, compose, derivative_product, exact_solution_series
 from sbseries.trees import (
     HalfInt,
     Tree,
@@ -18,6 +21,12 @@ from sbseries.trees import (
 )
 
 EX2 = "[[[g(2,1,0),g(2,1,0)]g(1,2,0),g(1,1,0)]g(1,1,1),g(2,1,0)]g(1,2,0)"
+
+MODELS = pytest.mark.parametrize("model", [
+    T.SemiLinear(1),
+    T.langevin_model(),
+    T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1}),
+], ids=["semilinear", "langevin", "nonautonomous"])
 
 
 def marking_decompositions(tau: Tree):
@@ -89,12 +98,28 @@ def canonicalizing_st_table(tau: Tree) -> list:
     return [(theta, omega, g) for (theta, omega), g in items]
 
 
+def oracle_decomposition_sum(phi_x: BSeries, phi_y: BSeries, single: bool) -> dict:
+    """For every stored tree of phi_x, the sum over the rows (theta, omega,
+    g) of :func:`canonicalizing_st_table` (only those with one remainder
+    tree when ``single``) of g * phi_y(theta) * product of phi_x over
+    omega, expanded by the ``Fraction`` oracle; zero sums are left out."""
+    out = {}
+    for tau in phi_x.weights:
+        total: dict = {}
+        for theta, omega, g in canonicalizing_st_table(tau):
+            if single and len(omega) != 1:
+                continue
+            factors = [phi_y.weight(theta)] + [phi_x.weight(delta) for delta in omega]
+            for c, mono in fraction_product(factors, g).terms:
+                total[mono] = total.get(mono, 0) + c
+        weight = fraction_from_acc(total)
+        if not weight.is_zero:
+            out[tau] = weight
+    return out
+
+
 class TestSubtreePairs:
-    @pytest.mark.parametrize("model", [
-        T.SemiLinear(1),
-        T.langevin_model(),
-        T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1}),
-    ], ids=["semilinear", "langevin", "nonautonomous"])
+    @MODELS
     def test_sorted_prefix_join_matches_canonicalize(self, model):
         for tau in enumerate_trees(model, HalfInt(6)):
             got = [(p.subtree, p.remainder, p.coefficient) for p in subtree_pairs(tau)]
@@ -179,7 +204,30 @@ class TestSplitPairs:
                 assert len(p.remainder) == 1
 
 
+class TestDecompositionSums:
+    """The series operations sum the unordered table: any row order gives
+    the sums over the sorted oracle table."""
+
+    @MODELS
+    def test_compose_equals_the_oracle_table_sum(self, model):
+        phi = exact_solution_series(model, HalfInt(6))
+        assert compose(phi, phi).weights == oracle_decomposition_sum(phi, phi, False)
+
+    @MODELS
+    def test_derivative_product_equals_the_oracle_table_sum(self, model):
+        phi = exact_solution_series(model, HalfInt(6))
+        incr = BSeries(model, phi.order_cap, dict(phi.weights), E.ZERO)
+        assert (derivative_product(incr, phi).weights
+                == oracle_decomposition_sum(incr, phi, True))
+
+
 class TestGamma:
+    @MODELS
+    def test_gamma_is_the_coefficient_of_every_row(self, model):
+        for tau in enumerate_trees(model, HalfInt(6)):
+            for pair in subtree_pairs(tau):
+                assert gamma(tau, pair) == pair.coefficient, (str(tau), str(pair))
+
     def test_empty_identity(self):
         pair = SubtreePair(empty_tree(1), (parse_tree("1"),), Fraction(1))
         assert gamma(parse_tree("1"), pair) == 1

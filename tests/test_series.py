@@ -8,7 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fraction_accumulate, fraction_from_acc, fraction_integral
+from oracles import (
+    fraction_accumulate,
+    fraction_from_acc,
+    fraction_integral,
+    fraction_product,
+    oracle_atom_key,
+    oracle_mono_key,
+    oracle_mono_mul,
+)
 
 from sbseries import expr as E
 from sbseries import trees as T
@@ -183,6 +191,27 @@ class TestAccumulator:
         assert not acc
         assert E.from_acc(acc) == E.ZERO
 
+    @given(st.one_of(st.integers(-4, 4), _scales),
+           st.lists(st.one_of(st.just(E.ZERO), _exprs(),
+                              st.tuples(_exprs(), _exprs()).map(lambda ab: ab[0] + ab[1])),
+                    max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_product_equals_the_fraction_product(self, scale, factors):
+        # zero, one-term and many-term factors: the one-pass fold over
+        # one-term factors and the term-by-term expansion
+        acc = {}
+        E.accumulate(acc, factors, scale)
+        assert E.from_acc(acc).terms == fraction_product(factors, scale).terms
+
+    @pytest.mark.parametrize("factors", [
+        (E.integral(1, [E.H]), E.dw(2), E.ZERO),
+        (E.H + E.dw(1), E.integral(0, [E.dw(2)]), E.ZERO),
+    ], ids=["one-term", "many-term"])
+    def test_zero_factor_multiplies_no_monomial(self, factors):
+        before = E.mono_mul.cache_info()
+        E.accumulate({}, factors, Fraction(3, 2))
+        assert E.mono_mul.cache_info() == before
+
 
 def _normalized_fractions(expr: E.WeightExpr) -> bool:
     return all(type(c) is Fraction and c.denominator > 0
@@ -258,32 +287,8 @@ class TestValueTypes:
         assert self._atom() != E.IntAtom(0, E.Mono(2, ((1, 1),)))
 
 
-# Uncached oracles: the sort key, product and text of a monomial computed
-# from scratch on every call.
-def _oracle_atom_key(atom: E.IntAtom):
-    return (atom.color, _oracle_mono_key(atom.integrand))
-
-
-def _oracle_mono_key(mono: E.Mono):
-    return (mono.hpow, mono.dws, tuple((_oracle_atom_key(a), p) for a, p in mono.ints))
-
-
-def _oracle_mono_mul(a: E.Mono, b: E.Mono) -> E.Mono:
-    if a.is_one:
-        return b
-    if b.is_one:
-        return a
-    dws: dict[int, int] = {}
-    for m, p in a.dws + b.dws:
-        dws[m] = dws.get(m, 0) + p
-    ints: dict[E.IntAtom, int] = {}
-    for atom, p in a.ints + b.ints:
-        ints[atom] = ints.get(atom, 0) + p
-    return E.Mono(a.hpow + b.hpow,
-                  tuple(sorted(dws.items())),
-                  tuple(sorted(ints.items(), key=lambda ap: _oracle_atom_key(ap[0]))))
-
-
+# Uncached oracle: the text of a monomial computed from scratch on every
+# call (the sort key and product oracles are in oracles.py).
 def _format_mono(mono: E.Mono, depth: int) -> list[str]:
     var = "h" if depth == 0 else "s"
     parts: list[str] = []
@@ -346,7 +351,7 @@ def _monos(depth: int = 3):
     return st.builds(
         lambda hpow, d, i: E.Mono(
             hpow, tuple(sorted(d.items())),
-            tuple(sorted(i.items(), key=lambda ap: _oracle_atom_key(ap[0])))),
+            tuple(sorted(i.items(), key=lambda ap: oracle_atom_key(ap[0])))),
         st.integers(0, 3), dws, ints)
 
 
@@ -360,20 +365,20 @@ class TestExprCaches:
     @given(_monos())
     @settings(max_examples=150, deadline=None)
     def test_stored_keys_equal_the_oracle(self, mono):
-        assert E.mono_key(mono) == _oracle_mono_key(mono)
+        assert E.mono_key(mono) == oracle_mono_key(mono)
         assert E.mono_key(mono) is E.mono_key(mono)
         assert E.mono_key(_fresh(mono)) == E.mono_key(mono)
         for atom, _ in mono.ints:
-            assert E.atom_key(atom) == _oracle_atom_key(atom)
+            assert E.atom_key(atom) == oracle_atom_key(atom)
 
     @given(_monos(), _monos())
     @settings(max_examples=150, deadline=None)
     def test_memoized_product_equals_the_oracle(self, a, b):
         got = E.mono_mul(a, b)
-        want = _oracle_mono_mul(a, b)
+        want = oracle_mono_mul(a, b)
         assert got == want and hash(got) == hash(want)
         assert (got.hpow, got.dws, got.ints) == (want.hpow, want.dws, want.ints)
-        assert E.mono_key(got) == _oracle_mono_key(want)
+        assert E.mono_key(got) == oracle_mono_key(want)
         assert E.mono_mul(a, b) is got
         assert E.mono_mul(_fresh(a), _fresh(b)) is got
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -502,4 +503,25 @@ class TestMethodJSON:
         data.pop(field)
         with pytest.raises(ValueError,
                            match=f"^malformed method file: missing field '{field}'$"):
+            method_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("edit, what", [
+        (lambda d: d.update(stages="x"), "field 'stages'"),
+        (lambda d: d.update(colors="x"), "field 'colors'"),
+        (lambda d: d["Z"].update(x=d["Z"].pop("1")), "a color key of field 'Z'"),
+        (lambda d: d["z"].update(x=d["z"].pop("1")), "a color key of field 'z'"),
+    ], ids=["stages", "colors", "Z", "z"])
+    def test_non_integer_field_is_named(self, midpoint, edit, what):
+        data = json.loads(method_to_json(midpoint))
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(
+                f"malformed method file: {what} is not an integer: 'x'")):
+            method_from_json(json.dumps(data))
+
+    def test_non_string_name_is_a_value_error(self, midpoint):
+        with pytest.raises(ValueError, match=r"^a method name must be a string, got \[1\]$"):
+            dataclasses.replace(midpoint, name=[1])
+        data = json.loads(method_to_json(midpoint))
+        data["name"] = [1]
+        with pytest.raises(ValueError, match=r"^a method name must be a string, got \[1\]$"):
             method_from_json(json.dumps(data))
