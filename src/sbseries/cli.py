@@ -39,8 +39,11 @@ class CLIError(Exception):
 
 
 def _model_from_flags(args) -> T.TreeModel:
-    if args.M < 0 or args.l < 0:
-        raise CLIError(f"--M and --l must not be negative, got {args.M} and {args.l}")
+    # each color and Wiener index adds a label or a leaf before the
+    # enumeration cap can act
+    cap = T.DEFAULT_ENUMERATION_CAP
+    if not (0 <= args.M <= cap and 0 <= args.l <= cap):
+        raise CLIError(f"--M and --l must be between 0 and {cap}, got {args.M} and {args.l}")
     if args.model == "semilinear":
         if args.M > T.MAX_G_COLOR:
             raise CLIError(f"--M must be at most {T.MAX_G_COLOR} for the semilinear "

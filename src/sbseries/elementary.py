@@ -10,6 +10,11 @@ Problems come in two flavors sharing one class:
   ``g_m(x, t)``; the state is the x-block with time as a second block of
   length one; used with the semi-linear tree family.
 
+Only a semi-linear problem has a time block, so only there does the time
+leaf evaluate (to the block's one entry, 1).  No problem has blocks for the
+Wiener leaves ``W1 .. Wl`` of the non-autonomous family: like a label with
+no coefficient, they raise ModelMismatch.
+
 Bracket nodes and A-nodes differentiate their coefficient, ``g_m(x, t)``
 or ``A(t)``, through one ``derivative`` function, ``fn, x, directions ->
 array``.  Its default, :func:`sbseries.jets.derivative`, passes truncated
@@ -39,7 +44,6 @@ from sbseries.trees import (
     TLabel,
     Tree,
     TreeModel,
-    WLabel,
     a_node_children,
     alpha,
 )
@@ -120,8 +124,8 @@ class SDEProblem:
             raise ModelMismatch(f"{self.name} has no linear part")
         if k == 0:
             return np.asarray(self.A(t), dtype=float)
-        return _derivative(lambda s: self.A(s[0]), np.array([t], dtype=float),
-                           [np.ones(1)] * k, derivative)
+        return derivative(lambda s: self.A(s[0]), np.array([t], dtype=float),
+                          [np.ones(1)] * k)
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +133,15 @@ class SDEProblem:
 # ---------------------------------------------------------------------------
 
 
-def _derivative(fn: Callable, x: np.ndarray, directions,
-                derivative: Callable) -> np.ndarray:
-    """Mixed directional derivative of ``fn`` at the flat point ``x`` along
-    the flat ``directions``, taken by ``derivative`` (``fn(x)`` for none)."""
-    if not directions:
-        return np.asarray(fn(x), dtype=float)
-    return derivative(fn, x, directions)
-
-
 def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
                             x: np.ndarray, directions,
                             derivative: Callable = jets.derivative) -> np.ndarray:
     """Mixed derivative of the (q, v, m) coefficient along the given
-    (partition, vector) directions."""
+    (partition, vector) directions, taken by ``derivative`` (the
+    coefficient's value for none)."""
+    fn = problem.coefficient(q, v, m)
+    if not directions:
+        return np.asarray(fn(x), dtype=float)
     flat_dirs = []
     for part, vec in directions:
         u = np.zeros_like(problem.x0)
@@ -150,7 +149,7 @@ def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
         vec = np.asarray(vec, dtype=float)
         u[off:off + vec.size] = vec
         flat_dirs.append(u)
-    return _derivative(problem.coefficient(q, v, m), x, flat_dirs, derivative)
+    return derivative(fn, x, flat_dirs)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +157,12 @@ def _directional_derivative(problem: SDEProblem, q: int, v: int, m: int,
 # ---------------------------------------------------------------------------
 
 
-def value_partition(problem: SDEProblem, label) -> int:
-    """Partition of the space a node's elementary differential lives in."""
-    if problem.is_semilinear:
-        return 2 if isinstance(label, (TLabel, WLabel)) else 1
-    return label.partition
+def value_partition(label) -> int:
+    """Partition of the space a node's elementary differential lives in: the
+    label's own, except that the time leaf's value is the time block, the
+    second block of a semi-linear problem (the only problems it evaluates
+    on)."""
+    return 2 if isinstance(label, TLabel) else label.partition
 
 
 def eval_elementary(problem: SDEProblem, tau: Tree, x: np.ndarray | None = None,
@@ -190,7 +190,7 @@ def _elementary_node(problem: SDEProblem, tau: Tree, x: np.ndarray,
     label = tau.label
     if isinstance(label, EmptyLabel):
         return problem.blocks(x)[label.q - 1]
-    if isinstance(label, (TLabel, WLabel)):
+    if isinstance(label, TLabel) and problem.is_semilinear:
         return np.ones(1)
     if isinstance(label, ALabel):
         if not problem.is_semilinear:
@@ -210,7 +210,7 @@ def _elementary_node(problem: SDEProblem, tau: Tree, x: np.ndarray,
         q, v, m = label.q, label.v, label.m
     else:
         raise ModelMismatch(f"cannot evaluate {label!r}")
-    directions = [(value_partition(problem, c.label),
+    directions = [(value_partition(c.label),
                    _elementary(problem, c, x, derivative, memo))
                   for c in tau.children]
     return _directional_derivative(problem, q, v, m, x, directions, derivative)
@@ -234,7 +234,7 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
         scale = float(alpha(tree)) * weight
         if scale == 0.0:
             continue
-        part = value_partition(problem, tree.label)
+        part = value_partition(tree.label)
         off = problem.block_offset(part)
         value = _elementary(problem, tree, x, jets.derivative, memo)
         out[off:off + value.size] += scale * value

@@ -32,12 +32,12 @@ normalized coefficient per nonzero term; :func:`integral`, ``scaled``,
 ``+`` and ``-`` go through the same accumulator.
 
 Every pure result is computed once: ``Mono`` and ``IntAtom`` set their
-hash and their sort key (:func:`mono_key`, :func:`atom_key`) at
-construction, :func:`mono_mul` is memoized, the monomial and divisor of an
-integral of a monomial are memoized per (color, integrand), and the text
-of a monomial is built once per depth class (top level or inside an
-integrand).  Instances keep value semantics: fresh equal instances are
-equal, not identical; the memos hand out one instance per result.
+hash and their sort key ``_key`` at construction, :func:`mono_mul` is
+memoized, the monomial and divisor of an integral of a monomial are
+memoized per (color, integrand), and the text of a monomial is built once
+per depth class (top level or inside an integrand).  Instances keep value
+semantics: fresh equal instances are equal, not identical; the memos hand
+out one instance per result.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def normalize_interpretation(name: str) -> str:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class IntAtom:
-    """Irreducible integral of a monomial integrand against driver ``color``."""
+    """Irreducible integral of a monomial integrand against driver ``color``.
+    Its sort key ``_key`` is ``(color, integrand._key)``."""
 
     color: int
     integrand: "Mono"
@@ -98,7 +99,8 @@ class IntAtom:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Mono:
-    """Coefficient-free monomial: time power, increment powers, integral powers."""
+    """Coefficient-free monomial: time power, increment powers, integral powers.
+    Its sort key ``_key`` is ``(hpow, dws, ((atom._key, power), ..))``."""
 
     hpow: int = 0
     dws: tuple[tuple[int, int], ...] = ()
@@ -130,16 +132,6 @@ class Mono:
 
 
 ONE_MONO = Mono()
-
-
-def atom_key(atom: IntAtom) -> tuple:
-    """Sort key ``(color, mono_key(integrand))``, set at construction."""
-    return atom._key
-
-
-def mono_key(mono: Mono) -> tuple:
-    """Sort key ``(hpow, dws, ((atom_key, power), ..))``, set at construction."""
-    return mono._key
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,7 +275,7 @@ def _add_pair(acc: dict[Mono, tuple[int, int]], mono: Mono, n: int, d: int) -> N
 
 def from_acc(acc: dict[Mono, tuple[int, int]]) -> WeightExpr:
     """The normalized sum held by an accumulator: one normalized ``Fraction``
-    per nonzero pair, terms sorted by :func:`mono_key`."""
+    per nonzero pair, terms sorted by their monomial's ``_key``."""
     return WeightExpr(tuple(sorted(((Fraction(n, d), m) for m, (n, d) in acc.items() if n),
                                    key=lambda cm: cm[1]._key)))
 

@@ -38,7 +38,6 @@ from sbseries.trees import (
     Tree,
     TreeError,
     a_node_children,
-    canonicalize,
     enumerate_trees,
     format_tree,
     parse_tree,
@@ -290,8 +289,9 @@ def exp_integral_series(lo: Fraction, hi: Fraction, order: int) -> dict[Tree, We
     a word a_{k_1} ... a_{k_n} occurs only in X^n, with the coefficient
     c_{k_1} ... c_{k_n} / n! and the order sum_i (k_i + 1).  Words map to
     A-tree chains: the innermost letter acts on the state first, a letter
-    with k time arguments is an A-node with k time-leaf children.  Distinct
-    words give distinct chains, so every chain is stored once.
+    with k time arguments is an A-node with k time-leaf children, which come
+    before the node's other child in canonical order.  Distinct words give
+    distinct chains, so every chain is stored once.
     """
     letters = [Fraction(hi ** (k + 1) - lo ** (k + 1), 1) / math.factorial(k + 1)
                for k in range(order)]
@@ -301,8 +301,7 @@ def exp_integral_series(lo: Fraction, hi: Fraction, order: int) -> dict[Tree, We
         # prepend one letter as the new root of the chain below it; the
         # product of the letters so far is num/den
         for k, c in enumerate(letters[:order - used]):
-            children = ((inner,) if inner is not None else ()) + (T_LEAF,) * k
-            chain = canonicalize(Tree(ALabel(), children))
+            chain = Tree(ALabel(), (T_LEAF,) * k + ((inner,) if inner is not None else ()))
             n, d = num * c.numerator, den * c.denominator
             weights[chain] = ex.h_power(used + k + 1,
                                         Fraction(n, d * math.factorial(length + 1)))
@@ -312,12 +311,11 @@ def exp_integral_series(lo: Fraction, hi: Fraction, order: int) -> dict[Tree, We
     return weights
 
 
-def builtin_exponential_midpoint(cap: HalfInt = HalfInt(7)) -> ERKMethodSpec:
+def builtin_exponential_midpoint() -> ERKMethodSpec:
     """The one-stage exponential midpoint rule with abscissa one half;
-    coefficient expansions carried to total order three in h (hence the
-    order cap of 7/2)."""
-    if cap > HalfInt(7):
-        raise CapUnsupported("built-in midpoint series stop at order 7/2")
+    coefficient expansions carried to total order three in h, hence the
+    order cap of 7/2."""
+    cap = HalfInt(7)
     model = SemiLinear(1)
     order = 3
     front = exp_integral_series(Fraction(0), Fraction(1, 2), order)   # into the stage
@@ -389,11 +387,16 @@ def _int_field(value, what: str) -> int:
 def method_from_json(text: str) -> ERKMethodSpec:
     """The method of a JSON document; a document of the wrong shape, with
     a required field missing or with an integer field or color key that is
-    not an integer raises ValueError naming the field."""
+    not an integer raises ValueError naming the field.  The number of color
+    keys of ``Z`` and ``z`` is checked against ``colors`` before any series
+    is read."""
     data = json.loads(text)
     try:
         cap = HalfInt.parse(data["cap"])
         colors = _int_field(data["colors"], "field 'colors'")
+        # before any series is read: its trees intern a label per color
+        if len(data["Z"]) != colors + 1 or len(data["z"]) != colors + 1:
+            raise ValueError(f"Z and z must be keyed by the colors 0..{colors}")
         model = SemiLinear(colors)
         return ERKMethodSpec(
             name=data.get("name", "unnamed"),

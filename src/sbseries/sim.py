@@ -2,6 +2,13 @@
 rule, fine-grid reference solutions, and empirical mean-square convergence
 order estimation.
 
+Every function here solves the Stratonovich equation driven by one Wiener
+process, ``dx = (A(t) x + g_0(x, t)) dt + g_1(x, t) o dW_1``: it reads ``g_0``,
+``g_1`` and the color-1 path only.  ``integrate_erk``, ``reference_solution``
+and ``ms_order_estimate`` raise ValueError on a problem that is not
+semi-linear, is read in the Ito sense or has more than one noise color,
+before any step is taken or any path is drawn.
+
 The stepper evaluates the three operator exponentials of the method per
 step: the integral of the linear part over each sub-interval is computed
 by Simpson quadrature (exact for the polynomial fixtures) and exponentiated
@@ -23,7 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from sbseries.elementary import SDEProblem
-from sbseries.expr import ITO, normalize_interpretation
+from sbseries.expr import STRATONOVICH, normalize_interpretation
 from sbseries.paths import MCStats, PathGrid, _sample_wiener_rows, _seed_tuple
 from sbseries.trees import SimulationError
 
@@ -110,10 +117,20 @@ def exponential_midpoint_step(problem: SDEProblem, t: float, h: float,
     return full_op @ x + back_op @ (h * g0(stage, tm) + dw * g1(stage, tm))
 
 
+def _require_supported(problem: SDEProblem) -> None:
+    """Raise ValueError unless the problem is semi-linear, Stratonovich and
+    has at most one noise color, the equation every function here solves."""
+    if not problem.is_semilinear or problem.model.M > 1 \
+            or normalize_interpretation(problem.interpretation) != STRATONOVICH:
+        raise ValueError(f"{problem.name}: time stepping needs a semi-linear "
+                         "Stratonovich problem with at most one noise color")
+
+
 def _driving_values(problem: SDEProblem, path, step: float, n_steps: int):
     """Color-1 Wiener values at the step boundaries (a path's row thinned to
     them, or an array that holds them already), and the initial state for
     them: (d,) for one row, (d, P) for a batch of P rows."""
+    _require_supported(problem)
     if isinstance(path, PathGrid):
         per_step = int(round(path.n_steps * step / path.h))
         if per_step < 1 or abs(per_step * path.h / path.n_steps - step) > 1e-12 \
@@ -133,8 +150,8 @@ def integrate_erk(problem: SDEProblem, h: float, n_steps: int, path) -> np.ndarr
     values at the step boundaries, shaped (n_steps + 1,) or (P, n_steps + 1).
     Returns an array of shape (n_steps + 1, d), or (n_steps + 1, d, P).
     """
-    t0 = problem.t0
     w, x = _driving_values(problem, path, h, n_steps)
+    t0 = problem.t0
     out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
     for k in range(n_steps):
@@ -146,12 +163,11 @@ def integrate_erk(problem: SDEProblem, h: float, n_steps: int, path) -> np.ndarr
 
 def reference_solution(problem: SDEProblem, T: float, n_fine: int, path) -> np.ndarray:
     """Proxy-exact endpoint state, (d,) or (d, P), along a path given as
-    for ``integrate_erk``: Stratonovich problems use the Heun
-    predictor-corrector, Ito problems Euler-Maruyama."""
-    t0 = problem.t0
-    interp = normalize_interpretation(problem.interpretation)
+    for ``integrate_erk``, by the Heun predictor-corrector, which converges
+    to the Stratonovich solution."""
     dt = T / n_fine
     w, x = _driving_values(problem, path, dt, n_fine)
+    t0 = problem.t0
     g0, g1 = problem.g[0], problem.g[1]
 
     def drift(a, x, t):
@@ -165,14 +181,11 @@ def reference_solution(problem: SDEProblem, T: float, n_fine: int, path) -> np.n
         a = a_end if t == t_end else problem.a_derivative(0, t)
         dw = w[..., k + 1] - w[..., k]
         f, g = drift(a, x, t), g1(x, t)
-        if interp == ITO:
-            x = x + dt * f + dw * g
-        else:
-            pred = x + dt * f + dw * g
-            t_end = t + dt
-            a_end = problem.a_derivative(0, t_end)
-            x = x + 0.5 * dt * (f + drift(a_end, pred, t_end)) \
-                + 0.5 * dw * (g + g1(pred, t_end))
+        pred = x + dt * f + dw * g
+        t_end = t + dt
+        a_end = problem.a_derivative(0, t_end)
+        x = x + 0.5 * dt * (f + drift(a_end, pred, t_end)) \
+            + 0.5 * dw * (g + g1(pred, t_end))
     return x
 
 
@@ -186,6 +199,7 @@ def ms_order_estimate(problem: SDEProblem, h_values, n_paths: int, T: float,
     per-path results equal the one-path-at-a-time ones because every
     operator in a step is linear in the batch axis.
     """
+    _require_supported(problem)
     h_values = list(h_values)
     if n_paths < 1 or len(h_values) < 2:
         raise ValueError("a slope needs at least one path and two step sizes")

@@ -21,8 +21,7 @@ nothing else references is freed and leaves its table.  Node labels are
 interned as well, one object per distinct label, and each label holds
 every fact about itself, set once when it is interned: its content hash,
 its order key, color, partition and bracket token, and the intern table of
-its trees.  ``rho`` and ``alpha`` hand out one shared value per order and
-per symmetry factor.
+its trees.
 
 All operations expect canonical trees (children sorted by the total order
 below) and :func:`canonicalize` produces them.
@@ -362,10 +361,6 @@ def empty_tree(q: int = 1) -> Tree:
 T_LEAF = Tree(TLabel())
 
 
-def w_leaf(i: int) -> Tree:
-    return T_LEAF if i == 0 else Tree(WLabel(i))
-
-
 def tree_key(tree: Tree):
     """Total order key: (2*rho, root label, child keys), cached on the tree."""
     k = tree._key
@@ -433,14 +428,8 @@ def rho2(tree: Tree) -> int:
 
 def rho(tree: Tree) -> HalfInt:
     """Tree order: node contributions 1 (color 0) or 1/2 (color > 0),
-    summed over all nodes; rho of the empty tree is 1 by convention.  One
-    shared ``HalfInt`` per value."""
-    return _half_int(tree._rho2)
-
-
-@lru_cache(maxsize=None)
-def _half_int(twice: int) -> HalfInt:
-    return HalfInt(twice)
+    summed over all nodes; rho of the empty tree is 1 by convention."""
+    return HalfInt(tree._rho2)
 
 
 def symmetry(tree: Tree) -> int:
@@ -462,14 +451,8 @@ def symmetry(tree: Tree) -> int:
 
 def alpha(tree: Tree) -> Fraction:
     """Combinatorial coefficient 1/sigma: the product over nodes of inverse
-    factorials of the multiplicities of equal child subtrees.  One shared
-    ``Fraction`` per sigma."""
-    return _reciprocal(symmetry(tree))
-
-
-@lru_cache(maxsize=None)
-def _reciprocal(sigma: int) -> Fraction:
-    return Fraction(1, sigma)
+    factorials of the multiplicities of equal child subtrees."""
+    return Fraction(1, symmetry(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +515,7 @@ class NonAutonomous:
                 for v in range(1, self.variants_of(m) + 1)]
 
     def adjoined_leaves(self) -> list[Tree]:
-        return [w_leaf(i) for i in range(self.l + 1)]
+        return [T_LEAF] + [Tree(WLabel(i)) for i in range(1, self.l + 1)]
 
 
 @dataclass(frozen=True)
@@ -559,17 +542,14 @@ def langevin_model() -> GeneralPartitioned:
         Q=2, M=1, table={(0, 1): 2, (1, 1): 1, (0, 2): 1, (1, 2): 0})
 
 
-def model_partitions(model: TreeModel) -> int:
-    return model.Q if isinstance(model, GeneralPartitioned) else 1
-
-
 @lru_cache(maxsize=None)
 def model_labels(model: TreeModel) -> frozenset[NodeLabel]:
     """Every label a tree of the model may carry: the node labels, the
     adjoined leaves and the empty tree of each partition."""
+    partitions = model.Q if isinstance(model, GeneralPartitioned) else 1
     return frozenset([*model.node_labels(),
                       *(leaf.label for leaf in model.adjoined_leaves()),
-                      *(EmptyLabel(q) for q in range(1, model_partitions(model) + 1))])
+                      *(EmptyLabel(q) for q in range(1, partitions + 1))])
 
 
 # ---------------------------------------------------------------------------

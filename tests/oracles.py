@@ -150,7 +150,7 @@ def fraction_accumulate(acc: dict, factors, scale=Fraction(1)) -> None:
 
 def fraction_from_acc(acc: dict) -> E.WeightExpr:
     return E.WeightExpr(tuple(sorted(((c, m) for m, c in acc.items() if c != 0),
-                                     key=lambda cm: E.mono_key(cm[1]))))
+                                     key=lambda cm: cm[1]._key)))
 
 
 def fraction_integral(color: int, factors) -> E.WeightExpr:

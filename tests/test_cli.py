@@ -163,6 +163,20 @@ class TestErk:
         assert capsys.readouterr().err == ("error: malformed method file: a color key "
                                            "of field 'Z' is not an integer: 'x'\n")
 
+    def test_huge_color_count_is_two(self, tmp_path, capsys):
+        # the color keys are counted before any series is read
+        import json
+        from sbseries.serk import builtin_exponential_midpoint, method_to_json
+        data = json.loads(method_to_json(builtin_exponential_midpoint()))
+        data["colors"] = 10 ** 12
+        path = tmp_path / "method.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, text = run("erk", "residuals", "--method", str(path), "--cap", "1")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: Z and z must be keyed by the colors 0..1000000000000\n")
+
     def test_unknown_interpretation_is_two_without_probe(self, tmp_path, capsys):
         # the method file's calculus is checked even when no probe reads it
         import json
@@ -376,6 +390,30 @@ class TestInputValidation:
         assert code == 2
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [("trees", "enum"), ("series", "exact")],
+                             ids=["trees-enum", "series-exact"])
+    @pytest.mark.parametrize("flag", ["--M", "--l"])
+    def test_nonautonomous_size_above_the_cap_builds_no_model(self, command, flag,
+                                                              monkeypatch, capsys):
+        # each color and Wiener index adds a label or a leaf before the
+        # enumeration cap can act, so the flag is bounded before the model
+        # is built
+        from sbseries import trees as T
+        built = []
+
+        def from_table(*args, **kwargs):
+            built.append(kwargs)
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(T.NonAutonomous, "from_table", from_table)
+        code, text = run(*command, "--model", "nonautonomous",
+                         flag, str(T.DEFAULT_ENUMERATION_CAP + 1), "--cap", "1/2")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: --M and --l must be between 0 and 1000000, got ")
+        assert built == []
 
     @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
     def test_mc_horizon_must_be_finite_and_positive(self, h, capsys):

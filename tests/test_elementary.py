@@ -182,6 +182,13 @@ class TestElementary:
         with pytest.raises(ModelMismatch):
             eval_elementary(langevin, parse_tree("A"))
 
+    @pytest.mark.parametrize("text", ["W1", "[W1]g(1,1,0)", "t"])
+    def test_leaf_without_a_block_raises(self, langevin, text):
+        # a partitioned problem has no time block, and no problem has a
+        # block for a Wiener leaf
+        with pytest.raises(ModelMismatch, match="^cannot evaluate "):
+            eval_elementary(langevin, parse_tree(text))
+
     def test_high_order_needs_analytic(self):
         prob = get_problem("scalar-semilinear")
         tree = parse_tree("[0,0,0,0]1")
@@ -370,7 +377,7 @@ class TestEvalBSeries:
                                                        prob.interpretation)
             if scale == 0.0:
                 continue
-            off = prob.block_offset(value_partition(prob, tree.label))
+            off = prob.block_offset(value_partition(tree.label))
             value = eval_elementary(prob, tree, prob.x0)
             want[off:off + value.size] += scale * value
         got = eval_bseries(prob, series, prob.x0, h, path)

@@ -206,10 +206,6 @@ class TestBuiltinMidpoint:
         assert left == right == parse_expr("1/4*h^3")
         assert parse_tree("[[t]A]A") != parse_tree("[A,t]A")
 
-    def test_cap_limit(self):
-        with pytest.raises(CapUnsupported):
-            builtin_exponential_midpoint(HalfInt(8))
-
     def test_residuals_and_weights_refuse_orders_past_the_cap(self, midpoint):
         with pytest.raises(CapUnsupported):
             order_residuals(midpoint, HalfInt(8))
@@ -517,6 +513,17 @@ class TestMethodJSON:
         with pytest.raises(ValueError, match=re.escape(
                 f"malformed method file: {what} is not an integer: 'x'")):
             method_from_json(json.dumps(data))
+
+    def test_color_count_is_checked_before_any_series(self, midpoint):
+        # reading a series interns one label per color of the model
+        from sbseries.trees import GLabel
+        data = json.loads(method_to_json(midpoint))
+        data["colors"] = 10 ** 12
+        interned = dict(GLabel._interned)
+        with pytest.raises(ValueError,
+                           match=r"^Z and z must be keyed by the colors 0\.\.1000000000000$"):
+            method_from_json(json.dumps(data))
+        assert GLabel._interned == interned
 
     def test_non_string_name_is_a_value_error(self, midpoint):
         with pytest.raises(ValueError, match=r"^a method name must be a string, got \[1\]$"):

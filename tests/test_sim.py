@@ -147,6 +147,56 @@ class TestDrivingValues:
         assert calls == []
 
 
+def _ito(problem: SDEProblem) -> SDEProblem:
+    problem.interpretation = "ito"
+    return problem
+
+
+def _two_colors(problem: SDEProblem) -> SDEProblem:
+    problem.model = T.SemiLinear(2)
+    problem.g = {**problem.g, 2: lambda x, t: 5.0 * np.cos(x)}
+    return problem
+
+
+UNSUPPORTED = [
+    lambda: _ito(get_problem("scalar-semilinear")),
+    lambda: _two_colors(get_problem("scalar-semilinear")),
+    lambda: get_problem("langevin-partitioned"),
+]
+UNSUPPORTED_IDS = ["ito", "two-colors", "partitioned"]
+
+
+class TestSupportedProblems:
+    """The stepper and the reference solve the semi-linear Stratonovich
+    equation with one noise color; any other problem raises ValueError."""
+
+    @pytest.mark.parametrize("make", UNSUPPORTED, ids=UNSUPPORTED_IDS)
+    def test_stepper_and_reference_raise(self, make):
+        path = sample_path(1.0, 16, 2, 3)
+        with pytest.raises(ValueError, match="semi-linear Stratonovich"):
+            integrate_erk(make(), 0.25, 4, path)
+        with pytest.raises(ValueError, match="semi-linear Stratonovich"):
+            reference_solution(make(), 1.0, 16, path)
+
+    @pytest.mark.parametrize("make", UNSUPPORTED, ids=UNSUPPORTED_IDS)
+    def test_order_estimate_raises_before_drawing_a_path(self, make, monkeypatch):
+        import sbseries.sim as sim
+        drawn = []
+        monkeypatch.setattr(sim, "_sample_wiener_rows",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="semi-linear Stratonovich"):
+            ms_order_estimate(make(), [2 ** -2, 2 ** -3], 4, 1.0, 5, n_fine=64)
+        assert drawn == []
+
+    def test_noise_free_problem_runs(self):
+        prob = get_problem("scalar-semilinear")
+        prob.model = T.SemiLinear(0)
+        prob.g = {0: prob.g[0], 1: lambda x, t: np.zeros_like(x)}
+        path = sample_path(1.0, 16, 1, 3)
+        assert np.all(np.isfinite(integrate_erk(prob, 0.25, 4, path)))
+        assert np.all(np.isfinite(reference_solution(prob, 1.0, 16, path)))
+
+
 class TestReference:
     def test_zero_coefficients_stay_at_x0(self):
         prob = _zero_g(get_problem("scalar-semilinear"))

@@ -287,12 +287,6 @@ class TestLabels:
                 fields = (getattr(label, name) for name in label.__slots__)
                 assert label is type(label)(*fields)
 
-    def test_rho_and_alpha_are_shared_per_value(self):
-        trees = enumerate_trees(T.SemiLinear(1), HalfInt(3))
-        for a, b in itertools.combinations(trees[::7], 2):
-            assert (rho(a) is rho(b)) == (rho(a) == rho(b))
-            assert (alpha(a) is alpha(b)) == (alpha(a) == alpha(b))
-
 
 class TestRho:
     def test_reference_tree_order(self):
