@@ -6,12 +6,20 @@ success, 2 on usage/validation errors, 3 on numerical failure.  Each
 command imports the layers it uses, so that the symbolic commands (trees,
 split, series, erk residuals without the probe) load neither numpy nor
 scipy.
+
+A command runs with the cyclic garbage collector paused, and the caller's
+collector state is restored when it returns.  Trees, label tables and memo
+caches hold no reference cycles, so reference counting alone frees what a
+command drops, while the collector's passes over tens of thousands of live
+trees took about a tenth of the run time of ``trees enum --model semilinear
+--M 1 --cap 5``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import math
 import sys
@@ -294,6 +302,8 @@ def main(argv=None, out=None) -> int:
         "weights": cmd_weights,
         "converge": cmd_converge,
     }
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args, out)
     except (CLIError, TreeError, ExprError, ValueError, KeyError, OSError,
@@ -309,6 +319,9 @@ def main(argv=None, out=None) -> int:
     except SimulationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

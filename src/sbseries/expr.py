@@ -184,12 +184,6 @@ class WeightExpr:
             visit(mono)
         return out
 
-    def as_rational_hpoly(self) -> dict[int, Fraction]:
-        """Coefficients by power of h; raises for stochastic expressions."""
-        if not self.is_deterministic:
-            raise ExprError("expression is not deterministic")
-        return {mono.hpow: c for c, mono in self.terms}
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "WeightExpr") -> "WeightExpr":

@@ -16,12 +16,13 @@ Trees are immutable and hash-consed: each distinct (label, children) pair
 is built once and looked up in the intern table of its root label, so
 equality of trees is object identity.  The hash is content-derived and
 deterministic, ``hash((label, children))``, so a set of trees iterates in
-the same order in every run.  The tables hold weak references: a tree that
-nothing else references is freed and leaves its table.  Node labels are
-interned as well, one object per distinct label, and each label holds
-every fact about itself, set once when it is interned: its content hash,
-its order key, color, partition and bracket token, and the intern table of
-its trees.
+the same order in every run; it is computed on the first ``hash()`` call
+and kept, so a tree that is never hashed never pays for it.  The tables
+hold weak references: a tree that nothing else references is freed and
+leaves its table.  Node labels are interned as well, one object per
+distinct label, and each label holds every fact about itself, set once
+when it is interned: its content hash, its order key, color, partition and
+bracket token, and the intern table of its trees.
 
 All operations expect canonical trees (children sorted by the total order
 below) and :func:`canonicalize` produces them.
@@ -33,10 +34,10 @@ from __future__ import annotations
 
 import re
 import weakref
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 
 class TreeError(Exception):
@@ -158,9 +159,10 @@ class _Label:
             table: dict[tuple[Tree, ...], _Ref] = {}
 
             def forget(ref: _Ref) -> None:
-                # a new tree may already hold the key when a callback runs late
-                if table.get(ref.key) is ref:
-                    del table[ref.key]
+                held = table.pop(ref.key, None)
+                if held is not ref and held is not None:
+                    # a new tree held the key before this callback ran
+                    table[ref.key] = held
 
             kind = _EmptyTree if cls is EmptyLabel else Tree
             init(label, "trees", (table, forget, 2 if color == 0 else 1, kind))
@@ -284,11 +286,12 @@ class Tree:
     with an equal label and the same children objects when there is one,
     so equality is identity and two canonical trees are the same object
     exactly when they represent the same multiset-tree.  The hash is
-    content-derived and deterministic, ``hash((label, children))``, and is
-    computed with ``rho2`` at construction; the order key, the bracket text
-    and the symmetry factor are computed on first use.  The intern table
-    holds weak references, so a tree nothing else holds is freed.  Setting
-    an attribute raises; copies and unpickled trees are the interned tree.
+    content-derived and deterministic, ``hash((label, children))``.  Only
+    ``rho2`` is computed at construction; the hash, the order key, the
+    bracket text and the symmetry factor are computed on first use.  The
+    intern table holds weak references, so a tree nothing else holds is
+    freed.  Setting an attribute raises; copies and unpickled trees are the
+    interned tree.
     """
 
     __slots__ = ("label", "children", "_hash", "_rho2", "_key", "_text",
@@ -301,20 +304,23 @@ class Tree:
         tree = ref() if ref is not None else None
         if tree is None:
             tree = object.__new__(kind)
-            init = object.__setattr__
-            init(tree, "label", label)
-            init(tree, "children", children)
-            init(tree, "_hash", hash((label, children)))
-            init(tree, "_rho2", own + sum(c._rho2 for c in children))
-            init(tree, "_key", None)
-            init(tree, "_text", None)
-            init(tree, "_sigma", None)
+            _set_label(tree, label)
+            _set_children(tree, children)
+            _set_rho2(tree, own + sum(map(_rho2_of, children)))
+            _set_hash(tree, None)
+            _set_key(tree, None)
+            _set_text(tree, None)
+            _set_sigma(tree, None)
             ref = table[children] = _Ref(tree, forget)
             ref.key = children
         return tree
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.label, self.children))
+            _set_hash(self, h)
+        return h
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"Tree is immutable; cannot change {name!r}")
@@ -333,6 +339,12 @@ class Tree:
 
     def __str__(self) -> str:
         return format_tree(self)
+
+
+# the slot setters, which skip the attribute lookup of object.__setattr__
+(_set_label, _set_children, _set_hash, _set_rho2, _set_key, _set_text,
+ _set_sigma) = (getattr(Tree, name).__set__ for name in Tree.__slots__[:-1])
+_rho2_of = attrgetter("_rho2")
 
 
 class _EmptyTree(Tree):
@@ -366,7 +378,7 @@ def tree_key(tree: Tree):
     k = tree._key
     if k is None:
         k = (tree._rho2, tree.label.key, tuple(map(tree_key, tree.children)))
-        object.__setattr__(tree, "_key", k)
+        _set_key(tree, k)
     return k
 
 
@@ -389,22 +401,31 @@ _W0 = WLabel(0)
 
 def canonicalize(tree: Tree, model: "TreeModel | None" = None) -> Tree:
     """Canonical form: children canonicalized and sorted at every node.
-    ``tree`` may also be any node with ``label`` and ``children``, such as
-    the parser's.
+    ``tree`` may also be any node with ``label`` and ``children``.
 
     Idempotent and invariant under child permutations.  Validates the
     A-node arity rule always, and that every label is one of
     :func:`model_labels` when ``model`` is given.
     """
-    label = tree.label
+    return _canonical(tree, model, _label_and_children)
+
+
+_label_and_children = attrgetter("label", "children")
+
+
+def _canonical(node, model, parts) -> Tree:
+    """The canonical tree of ``node``, whose label and child nodes are
+    ``parts(node)``: the step of :func:`canonicalize` and of the parser's
+    build pass, so both check in the same order."""
+    label, nodes = parts(node)
     if label is _W0:
         label = T_LEAF.label
-    if not tree.children:
+    if not nodes:
         out = Tree(label)
     elif isinstance(label, EmptyLabel):
         raise InvalidLabel("the empty tree cannot have children")
     else:
-        children = [canonicalize(c, model) for c in tree.children]
+        children = [_canonical(c, model, parts) for c in nodes]
         if len(children) > 1:
             children.sort(key=tree_key)
         children = tuple(children)
@@ -445,7 +466,7 @@ def symmetry(tree: Tree) -> int:
             rep = rep + 1 if child is prev else 1
             prev = child
             sigma *= symmetry(child) * rep
-        object.__setattr__(tree, "_sigma", sigma)
+        _set_sigma(tree, sigma)
     return sigma
 
 
@@ -668,7 +689,7 @@ def format_tree(tree: Tree) -> str:
             raise ValueError(f"single-digit grammar: g-node color must be <= {MAX_G_COLOR}")
         inner = ",".join(map(format_tree, tree.children))
         text = f"[{inner}]{token}" if inner else token
-        object.__setattr__(tree, "_text", text)
+        _set_text(tree, text)
     return text
 
 
@@ -679,8 +700,6 @@ _TOKEN_LABELS: dict[str, NodeLabel] = {}  # token in its formatted spelling -> l
 # the error at a character no token starts with: (offset, message)
 _TOKEN_ERRORS = {"g": (0, "malformed g(q,v,m) label"), "W": (1, "W-label needs an index"),
                  "(": (0, "malformed empty-tree token")}
-# a parsed node, neither canonical nor interned
-_Node = namedtuple("_Node", "label children")
 
 
 def _token_label(token: str) -> NodeLabel:
@@ -706,10 +725,11 @@ def _syntax_error(text: str, pos: int, msg: str):
     raise ParseError(f"{msg} at position {pos} in {text!r}")
 
 
-def _read(text: str) -> _Node:
-    """The whole bracket text as :class:`_Node` trees, read without
-    recursion; a syntax error raises :class:`ParseError` with its position."""
-    stack: list[list[_Node]] = []  # the children read so far, per open bracket
+def _read(text: str) -> tuple:
+    """The whole bracket text as nested ``(label, children)`` tuples, read
+    without recursion; a syntax error raises :class:`ParseError` with its
+    position."""
+    stack: list[list[tuple]] = []  # the children read so far, per open bracket
     pos = 0
     while True:
         while text.startswith("[", pos):
@@ -723,7 +743,7 @@ def _read(text: str) -> _Node:
                 shift, msg = _TOKEN_ERRORS.get(ch, (0, f"unexpected character {ch!r}"))
                 _syntax_error(text, pos + shift, msg)
             pos = token.end()
-            node = _Node(_token_label(token.group()), children)
+            node = (_token_label(token.group()), children)
             if not stack:
                 if pos != len(text):
                     _syntax_error(text, pos, "trailing input")
@@ -741,4 +761,5 @@ def _read(text: str) -> _Node:
 def parse_tree(text: str, model: TreeModel | None = None) -> Tree:
     """Parse the bracket grammar and return the canonical tree: the whole
     text is read first, then each canonical tree is built once."""
-    return canonicalize(_read(text.strip()), model)
+    # a read node is its own (label, children) pair: ``tuple`` returns it
+    return _canonical(_read(text.strip()), model, tuple)

@@ -118,6 +118,14 @@ def oracle_mono_mul(a: E.Mono, b: E.Mono) -> E.Mono:
                   tuple(sorted(ints.items(), key=lambda ap: oracle_atom_key(ap[0]))))
 
 
+def rational_hpoly(expr: E.WeightExpr) -> dict[int, Fraction]:
+    """Coefficients of a deterministic expression by power of h; raises for
+    stochastic expressions."""
+    if not expr.is_deterministic:
+        raise E.ExprError("expression is not deterministic")
+    return {mono.hpow: c for c, mono in expr.terms}
+
+
 def fraction_product(factors, scale=1) -> E.WeightExpr:
     """``scale * f1 * .. * fk`` expanded term by term on ``Fraction``
     coefficients and :func:`oracle_mono_mul` monomials: it calls neither

@@ -364,6 +364,33 @@ class TestExitCodes:
         assert err.startswith("error: input too large for memory: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, want", [
+        (("trees", "enum", "--model", "semilinear", "--M", "1", "--cap", "1"), 0),
+        (("trees", "info", "[0"), 2),
+        (("converge", "--problem", "scalar-semilinear", "--paths", "2",
+          "--seed", "1"), 3),
+    ], ids=["exit-0", "exit-2", "exit-3"])
+    def test_collector_state_is_restored(self, argv, want, enabled, monkeypatch,
+                                         capsys):
+        import gc
+
+        import sbseries.sim
+        from sbseries.sim import StageDivergence
+
+        def boom(*args, **kwargs):
+            raise StageDivergence("stage blew up")
+
+        monkeypatch.setattr(sbseries.sim, "ms_order_estimate", boom)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _ = run(*argv)
+            assert (code, gc.isenabled()) == (want, enabled)
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("argv", [

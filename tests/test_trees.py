@@ -206,6 +206,26 @@ class TestInterning:
         assert children not in table
         assert hash(Tree(label, children)) == old_hash
 
+    def test_late_forget_keeps_the_newer_entry(self):
+        label = T.GeneralLabel(9, 8, 6)
+        table, forget = label.trees[:2]
+        children = (T.T_LEAF,)
+        old = Tree(label, children)
+        stale = T._Ref(old)
+        stale.key = children
+        del old
+        gc.collect()
+        assert children not in table
+        new = Tree(label, children)
+        held = table[children]
+        forget(stale)  # the callback of a tree that died before ``new`` was built
+        assert table[children] is held and held() is new
+        del new, held
+        gc.collect()
+        assert children not in table
+        forget(stale)  # its key is already gone
+        assert children not in table
+
 
 # every label class with field values and the dataclass repr it keeps
 LABEL_CASES = [
