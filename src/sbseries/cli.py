@@ -26,12 +26,11 @@ import sys
 from collections.abc import Iterator
 
 from sbseries import trees as T
-from sbseries.expr import ExprError, parse_expr
+from sbseries.expr import parse_expr
 from sbseries.forest_ops import split_pairs, subtree_pairs
 from sbseries.trees import (
     HalfInt,
     SimulationError,
-    TreeError,
     alpha,
     enumerate_trees,
     format_tree,
@@ -42,26 +41,22 @@ from sbseries.trees import (
 )
 
 
-class CLIError(Exception):
-    """Validation failure with a user-facing message."""
-
-
 def _model_from_flags(args) -> T.TreeModel:
     # each color and Wiener index adds a label or a leaf before the
     # enumeration cap can act
     cap = T.DEFAULT_ENUMERATION_CAP
     if not (0 <= args.M <= cap and 0 <= args.l <= cap):
-        raise CLIError(f"--M and --l must be between 0 and {cap}, got {args.M} and {args.l}")
+        raise ValueError(f"--M and --l must be between 0 and {cap}, got {args.M} and {args.l}")
     if args.model == "semilinear":
         if args.M > T.MAX_G_COLOR:
-            raise CLIError(f"--M must be at most {T.MAX_G_COLOR} for the semilinear "
-                           f"model (g-node colors are single digits), got {args.M}")
+            raise ValueError(f"--M must be at most {T.MAX_G_COLOR} for the semilinear "
+                             f"model (g-node colors are single digits), got {args.M}")
         return T.SemiLinear(args.M)
     if args.model == "general":
         if args.model_preset == "langevin":
             return T.langevin_model()
-        raise CLIError("general model requires --model-preset langevin "
-                       "(table-driven models are library-level)")
+        raise ValueError("general model requires --model-preset langevin "
+                         "(table-driven models are library-level)")
     return T.NonAutonomous.from_table(
         M=args.M, l=args.l, variants={m: 1 for m in range(args.M + 1)})
 
@@ -81,7 +76,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def _order_cap(text: str) -> HalfInt:
     cap = HalfInt.parse(text)
     if cap.twice < 0:
-        raise CLIError(f"--cap must not be negative, got {text!r}")
+        raise ValueError(f"--cap must not be negative, got {text!r}")
     return cap
 
 
@@ -197,7 +192,7 @@ def cmd_converge(args, out) -> int:
     problem = get_problem(args.problem)
     # the steps of each rung divide --n-fine and double from rung to rung
     if args.h_fine - args.h_coarse >= max(args.n_fine, 1).bit_length():
-        raise CLIError("--n-fine cannot refine that many step sizes")
+        raise ValueError("--n-fine cannot refine that many step sizes")
     h_values = [2.0 ** -k for k in range(args.h_coarse, args.h_fine + 1)]
     report = ms_order_estimate(problem, h_values, args.paths, args.T,
                                args.seed, n_fine=args.n_fine)
@@ -306,8 +301,9 @@ def main(argv=None, out=None) -> int:
     gc.disable()
     try:
         return handlers[args.command](args, out)
-    except (CLIError, TreeError, ExprError, ValueError, KeyError, OSError,
-            OverflowError) as err:
+    except (ValueError, KeyError, OSError, OverflowError) as err:
+        # TreeError, ExprError and PathError, the library's error roots, are
+        # ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

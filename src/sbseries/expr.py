@@ -37,19 +37,22 @@ memoized, the monomial and divisor of an integral of a monomial are
 memoized per (color, integrand), and the text of a monomial is built once
 per depth class (top level or inside an integrand).  Instances keep value
 semantics: fresh equal instances are equal, not identical; the memos hand
-out one instance per result.
+out one instance per result.  The three memos are declared through
+:mod:`sbseries.memo` and listed in ``memo.CACHES`` with the package's other
+process-global caches.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from sbseries.memo import cached
 
-class ExprError(Exception):
+
+class ExprError(ValueError):
     pass
 
 
@@ -134,7 +137,7 @@ class Mono:
 ONE_MONO = Mono()
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def mono_mul(a: Mono, b: Mono) -> Mono:
     """Product of two monomials, memoized: a series operation multiplies
     the same few hundred monomials for every decomposition pair."""
@@ -321,7 +324,7 @@ def integral(color: int, factors) -> WeightExpr:
     return from_acc(out)
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _integral_mono(color: int, mono: Mono) -> tuple[Mono, int]:
     """``Int_color[mono]`` as (monomial, divisor of the coefficient),
     memoized so that equal integrals share one result instance."""
@@ -339,7 +342,7 @@ def _integral_mono(color: int, mono: Mono) -> tuple[Mono, int]:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _mono_text(mono: Mono, inner: bool) -> str:
     """Factor text of a monomial: at top level the factors joined by ``*``
     (time power, increments, integrals; empty for the unit), inside an

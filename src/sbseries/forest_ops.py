@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
+from sbseries.memo import cached
 from sbseries.trees import (
     Tree,
     TreeError,
@@ -57,7 +57,7 @@ class SubtreePair:
         return f"({self.subtree}, {{{rem}}}) * {self.coefficient}"
 
 
-@lru_cache(maxsize=None)
+@cached
 def _st_table(tau: Tree) -> tuple[tuple[Tree, tuple[Tree, ...], int], ...]:
     """All (theta, omega, gamma) for tau, gamma accumulated over markings.
 

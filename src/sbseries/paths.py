@@ -47,7 +47,7 @@ from sbseries.expr import (
 )
 
 
-class PathError(Exception):
+class PathError(ValueError):
     pass
 
 

@@ -19,12 +19,12 @@ leaf keys but are not members of the enumerated tree families.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr
 from sbseries.forest_ops import _st_table
+from sbseries.memo import cached
 from sbseries.trees import (
     FLabel,
     HalfInt,
@@ -79,7 +79,7 @@ def identity_weights(model: TreeModel, order_cap: HalfInt) -> BSeries:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached
 def exact_weight(tree: Tree) -> WeightExpr:
     """Weight of a single tree in the exact-flow expansion: leaves map to
     the driver value over the step, brackets to the integral of the product

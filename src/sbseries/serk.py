@@ -16,7 +16,6 @@ to its one other child, until a coefficient node roots the remainder.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr, normalize_interpretation, parse_expr
+from sbseries.memo import cached
 from sbseries.series import BSeries, exact_weight
 from sbseries.trees import (
     ALabel,
@@ -435,7 +435,7 @@ _PROBE_STEPS = 64
 _PROBE_TOL = 1e-10
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _probe_paths(n_colors: int) -> tuple[PathGrid, ...]:
     """The fixed probe paths with ``n_colors`` drivers, drawn once per
     process; their arrays are read-only, as every probe shares them."""

@@ -200,6 +200,8 @@ def ms_order_estimate(problem: SDEProblem, h_values, n_paths: int, T: float,
     operator in a step is linear in the batch axis.
     """
     _require_supported(problem)
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"need a finite positive horizon, got T={T}")
     h_values = list(h_values)
     if n_paths < 1 or len(h_values) < 2:
         raise ValueError("a slope needs at least one path and two step sizes")

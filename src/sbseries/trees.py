@@ -36,11 +36,12 @@ import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 
+from sbseries.memo import cached
 
-class TreeError(Exception):
+
+class TreeError(ValueError):
     """Base class for tree construction/validation errors."""
 
 
@@ -563,7 +564,7 @@ def langevin_model() -> GeneralPartitioned:
         Q=2, M=1, table={(0, 1): 2, (1, 1): 1, (0, 2): 1, (1, 2): 0})
 
 
-@lru_cache(maxsize=None)
+@cached
 def model_labels(model: TreeModel) -> frozenset[NodeLabel]:
     """Every label a tree of the model may carry: the node labels, the
     adjoined leaves and the empty tree of each partition."""

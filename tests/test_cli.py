@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbseries import cli
 from sbseries.cli import main
+from sbseries.paths import ColorMissing
 from sbseries.trees import parse_tree
 
 
@@ -392,6 +394,29 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("argv, error, message", [
+        (("trees", "enum", "--model", "general", "--cap", "1"), None,
+         "general model requires --model-preset langevin "
+         "(table-driven models are library-level)"),
+        (("trees", "info", "[t]()"), None, "the empty tree cannot have children"),
+        (("trees", "info", "1"), RecursionError("maximum recursion depth exceeded"),
+         "input nested too deeply"),
+        (("weights", "mc", "--expr", "dW1") + MC_FLAGS,
+         ColorMissing("path carries colors 1..1, not 2"), "path carries colors 1..1, not 2"),
+    ], ids=["general-without-preset", "empty-tree-with-children", "recursion",
+            "color-missing"])
+    def test_failure_is_two_with_its_error_line(self, argv, error, message, monkeypatch,
+                                                capsys):
+        # an injected error is raised by the command's handler
+        def boom(*args):
+            raise error
+
+        if error is not None:
+            monkeypatch.setattr(cli, f"cmd_{argv[0]}", boom)
+        assert run(*argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("argv", [
         ("trees", "enum", "--cap", "1/0"),
@@ -462,6 +487,14 @@ class TestInputValidation:
         assert code == 2
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("T", ["nan", "inf", "-inf", "0"])
+    def test_converge_horizon_must_be_finite_and_positive(self, T, capsys):
+        code, text = run("converge", "--problem", "langevin", "--paths", "2", "--seed", "1",
+                         "--n-fine", "64", f"--T={T}")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: need a finite positive horizon, got T={float(T)}\n")
 
     def test_cap_zero_is_valid(self):
         assert run("trees", "enum", "--cap", "0") == (0, "tree,rho,alpha\n")

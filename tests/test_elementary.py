@@ -1,5 +1,7 @@
 """Elementary differentials, series evaluation, and the FD machinery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -480,3 +482,24 @@ class TestDerivativeProductOracle:
         # truncation decays at least like h^(cap + 1/2)
         fit = np.polyfit(np.log2(ladder), np.log2(errs), 1)[0]
         assert fit > 2.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SDEProblem("x", T.SemiLinear(1), (1, 1), np.zeros(3)), ValueError,
+     "x0 must be the flat concatenation of the blocks"),
+    (lambda: get_problem("langevin-partitioned").t0, ValueError,
+     "t0 is defined for semi-linear problems"),
+    (lambda: get_problem("scalar-semilinear").coefficient(1, 1, 2), ModelMismatch,
+     "no coefficient (1,1,2) on scalar-semilinear"),
+    (lambda: get_problem("langevin-partitioned").coefficient(1, 1, 5), ModelMismatch,
+     "no coefficient (1,1,5) on langevin-partitioned"),
+    (lambda: get_problem("langevin-partitioned").a_derivative(0, 0.0), ModelMismatch,
+     "langevin-partitioned has no linear part"),
+    (lambda: eval_elementary(get_problem("scalar-semilinear"), parse_tree("[1]g(1,1,0)")),
+     ModelMismatch, "scalar-semilinear is semi-linear"),
+], ids=["x0-shape", "partitioned-t0", "semilinear-coefficient", "partitioned-coefficient",
+        "no-linear-part", "general-label-on-semilinear"])
+def test_problem_error_class_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error

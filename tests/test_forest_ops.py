@@ -255,3 +255,10 @@ class TestGamma:
     def test_coefficients_positive(self):
         for tau in enumerate_trees(T.SemiLinear(1), HalfInt(5)):
             assert all(p.coefficient > 0 for p in subtree_pairs(tau))
+
+
+@pytest.mark.parametrize("pairs", [subtree_pairs, split_pairs])
+def test_pairs_of_the_empty_tree_raise(pairs):
+    with pytest.raises(ValueError, match=r"^ST is defined for non-empty trees$") as info:
+        pairs(empty_tree())
+    assert type(info.value) is ValueError

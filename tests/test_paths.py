@@ -359,3 +359,11 @@ class TestMCMoments:
             if n_paths > 1 else 0.0
         stats = mc_moments(expr, 0.3, n_steps, n_paths, interp, seed)
         assert stats == MCStats(n_paths, mean, variance)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_wiener_of_a_color_the_path_lacks(m):
+    path = sample_path(0.5, 4, 1, 0)
+    with pytest.raises(ColorMissing, match=f"^path carries colors 1..1, not {m}$") as info:
+        path.wiener(m)
+    assert type(info.value) is ColorMissing

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
 )
 
 from sbseries import expr as E
+from sbseries import memo
 from sbseries import trees as T
 from sbseries.expr import ExprParseError, parse_expr
 from sbseries.series import (
@@ -33,7 +35,7 @@ from sbseries.series import (
     function_series,
     identity_weights,
 )
-from sbseries.trees import HalfInt, Tree, alpha, enumerate_trees, parse_tree
+from sbseries.trees import HalfInt, ModelMismatch, Tree, alpha, enumerate_trees, parse_tree
 
 EX2 = "[[[g(2,1,0),g(2,1,0)]g(1,2,0),g(1,1,0)]g(1,1,1),g(2,1,0)]g(1,2,0)"
 
@@ -399,7 +401,7 @@ class TestExprCaches:
         # 19,202 products of 1,079 distinct pairs: a change that defeats
         # the memo, or multiplies other monomials, fails here
         phi = exact_solution_series(T.SemiLinear(1), HalfInt(7))
-        E.mono_mul.cache_clear()
+        memo.clear()
         compose(phi, phi)
         info = E.mono_mul.cache_info()
         assert info.misses == 1079
@@ -409,8 +411,7 @@ class TestExprCaches:
     def test_exact_series_integral_misses(self):
         # 967 integrals of 322 distinct (color, integrand) pairs: a change
         # that defeats the memo, or integrates other monomials, fails here
-        E._integral_mono.cache_clear()
-        exact_weight.cache_clear()
+        memo.clear()
         exact_solution_series(T.SemiLinear(1), HalfInt(7))
         info = E._integral_mono.cache_info()
         assert info.misses == 322
@@ -628,3 +629,27 @@ class TestPinnedSeries:
         assert len(out.weights) == 465
         assert _series_digest(out) == (
             "cad72caf1538ecbd406a3988f765b4e54c6c95f9d346caee8d3d7fbfc13da8b7")
+
+
+@pytest.mark.parametrize("operation", [compose, derivative_product])
+def test_series_of_different_models_do_not_combine(operation):
+    a = identity_weights(T.SemiLinear(1), HalfInt(1))
+    b = identity_weights(T.SemiLinear(2), HalfInt(1))
+    with pytest.raises(ModelMismatch,
+                       match=r"^SemiLinear\(M=1\) vs SemiLinear\(M=2\)$") as info:
+        operation(a, b)
+    assert type(info.value) is ModelMismatch
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: E.H ** -1, E.ExprError, "negative powers are not defined"),
+    (lambda: E.integral(-1, [E.H]), E.ExprError, "invalid color -1"),
+    (lambda: parse_expr("(h]"), ExprParseError, "expected ')'"),
+    (lambda: parse_expr("Int1 h"), ExprParseError, "expected '[' after Int"),
+    (lambda: parse_expr("Int1[h)"), ExprParseError, "expected ']'"),
+], ids=["negative-power", "negative-color", "unclosed-group", "int-without-bracket",
+        "unclosed-int"])
+def test_expression_error_class_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error

@@ -10,11 +10,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import validate_tree
+from test_imports import run_python
 
 import sbseries.paths
 from sbseries import cli
 from sbseries import expr as E
-from sbseries import serk
+from sbseries import memo, serk
 from sbseries.elementary import eval_elementary, get_problem
 from sbseries.expr import parse_expr
 from sbseries.forest_ops import split_pairs
@@ -448,7 +449,7 @@ class TestProbePaths:
             calls.append(args)
             return sample_path(*args, **kwargs)
 
-        serk._probe_paths.cache_clear()
+        memo.clear()
         monkeypatch.setattr(sbseries.paths, "sample_path", counted)
         assert cli.main(["erk", "residuals", "--method", "builtin:midpoint",
                          "--cap", "7/2"]) == 0
@@ -514,16 +515,25 @@ class TestMethodJSON:
                 f"malformed method file: {what} is not an integer: 'x'")):
             method_from_json(json.dumps(data))
 
-    def test_color_count_is_checked_before_any_series(self, midpoint):
-        # reading a series interns one label per color of the model
-        from sbseries.trees import GLabel
-        data = json.loads(method_to_json(midpoint))
-        data["colors"] = 10 ** 12
-        interned = dict(GLabel._interned)
-        with pytest.raises(ValueError,
-                           match=r"^Z and z must be keyed by the colors 0\.\.1000000000000$"):
-            method_from_json(json.dumps(data))
-        assert GLabel._interned == interned
+    def test_color_count_is_checked_before_any_series(self):
+        # reading a series interns one label per color of the model.  A
+        # fresh interpreter has interned no label of the 23 colors, which no
+        # other test uses, so an interned label shows; without the check the
+        # method itself raises the same message
+        out = run_python(
+            "import json\n"
+            "from sbseries.serk import builtin_exponential_midpoint, method_from_json, "
+            "method_to_json\n"
+            "from sbseries.trees import GLabel\n"
+            "data = json.loads(method_to_json(builtin_exponential_midpoint()))\n"
+            "data['colors'] = 23\n"
+            "interned = dict(GLabel._interned)\n"
+            "try:\n"
+            "    method_from_json(json.dumps(data))\n"
+            "except ValueError as err:\n"
+            "    print(err)\n"
+            "print(GLabel._interned == interned)\n")
+        assert out == "Z and z must be keyed by the colors 0..23\nTrue\n"
 
     def test_non_string_name_is_a_value_error(self, midpoint):
         with pytest.raises(ValueError, match=r"^a method name must be a string, got \[1\]$"):
@@ -532,3 +542,27 @@ class TestMethodJSON:
         data["name"] = [1]
         with pytest.raises(ValueError, match=r"^a method name must be a string, got \[1\]$"):
             method_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: dataclasses.replace(m, Z={0: m.Z[0]}), ValueError,
+     "Z and z must be keyed by the colors 0..1"),
+    (lambda m: dataclasses.replace(m, Z={**m.Z, 1: ()}), ValueError,
+     "Z[1] must be 1 rows of 1 series"),
+    (lambda m: dataclasses.replace(m, z={**m.z, 1: ()}), ValueError,
+     "z[1] must hold 1 series"),
+    (lambda m: dataclasses.replace(m, Z0=(dataclasses.replace(m.Z0[0], empty_weight=E.ZERO),)),
+     ValueError, "Z0[0] must have empty weight 1"),
+    (lambda m: dataclasses.replace(m, z0=dataclasses.replace(m.z0, empty_weight=E.ZERO)),
+     ValueError, "z0 must have empty weight 1"),
+    (lambda m: dataclasses.replace(m, z0=dataclasses.replace(
+        m.z0, weights={parse_tree("[1]A"): E.H})),
+     ValueError, "coefficient key [1]A is not an A-tree"),
+    (lambda m: erk_weight_at(m, parse_tree("[1]g(1,1,0)")), NoAdmissibleSplit,
+     "no A-tree/coefficient split for [1]g(1,1,0)"),
+], ids=["color-keys", "Z-shape", "z-length", "Z0-empty-weight", "z0-empty-weight",
+        "coefficient-key", "no-admissible-split"])
+def test_method_error_class_and_message(midpoint, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call(midpoint)
+    assert type(info.value) is error

@@ -303,3 +303,13 @@ class TestOrderEstimate:
     def test_report_rows(self):
         report = ConvergenceReport((0.5, 0.25), (0.1, 0.05), (0.01, 0.005), 1.0)
         assert report.rows() == [(0.5, 0.1, 0.01), (0.25, 0.05, 0.005)]
+
+
+@pytest.mark.parametrize("h, n_steps", [(0.3, 2), (0.5, 4), (0.1, 2)],
+                         ids=["off-grid", "past-the-path", "finer-than-the-grid"])
+def test_path_grid_must_resolve_the_steps(h, n_steps):
+    path = sample_path(1.0, 4, 1, 0)
+    with pytest.raises(SimulationError,
+                       match=f"^path grid does not resolve {n_steps} steps of {h}$") as info:
+        integrate_erk(get_problem("scalar-semilinear"), h, n_steps, path)
+    assert type(info.value) is SimulationError

@@ -636,3 +636,10 @@ class TestModelLabels:
     def test_membership_matches_per_model_checks(self, model):
         for label in LABEL_GRID:
             assert (label in T.model_labels(model)) == _oracle_accepts(model, label), label
+
+
+@pytest.mark.parametrize("text", ["[t]()", "[1,0]()"])
+def test_empty_tree_with_children_is_invalid(text):
+    with pytest.raises(InvalidLabel, match=r"^the empty tree cannot have children$") as info:
+        parse_tree(text)
+    assert type(info.value) is InvalidLabel
