@@ -8,18 +8,15 @@ split, series, erk residuals without the probe) load neither numpy nor
 scipy.
 
 A command runs with the cyclic garbage collector paused, and the caller's
-collector state is restored when it returns.  Trees, label tables and memo
-caches hold no reference cycles, so reference counting alone frees what a
-command drops, while the collector's passes over tens of thousands of live
-trees took about a tenth of the run time of ``trees enum --model semilinear
---M 1 --cap 5``.
+collector state is restored when it returns (see :mod:`sbseries.memo`): the
+collector's passes over tens of thousands of live trees took about a tenth
+of the run time of ``trees enum --model semilinear --M 1 --cap 5``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import io
 import math
 import sys
@@ -28,6 +25,7 @@ from collections.abc import Iterator
 from sbseries import trees as T
 from sbseries.expr import parse_expr
 from sbseries.forest_ops import split_pairs, subtree_pairs
+from sbseries.memo import collector_paused
 from sbseries.trees import (
     HalfInt,
     SimulationError,
@@ -297,10 +295,9 @@ def main(argv=None, out=None) -> int:
         "weights": cmd_weights,
         "converge": cmd_converge,
     }
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        return handlers[args.command](args, out)
+        with collector_paused():
+            return handlers[args.command](args, out)
     except (ValueError, KeyError, OSError, OverflowError) as err:
         # TreeError, ExprError and PathError, the library's error roots, are
         # ValueErrors
@@ -315,9 +312,6 @@ def main(argv=None, out=None) -> int:
     except SimulationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    finally:
-        if enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -175,16 +175,8 @@ class WeightExpr:
     def colors(self) -> set[int]:
         """All stochastic colors referenced anywhere in the expression."""
         out: set[int] = set()
-
-        def visit(mono: Mono):
-            out.update(m for m, _ in mono.dws)
-            for atom, _ in mono.ints:
-                if atom.color > 0:
-                    out.add(atom.color)
-                visit(atom.integrand)
-
         for _, mono in self.terms:
-            visit(mono)
+            _add_colors(mono, out)
         return out
 
     # -- arithmetic ------------------------------------------------------
@@ -232,6 +224,16 @@ class WeightExpr:
 
     def __str__(self) -> str:
         return format_expr(self)
+
+
+def _add_colors(mono: Mono, out: set[int]) -> None:
+    # a module-level function: a nested recursive one would be a reference
+    # cycle, garbage that only the cyclic collector frees
+    out.update(m for m, _ in mono.dws)
+    for atom, _ in mono.ints:
+        if atom.color > 0:
+            out.add(atom.color)
+        _add_colors(atom.integrand, out)
 
 
 def accumulate(acc: dict[Mono, tuple[int, int]], factors,

@@ -9,9 +9,19 @@ every cache, for tests that count misses from a cold start.
 Identity tables are not caches and are not listed: the label intern tables
 and the per-label tree tables, where equality is object identity, and the
 parser's token table.  Clearing them would break that equality.
+
+These caches and tables hold tens of thousands of long-lived trees and
+weights, and CPython's cyclic collector rescans them on every collection,
+though no call of the package makes a reference cycle: reference counting
+alone frees what a call drops.  :func:`collector_paused` therefore pauses the
+collector around the two places that build most of them: each command of
+``sbseries.cli.main`` and the decomposition sum behind
+``sbseries.series.compose`` and ``derivative_product``.
 """
 
+import contextlib
 import functools
+import gc
 
 CACHES: list = []
 
@@ -27,3 +37,17 @@ def clear() -> None:
     """Empty every registered cache."""
     for memo in CACHES:
         memo.cache_clear()
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Run the body with the cyclic garbage collector off, and turn it back
+    on afterwards only if it was on, so nested use and a caller that turned
+    it off are left alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

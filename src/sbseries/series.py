@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr
 from sbseries.forest_ops import _st_table
-from sbseries.memo import cached
+from sbseries.memo import cached, collector_paused
 from sbseries.trees import (
     FLabel,
     HalfInt,
@@ -149,12 +149,13 @@ def derivative_product(phi_x: BSeries, phi_y: BSeries) -> BSeries:
                               ex.ZERO)
 
 
+@collector_paused()
 def _decomposition_sum(phi_x: BSeries, phi_y: BSeries,
                        pairs: Callable[[Tree], Iterable[tuple[Tree, tuple[Tree, ...], int]]],
                        empty_weight: WeightExpr) -> BSeries:
     """For every tree up to the smaller cap, the sum over the rows
     (theta, omega, gamma) of ``pairs(tree)`` of gamma * phi_y(theta) *
-    product of phi_x over omega."""
+    product of phi_x over omega; runs with the cyclic collector paused."""
     cap = min(phi_x.order_cap, phi_y.order_cap)
     out: dict[Tree, WeightExpr] = {}
     for tree in _series_domain(phi_x, phi_y, cap):

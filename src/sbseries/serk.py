@@ -296,19 +296,21 @@ def exp_integral_series(lo: Fraction, hi: Fraction, order: int) -> dict[Tree, We
     letters = [Fraction(hi ** (k + 1) - lo ** (k + 1), 1) / math.factorial(k + 1)
                for k in range(order)]
     weights: dict[Tree, WeightExpr] = {}
-
-    def walk(inner: Tree | None, length: int, num: int, den: int, used: int) -> None:
-        # prepend one letter as the new root of the chain below it; the
-        # product of the letters so far is num/den
-        for k, c in enumerate(letters[:order - used]):
-            chain = Tree(ALabel(), (T_LEAF,) * k + ((inner,) if inner is not None else ()))
-            n, d = num * c.numerator, den * c.denominator
-            weights[chain] = ex.h_power(used + k + 1,
-                                        Fraction(n, d * math.factorial(length + 1)))
-            walk(chain, length + 1, n, d, used + k + 1)
-
-    walk(None, 0, 1, 1, 0)
+    _add_chains(weights, letters, None, 0, 1, 1, 0)
     return weights
+
+
+def _add_chains(weights: dict[Tree, WeightExpr], letters: list[Fraction], inner: Tree | None,
+                length: int, num: int, den: int, used: int) -> None:
+    # prepend one letter as the new root of the chain below it; the product
+    # of the letters so far is num/den.  A module-level function: a nested
+    # recursive one would be a reference cycle.
+    for k, c in enumerate(letters[:len(letters) - used]):
+        chain = Tree(ALabel(), (T_LEAF,) * k + ((inner,) if inner is not None else ()))
+        n, d = num * c.numerator, den * c.denominator
+        weights[chain] = ex.h_power(used + k + 1,
+                                    Fraction(n, d * math.factorial(length + 1)))
+        _add_chains(weights, letters, chain, length + 1, n, d, used + k + 1)
 
 
 def builtin_exponential_midpoint() -> ERKMethodSpec:

@@ -496,6 +496,19 @@ class TestInputValidation:
         assert capsys.readouterr().err == (
             f"error: need a finite positive horizon, got T={float(T)}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("converge", "--problem", "scalar-semilinear", "--paths", "2", "--seed", "1",
+          "--T", "0.3"), "step 0.0625 does not divide the horizon 0.3"),
+        (("converge", "--problem", "scalar-semilinear", "--paths", "2", "--seed", "1",
+          "--n-fine", "100"), "fine grid does not refine step 0.0625"),
+        (("weights", "mc", "--expr", "dW0") + MC_FLAGS,
+         "increment atoms exist for stochastic colors only"),
+        (("weights", "mc", "--expr", "h^h") + MC_FLAGS, "exponent must be an integer, got 'h'"),
+    ], ids=["step-divides-horizon", "fine-grid-refines-step", "dw0", "symbolic-exponent"])
+    def test_library_check_exits_two_with_its_error_line(self, argv, message, capsys):
+        assert run(*argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_cap_zero_is_valid(self):
         assert run("trees", "enum", "--cap", "0") == (0, "tree,rho,alpha\n")
 

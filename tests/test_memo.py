@@ -1,18 +1,41 @@
 """The memo registry: every process-global cache is listed in
 ``sbseries.memo.CACHES``, and ``memo.clear()`` empties them all while the
-label and tree intern tables keep their objects.
+label and tree intern tables keep their objects.  The collector pause:
+``memo.collector_paused()`` and the calls that use it restore the caller's
+collector state, and no call of the package leaves cyclic garbage, which
+only the paused collector could free.
 
 Checks of which caches exist run in a fresh interpreter, where no test
 has touched the registry.
 """
 
+import gc
+
+import pytest
 from test_imports import run_python
 
 from sbseries import expr as E
 from sbseries import memo, serk
+from sbseries.elementary import eval_bseries, get_problem
 from sbseries.forest_ops import subtree_pairs
-from sbseries.series import exact_weight
-from sbseries.trees import GLabel, SemiLinear, parse_tree
+from sbseries.paths import mc_moments, sample_path
+from sbseries.series import (
+    BSeries,
+    compose,
+    derivative_product,
+    exact_solution_series,
+    exact_weight,
+)
+from sbseries.sim import ms_order_estimate
+from sbseries.trees import (
+    GLabel,
+    HalfInt,
+    SemiLinear,
+    enumerate_trees,
+    format_tree,
+    langevin_model,
+    parse_tree,
+)
 
 SEVEN = ["expr.mono_mul", "expr._integral_mono", "expr._mono_text",
          "forest_ops._st_table", "series.exact_weight", "serk._probe_paths",
@@ -61,3 +84,90 @@ def test_clear_empties_every_cache_and_keeps_interned_labels():
     assert [c.cache_info().currsize for c in memo.CACHES] == [0] * len(memo.CACHES)
     assert GLabel(1) is label
     assert parse_tree("[[1]0,1]1", SemiLinear(1)) is tree
+
+
+@pytest.fixture(params=[True, False], ids=["on", "off"])
+def collector(request):
+    """The collector turned on or off for the test, and the caller's state
+    restored afterwards."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def series_operations(model, cap=HalfInt(7)):
+    phi = exact_solution_series(model, cap)
+    compose(phi, phi)
+    derivative_product(BSeries(model, cap, dict(phi.weights), E.ZERO), phi)
+
+
+class TestCollectorPaused:
+    def test_series_operations_restore_the_collector_state(self, collector):
+        series_operations(SemiLinear(1), HalfInt(3))
+        assert gc.isenabled() is collector
+
+    def test_state_is_restored_when_the_body_raises(self, collector):
+        with pytest.raises(KeyError):
+            with memo.collector_paused():
+                assert not gc.isenabled()
+                raise KeyError("body")
+        assert gc.isenabled() is collector
+
+    def test_nested_use_stays_paused_until_the_outer_exits(self, collector):
+        with memo.collector_paused():
+            with memo.collector_paused():
+                pass
+            assert not gc.isenabled()
+        assert gc.isenabled() is collector
+
+
+def midpoint_residuals():
+    for row in serk.order_residuals(serk.builtin_exponential_midpoint(), HalfInt(7)):
+        if not row.residual.is_zero:
+            serk.residual_is_pathwise_zero(row.residual)
+
+
+def tree_round_trip():
+    model = SemiLinear(1)
+    for tree in enumerate_trees(model, HalfInt(5)):
+        assert parse_tree(format_tree(tree), model) is tree
+
+
+def series_at_cap_two():
+    problem = get_problem("scalar-semilinear")
+    eval_bseries(problem, exact_solution_series(SemiLinear(1), HalfInt(2)), problem.x0,
+                 0.25, sample_path(0.25, 32, 1, 2))
+
+
+NO_CYCLE_CALLS = {
+    "exponential_midpoint": serk.builtin_exponential_midpoint,
+    "order_residuals": midpoint_residuals,
+    "series_semilinear": lambda: series_operations(SemiLinear(1)),
+    "series_langevin": lambda: series_operations(langevin_model()),
+    "eval_bseries": series_at_cap_two,
+    "mc_moments": lambda: mc_moments(E.parse_expr("Int1[Int0[dW1]]*dW1"), 0.25, 16, 40,
+                                     seed=3),
+    "ms_order_estimate": lambda: ms_order_estimate(
+        get_problem("langevin"), [2 ** -2, 2 ** -3], 4, 1.0, 5, n_fine=64),
+    "trees": tree_round_trip,
+}
+
+
+@pytest.mark.parametrize("name", list(NO_CYCLE_CALLS))
+def test_call_leaves_no_cyclic_garbage(name):
+    # the first call of a probe imports numpy and scipy, whose import
+    # leaves cyclic garbage of its own
+    call = NO_CYCLE_CALLS[name]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

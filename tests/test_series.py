@@ -89,6 +89,9 @@ class TestExprNormalization:
             with pytest.raises(ExprParseError):
                 parse_expr(bad)
 
+    def test_parenthesized_group_distributes(self):
+        assert parse_expr("2*(h+dW1)") == parse_expr("2*dW1 + 2*h")
+
 
 def _exprs():
     atoms = st.sampled_from([
