@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import sys
 from collections.abc import Iterator
@@ -114,19 +113,18 @@ def _tree_rows(trees) -> Iterator[list[str]]:
                alpha_text.get(sigma) or alpha_text.setdefault(sigma, str(alpha(tree)))]
 
 
-def cmd_trees(args, out) -> int:
+def cmd_trees(args, out) -> None:
     if args.tree_cmd == "enum":
         model = _model_from_flags(args)
         trees = enumerate_trees(model, _order_cap(args.cap))
         _write_rows(out, ["tree", "rho", "alpha"], _tree_rows(trees))
-        return 0
-    if args.tree_cmd == "info":
+    elif args.tree_cmd == "info":
         _write_rows(out, ["tree", "rho", "alpha"], _tree_rows([parse_tree(args.tree)]))
-        return 0
-    return cmd_split(args, out)
+    else:
+        cmd_split(args, out)
 
 
-def cmd_split(args, out) -> int:
+def cmd_split(args, out) -> None:
     tree = parse_tree(args.tree)
     pairs = split_pairs(tree) if not args.full else subtree_pairs(tree)
     rows = []
@@ -134,10 +132,9 @@ def cmd_split(args, out) -> int:
         remainder = ",".join(format_tree(t) for t in p.remainder)
         rows.append([format_tree(p.subtree), f"{{{remainder}}}", str(p.coefficient)])
     _write_rows(out, ["subtree", "remainder", "gamma"], rows)
-    return 0
 
 
-def cmd_series(args, out) -> int:
+def cmd_series(args, out) -> None:
     from sbseries.series import exact_solution_series
 
     model = _model_from_flags(args)
@@ -146,10 +143,9 @@ def cmd_series(args, out) -> int:
     rows = zip(_tree_rows(trees), trees)
     _write_rows(out, ["tree", "rho", "alpha", "weight"],
                 (row + [str(series.weight(tree))] for row, tree in rows))
-    return 0
 
 
-def cmd_erk(args, out) -> int:
+def cmd_erk(args, out) -> None:
     from sbseries.serk import order_residuals, residual_is_pathwise_zero, resolve_method
 
     method = resolve_method(args.method)
@@ -163,10 +159,9 @@ def cmd_erk(args, out) -> int:
         rows.append([format_tree(r.tree), str(r.tree_order),
                      str(r.exact_weight), str(r.numeric_weight), text])
     _write_rows(out, ["tree", "rho", "exact", "numeric", "residual"], rows)
-    return 0
 
 
-def cmd_weights(args, out) -> int:
+def cmd_weights(args, out) -> None:
     import numpy as np
 
     from sbseries.paths import mc_moments
@@ -180,10 +175,9 @@ def cmd_weights(args, out) -> int:
     _write_rows(out, ["mean", "variance", "stderr"],
                 [[_float_repr(stats.mean), _float_repr(stats.variance),
                   _float_repr(stats.stderr)]])
-    return 0
 
 
-def cmd_converge(args, out) -> int:
+def cmd_converge(args, out) -> None:
     from sbseries.elementary import get_problem
     from sbseries.sim import ms_order_estimate
 
@@ -198,16 +192,13 @@ def cmd_converge(args, out) -> int:
     for k, (h, rms_err, se) in enumerate(report.rows()):
         slope = _float_repr(report.slope) if k == len(report.h_values) - 1 else ""
         rows.append([_float_repr(h), _float_repr(rms_err), _float_repr(se), slope])
-    buffer = io.StringIO()
-    _write_rows(buffer, ["h", "rms_error", "se", "slope"], rows)
-    text = buffer.getvalue()
+    header = ["h", "rms_error", "se", "slope"]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_rows(fh, header, rows)
         out.write(f"wrote {args.out}\n")
     else:
-        out.write(text)
-    return 0
+        _write_rows(out, header, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +288,8 @@ def main(argv=None, out=None) -> int:
     }
     try:
         with collector_paused():
-            return handlers[args.command](args, out)
+            handlers[args.command](args, out)
+        return 0
     except (ValueError, KeyError, OSError, OverflowError) as err:
         # TreeError, ExprError and PathError, the library's error roots, are
         # ValueErrors

@@ -32,6 +32,7 @@ import numpy as np
 
 from sbseries import jets
 from sbseries import trees as T
+from sbseries.expr import normalize_interpretation
 from sbseries.paths import PathGrid, eval_weights
 from sbseries.series import BSeries
 from sbseries.trees import (
@@ -70,6 +71,7 @@ class SDEProblem:
     g: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        normalize_interpretation(self.interpretation)  # kept as spelled, if known
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (sum(self.dims),):
             raise ValueError("x0 must be the flat concatenation of the blocks")
@@ -250,6 +252,13 @@ def _langevin_alpha(t):
     return 1.0 + 0.25 * t * t
 
 
+def _semilinear(name: str, x0: list, t0: float, A: Callable, g: list) -> SDEProblem:
+    """The semi-linear problem dx = (A(t) x + g[0](x, t)) dt + sum_m g[m](x, t) dW_m,
+    m = 1..len(g) - 1, started from ``x0`` at time ``t0``."""
+    return SDEProblem(name, SemiLinear(len(g) - 1), (len(x0), 1), np.array(x0 + [t0]),
+                      A=A, g=dict(enumerate(g)))
+
+
 def _make_langevin_partitioned(name: str, v_dependent: bool) -> SDEProblem:
     def noise_velocity_factor(v):
         return 1.0 + 0.125 * v * v if v_dependent else 1.0
@@ -262,14 +271,8 @@ def _make_langevin_partitioned(name: str, v_dependent: bool) -> SDEProblem:
              * (1.0 + 0.5 * x2[0])]),
         (2, 1, 0): lambda x1, x2: np.array([1.0]),
     }
-    return SDEProblem(
-        name=name,
-        model=T.langevin_model(),
-        dims=(2, 1),
-        x0=np.array([0.5, 0.3, 0.4]),
-        interpretation="stratonovich",
-        coeffs=coeffs,
-    )
+    return SDEProblem(name, T.langevin_model(), (2, 1), np.array([0.5, 0.3, 0.4]),
+                      coeffs=coeffs)
 
 
 def _make_langevin_semilinear() -> SDEProblem:
@@ -290,15 +293,7 @@ def _make_langevin_semilinear() -> SDEProblem:
     def g1(x, t):
         return velocity_row(x[0], 0.2 * np.cos(x[0]) * (1.0 + 0.5 * t))
 
-    return SDEProblem(
-        name="langevin",
-        model=SemiLinear(1),
-        dims=(2, 1),
-        x0=np.array([0.5, 0.3, 0.4]),
-        interpretation="stratonovich",
-        A=A,
-        g={0: g0, 1: g1},
-    )
+    return _semilinear("langevin", [0.5, 0.3], 0.4, A, [g0, g1])
 
 
 def _make_noncommutative() -> SDEProblem:
@@ -314,15 +309,7 @@ def _make_noncommutative() -> SDEProblem:
         return np.array([0.15 * np.cos(x[0]),
                          0.1 * np.sin(x[0] + x[1]) * (1.0 + 0.125 * t)])
 
-    return SDEProblem(
-        name="noncomm-2x2",
-        model=SemiLinear(1),
-        dims=(2, 1),
-        x0=np.array([0.6, 0.4, 0.0]),
-        interpretation="stratonovich",
-        A=A,
-        g={0: g0, 1: g1},
-    )
+    return _semilinear("noncomm-2x2", [0.6, 0.4], 0.0, A, [g0, g1])
 
 
 def _make_scalar_semilinear() -> SDEProblem:
@@ -334,15 +321,7 @@ def _make_scalar_semilinear() -> SDEProblem:
     def g1(x, t):
         return 0.25 * np.cos(x) * (1.0 + 0.2 * t)
 
-    return SDEProblem(
-        name="scalar-semilinear",
-        model=SemiLinear(1),
-        dims=(1, 1),
-        x0=np.array([0.8, 0.0]),
-        interpretation="stratonovich",
-        A=A,
-        g={0: g0, 1: g1},
-    )
+    return _semilinear("scalar-semilinear", [0.8], 0.0, A, [g0, g1])
 
 
 _REGISTRY: dict[str, Callable[[], SDEProblem]] = {

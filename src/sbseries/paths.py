@@ -94,9 +94,10 @@ class PathGrid:
 
 
 def _seed_tuple(seed) -> tuple:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    base = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(map(int, seed))
+    if any(s < 0 for s in base):
+        raise ValueError(f"a seed must be non-negative, got {seed}")
+    return base
 
 
 # Paths per chunk.  With the per-call workspace, 8 and 16 took the same time

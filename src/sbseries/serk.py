@@ -337,7 +337,6 @@ def builtin_exponential_midpoint() -> ERKMethodSpec:
         z0=BSeries(model, cap, full),
         z={0: (BSeries(model, cap, z1_0, ex.H),),
            1: (BSeries(model, cap, z1_1, ex.dw(1)),)},
-        interpretation="stratonovich",
     )
 
 

@@ -504,7 +504,14 @@ class TestInputValidation:
         (("weights", "mc", "--expr", "dW0") + MC_FLAGS,
          "increment atoms exist for stochastic colors only"),
         (("weights", "mc", "--expr", "h^h") + MC_FLAGS, "exponent must be an integer, got 'h'"),
-    ], ids=["step-divides-horizon", "fine-grid-refines-step", "dw0", "symbolic-exponent"])
+        (("weights", "mc", "--expr", "dW1") + MC_FLAGS[:-1] + ("-1",),
+         "a seed must be non-negative, got -1"),
+        (("weights", "mc", "--expr", "h") + MC_FLAGS[:-1] + ("-1",),
+         "a seed must be non-negative, got -1"),
+        (("converge", "--problem", "scalar-semilinear", "--paths", "2", "--seed", "-5"),
+         "a seed must be non-negative, got -5"),
+    ], ids=["step-divides-horizon", "fine-grid-refines-step", "dw0", "symbolic-exponent",
+            "mc-negative-seed", "mc-negative-seed-no-paths", "converge-negative-seed"])
     def test_library_check_exits_two_with_its_error_line(self, argv, message, capsys):
         assert run(*argv) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -385,6 +385,16 @@ class TestEvalBSeries:
         got = eval_bseries(prob, series, prob.x0, h, path)
         assert got.tobytes() == want.tobytes()
 
+    def test_stored_zero_weight_is_skipped(self):
+        # a tree stored with the weight ZERO adds nothing, not even the +0.0
+        # that would turn a negative zero of the state positive
+        prob = get_problem("scalar-semilinear")
+        x, path = -0.0 * prob.x0, sample_path(0.25, 64, 1, (5, 2))
+        got, want = (eval_bseries(prob, BSeries(T.SemiLinear(1), HalfInt(2), weights),
+                                  x, 0.25, path)
+                     for weights in ({parse_tree("1"): E.ZERO}, {}))
+        assert got.tobytes() == want.tobytes()
+
 
 def _truncation_slope(prob, series, numeric) -> float:
     """Fitted log2 slope of the RMS gap between ``series`` over one step
@@ -497,8 +507,10 @@ class TestDerivativeProductOracle:
      "langevin-partitioned has no linear part"),
     (lambda: eval_elementary(get_problem("scalar-semilinear"), parse_tree("[1]g(1,1,0)")),
      ModelMismatch, "scalar-semilinear is semi-linear"),
+    (lambda: SDEProblem("x", T.SemiLinear(1), (1, 1), np.zeros(2), interpretation=None),
+     ValueError, "unknown interpretation None"),
 ], ids=["x0-shape", "partitioned-t0", "semilinear-coefficient", "partitioned-coefficient",
-        "no-linear-part", "general-label-on-semilinear"])
+        "no-linear-part", "general-label-on-semilinear", "interpretation"])
 def test_problem_error_class_and_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()

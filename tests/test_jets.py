@@ -12,7 +12,8 @@ C = np.array([0.5, -1.25])
 
 def fn(x):
     s = x[0] * C[0] + x[1] * C[1]
-    return np.array([np.exp(s), np.sin(s), np.cos(s), x[0] ** 3, 2.0 - x[1] / 4.0])
+    return np.array([np.exp(s), np.sin(s), np.cos(s), x[0] ** 3, 2.0 - x[1] / 4.0,
+                     x[0] ** 3 - x[1] / 4.0])
 
 
 def closed_form(x, directions):
@@ -23,7 +24,7 @@ def closed_form(x, directions):
         if k <= 3 else 0.0
     linear = -directions[0][1] / 4.0 if k == 1 else 0.0
     return np.array([np.exp(s) * along, np.sin(s + k * np.pi / 2) * along,
-                     np.cos(s + k * np.pi / 2) * along, cube, linear])
+                     np.cos(s + k * np.pi / 2) * along, cube, linear, cube + linear])
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])

@@ -14,8 +14,9 @@ pair and second in the others, because whichever side runs second in a pair
 can read slower.  Each ``--trace NAME:SEED`` adds one ``--trace 1`` run per
 side at that seed, parent first.  Runs go one at a time.
 
-The parent revision is checked out in a temporary ``git worktree``, which is
-removed at the end; the other side is the checkout this tool lives in.  Each
+The parent revision's ``git archive`` is extracted into a temporary
+directory, which is removed at the end, so nothing is written under ``.git``;
+the other side is the checkout this tool lives in.  Each
 side runs its own unchanged ``bench/run.py``, and ``src/sbseries/__pycache__``
 is deleted in both checkouts before every run, so no stale bytecode is read.
 
@@ -31,6 +32,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -38,6 +40,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -132,26 +135,26 @@ def main(argv=None) -> int:
     traced: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_dir = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_dir), parent_sha)
-        try:
-            sides = {"parent": parent_dir, "change": ROOT}
-            for workload, pairs, first_seed in args.workload:
-                for i in range(pairs):
-                    seed = first_seed + i
-                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    for position, side in enumerate(order, 1):
-                        run = bench_run(sides[side], workload, seed, seconds, 0)
-                        runs.append({"workload": workload, "seed": seed, "side": side,
-                                     "runs_in_pair": position, **run})
-            for workload, seed in args.trace:
-                for side in ("parent", "change"):
-                    run = bench_run(sides[side], workload, seed, seconds, 1)
-                    command = COMMAND.format(workload=workload, seed=seed,
-                                             seconds=seconds) + " --trace 1"
-                    traced.append({**run, "workload": workload, "seed": seed,
-                                   "side": side, "command": command})
-        finally:
-            git("worktree", "remove", "--force", str(parent_dir))
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_dir, filter="data")
+        sides = {"parent": parent_dir, "change": ROOT}
+        for workload, pairs, first_seed in args.workload:
+            for i in range(pairs):
+                seed = first_seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for position, side in enumerate(order, 1):
+                    run = bench_run(sides[side], workload, seed, seconds, 0)
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "runs_in_pair": position, **run})
+        for workload, seed in args.trace:
+            for side in ("parent", "change"):
+                run = bench_run(sides[side], workload, seed, seconds, 1)
+                command = COMMAND.format(workload=workload, seed=seed,
+                                         seconds=seconds) + " --trace 1"
+                traced.append({**run, "workload": workload, "seed": seed,
+                               "side": side, "command": command})
 
     trace_note = "; ".join(f"one --trace 1 {w} run per side at seed {s}, parent first"
                            for w, s in args.trace)
