@@ -52,10 +52,6 @@ class SubtreePair:
     remainder: tuple[Tree, ...]
     coefficient: Fraction
 
-    def __str__(self) -> str:
-        rem = ",".join(str(t) for t in self.remainder)
-        return f"({self.subtree}, {{{rem}}}) * {self.coefficient}"
-
 
 @cached
 def _st_table(tau: Tree) -> tuple[tuple[Tree, tuple[Tree, ...], int], ...]:

@@ -183,8 +183,6 @@ class _WeightComputer:
 
     def weight(self, i: int | None, tau: Tree) -> WeightExpr:
         """Stage-i weight of tau, or its solution weight when i is None."""
-        if tau.is_empty:
-            return ex.ONE
         key = (i, tau)
         if key not in self.memo:
             self.memo[key] = self._weight(i, tau)

@@ -4,10 +4,10 @@ order estimation.
 
 Every function here solves the Stratonovich equation driven by one Wiener
 process, ``dx = (A(t) x + g_0(x, t)) dt + g_1(x, t) o dW_1``: it reads ``g_0``,
-``g_1`` and the color-1 path only.  ``integrate_erk``, ``reference_solution``
-and ``ms_order_estimate`` raise ValueError on a problem that is not
-semi-linear, is read in the Ito sense or has more than one noise color,
-before any step is taken or any path is drawn.
+``g_1`` (zero on a problem with no noise color) and the color-1 path only.
+``integrate_erk``, ``reference_solution`` and ``ms_order_estimate`` raise
+ValueError on a problem that is not semi-linear, is read in the Ito sense or
+has more than one noise color, before any step is taken or any path is drawn.
 
 The stepper evaluates the three operator exponentials of the method per
 step: the integral of the linear part over each sub-interval is computed
@@ -75,6 +75,16 @@ def midpoint_step_operators(problem: SDEProblem, t: float, h: float):
     return stage, back, full
 
 
+def _fields(problem: SDEProblem):
+    """The drift field g_0 and the noise field g_1, which is zero on a
+    problem with no noise color."""
+    return problem.g[0], problem.g[1] if problem.model.M else _zero_field
+
+
+def _zero_field(x, t):
+    return np.zeros_like(x)
+
+
 _STAGE_TOL = 1e-12
 _STAGE_MAX_ITER = 100
 
@@ -82,7 +92,7 @@ _STAGE_MAX_ITER = 100
 def _solve_stage(problem: SDEProblem, sx: np.ndarray, tm: float, h: float,
                  dw) -> np.ndarray:
     """Damped fixed-point solve of the implicit midpoint stage."""
-    g0, g1 = problem.g[0], problem.g[1]
+    g0, g1 = _fields(problem)
     damping = 1.0
     state = sx
     prev_delta = np.inf
@@ -113,7 +123,7 @@ def exponential_midpoint_step(problem: SDEProblem, t: float, h: float,
     stage_op, back_op, full_op = midpoint_step_operators(problem, t, h)
     tm = t + 0.5 * h
     stage = _solve_stage(problem, stage_op @ x, tm, h, dw)
-    g0, g1 = problem.g[0], problem.g[1]
+    g0, g1 = _fields(problem)
     return full_op @ x + back_op @ (h * g0(stage, tm) + dw * g1(stage, tm))
 
 
@@ -168,7 +178,7 @@ def reference_solution(problem: SDEProblem, T: float, n_fine: int, path) -> np.n
     dt = T / n_fine
     w, x = _driving_values(problem, path, dt, n_fine)
     t0 = problem.t0
-    g0, g1 = problem.g[0], problem.g[1]
+    g0, g1 = _fields(problem)
 
     def drift(a, x, t):
         return a @ x + g0(x, t)

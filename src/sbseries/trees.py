@@ -14,15 +14,14 @@ Three tree families are supported, selected by a model object:
 
 Trees are immutable and hash-consed: each distinct (label, children) pair
 is built once and looked up in the intern table of its root label, so
-equality of trees is object identity.  The hash is content-derived and
-deterministic, ``hash((label, children))``, so a set of trees iterates in
-the same order in every run; it is computed on the first ``hash()`` call
-and kept, so a tree that is never hashed never pays for it.  The tables
+equality of trees is object identity, and the hash is the identity hash
+that goes with it.  Nothing promises an iteration order for a set of
+trees: code that emits trees sorts them by :func:`tree_key`.  The tables
 hold weak references: a tree that nothing else references is freed and
 leaves its table.  Node labels are interned as well, one object per
 distinct label, and each label holds every fact about itself, set once
-when it is interned: its content hash, its order key, color, partition and
-bracket token, and the intern table of its trees.
+when it is interned: its order key, color, partition and bracket token,
+and the intern table of its trees.
 
 All operations expect canonical trees (children sorted by the total order
 below) and :func:`canonicalize` produces them.
@@ -112,10 +111,8 @@ class HalfInt:
 class _Label:
     """Base of the node labels.  Labels are interned: the constructor
     returns the one label object with the class and field values given, so
-    equality is identity.  The hash is the content hash of a frozen
-    dataclass, ``hash(field values)``, computed once when the label is
-    created.  Setting an attribute raises; copies and unpickled labels are
-    the interned label.
+    equality is identity and the hash is the identity hash.  Setting an
+    attribute raises; copies and unpickled labels are the interned label.
 
     Every fact about a label is set once, when it is interned:
 
@@ -133,7 +130,7 @@ class _Label:
     color, the partition and the text.
     """
 
-    __slots__ = ("_hash", "key", "color", "partition", "text", "trees")
+    __slots__ = ("key", "color", "partition", "text", "trees")
     rank: int  # the order of the label classes in ``key``
 
     def __init_subclass__(cls) -> None:
@@ -151,7 +148,6 @@ class _Label:
             init = object.__setattr__
             for name, value in zip(cls.__slots__, values):
                 init(label, name, value)
-            init(label, "_hash", hash(values))
             init(label, "key", (cls.rank, *values, 0, 0, 0)[:4])
             color, partition, text = label._facts()
             init(label, "color", color)
@@ -169,9 +165,6 @@ class _Label:
             init(label, "trees", (table, forget, 2 if color == 0 else 1, kind))
             label = cls._interned.setdefault(values, label)
         return label
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
@@ -286,17 +279,16 @@ class Tree:
     Trees are hash-consed: ``Tree(label, children)`` returns the live tree
     with an equal label and the same children objects when there is one,
     so equality is identity and two canonical trees are the same object
-    exactly when they represent the same multiset-tree.  The hash is
-    content-derived and deterministic, ``hash((label, children))``.  Only
-    ``rho2`` is computed at construction; the hash, the order key, the
-    bracket text and the symmetry factor are computed on first use.  The
-    intern table holds weak references, so a tree nothing else holds is
-    freed.  Setting an attribute raises; copies and unpickled trees are the
-    interned tree.
+    exactly when they represent the same multiset-tree; the hash is the
+    identity hash.  Only ``rho2`` is computed at construction; the order
+    key, the bracket text and the symmetry factor are computed on first
+    use.  The intern table holds weak references, so a tree nothing else
+    holds is freed.  Setting an attribute raises; copies and unpickled
+    trees are the interned tree.
     """
 
-    __slots__ = ("label", "children", "_hash", "_rho2", "_key", "_text",
-                 "_sigma", "__weakref__")
+    __slots__ = ("label", "children", "_rho2", "_key", "_text", "_sigma",
+                 "__weakref__")
     is_empty = False  # True on the trees of EmptyLabel, which are _EmptyTree
 
     def __new__(cls, label: NodeLabel, children: tuple["Tree", ...] = ()) -> "Tree":
@@ -308,20 +300,12 @@ class Tree:
             _set_label(tree, label)
             _set_children(tree, children)
             _set_rho2(tree, own + sum(map(_rho2_of, children)))
-            _set_hash(tree, None)
             _set_key(tree, None)
             _set_text(tree, None)
             _set_sigma(tree, None)
             ref = table[children] = _Ref(tree, forget)
             ref.key = children
         return tree
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.label, self.children))
-            _set_hash(self, h)
-        return h
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"Tree is immutable; cannot change {name!r}")
@@ -343,7 +327,7 @@ class Tree:
 
 
 # the slot setters, which skip the attribute lookup of object.__setattr__
-(_set_label, _set_children, _set_hash, _set_rho2, _set_key, _set_text,
+(_set_label, _set_children, _set_rho2, _set_key, _set_text,
  _set_sigma) = (getattr(Tree, name).__set__ for name in Tree.__slots__[:-1])
 _rho2_of = attrgetter("_rho2")
 

@@ -19,7 +19,8 @@ def load_tool():
 # BENCH_pr12.json is left out: it predates the ``*_quartiles`` and
 # ``all_correct`` summary fields, and its ``parent_iqr`` takes the quartiles
 # by the inclusive rule, not ``statistics.quantiles(n=4)``'s default
-@pytest.mark.parametrize("tag", ["pr13", "pr14", "pr16", "pr19", "pr21", "pr22", "pr23", "pr24"])
+@pytest.mark.parametrize("tag", ["pr13", "pr14", "pr16", "pr19", "pr21", "pr22", "pr23", "pr24",
+                                 "pr25"])
 def test_summary_reproduces_a_committed_record(tag):
     record = json.loads((ROOT / f"BENCH_{tag}.json").read_text())
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]

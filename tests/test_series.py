@@ -19,6 +19,7 @@ from oracles import (
     oracle_mono_mul,
     rational_hpoly,
 )
+from test_imports import run_python
 
 from sbseries import expr as E
 from sbseries import memo
@@ -83,6 +84,7 @@ class TestExprNormalization:
         ]
         for text in samples:
             assert str(parse_expr(text)) == text
+            assert parse_expr(text + " ") == parse_expr(text)  # trailing blank
 
     def test_parse_rejects_garbage(self):
         for bad in ["h +", "Int1[", "dW", "1//2", "q"]:
@@ -632,6 +634,35 @@ class TestPinnedSeries:
         assert len(out.weights) == 465
         assert _series_digest(out) == (
             "cad72caf1538ecbd406a3988f765b4e54c6c95f9d346caee8d3d7fbfc13da8b7")
+
+
+# Prints a digest of each weight map, taken in the map's own order, for
+# compose on two models and the derivative product.  Trees hash by identity,
+# so a set of trees iterates in an order set by where the trees live in
+# memory; with SHIFT the interpreter first builds and keeps 2,670 unrelated
+# trees, which moves every tree built after them.
+_LAYOUT_DIGESTS = """
+import hashlib
+from sbseries import expr as E, trees as T
+from sbseries.series import BSeries, compose, derivative_product, exact_solution_series
+
+kept = T.enumerate_trees(T.SemiLinear(3), T.HalfInt(5)) if SHIFT else []
+cap = T.HalfInt(6)
+semilinear = exact_solution_series(T.SemiLinear(1), cap)
+langevin = exact_solution_series(T.langevin_model(), cap)
+increment = BSeries(semilinear.model, cap, dict(semilinear.weights), E.ZERO)
+for out in (compose(semilinear, semilinear), compose(langevin, langevin),
+            derivative_product(increment, semilinear)):
+    text = "".join(f"{T.format_tree(t)},{w}\\n" for t, w in out.weights.items())
+    print(len(out.weights), hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_where_trees_live():
+    plain = run_python("SHIFT = False\n" + _LAYOUT_DIGESTS)
+    shifted = run_python("SHIFT = True\n" + _LAYOUT_DIGESTS)
+    assert len(plain.splitlines()) == 3
+    assert shifted == plain
 
 
 @pytest.mark.parametrize("operation", [compose, derivative_product])

@@ -41,6 +41,7 @@ from sbseries.serk import (
 )
 from sbseries.trees import (
     ALabel,
+    EMPTY,
     GLabel,
     HalfInt,
     SemiLinear,
@@ -301,6 +302,10 @@ class TestWeightRecursion:
         got = erk_weight_at(midpoint, parse_tree(EX4))
         # 3 h^6 dW / 768 in lowest terms
         assert got == parse_expr("1/256*h^6*dW1")
+
+    def test_weight_of_the_empty_tree_is_one(self, midpoint):
+        for method in (midpoint, method_from_json(method_to_json(midpoint))):
+            assert erk_weight_at(method, EMPTY) == E.ONE
 
     def test_a_tree_weights_pass_through(self, midpoint):
         solution, stages = erk_weights(midpoint, HalfInt(6))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sbseries.elementary import SDEProblem, get_problem
+from sbseries.elementary import SDEProblem, _semilinear, get_problem
 from sbseries.paths import sample_path
 from sbseries.sim import (
     ConvergenceReport,
@@ -92,6 +92,17 @@ class TestStepper:
         path = sample_path(1.0, 4, 1, 1)
         with pytest.raises(StageDivergence):
             integrate_erk(prob, 1.0, 1, path)
+
+    def test_slow_stage_contraction_does_not_converge(self):
+        # with h = 0.5 the stage map contracts by 0.5 * h * c = 0.999 per
+        # iteration: it never stalls, and after the iteration limit it is
+        # still far from its fixed point
+        prob = get_problem("scalar-semilinear")
+        c = 0.999 / (0.5 * 0.5)
+        prob.g = {0: lambda x, t: c * x, 1: lambda x, t: np.zeros_like(x)}
+        path = sample_path(0.5, 4, 1, 1)
+        with pytest.raises(StageDivergence, match=r"^stage iteration did not converge at t=0\.0$"):
+            integrate_erk(prob, 0.5, 1, path)
 
 
 class TestAEvaluations:
@@ -189,12 +200,19 @@ class TestSupportedProblems:
         assert drawn == []
 
     def test_noise_free_problem_runs(self):
-        prob = get_problem("scalar-semilinear")
-        prob.model = T.SemiLinear(0)
-        prob.g = {0: prob.g[0], 1: lambda x, t: np.zeros_like(x)}
+        zero_g1 = get_problem("scalar-semilinear")
+        zero_g1.model = T.SemiLinear(0)
+        zero_g1.g = {0: zero_g1.g[0], 1: lambda x, t: np.zeros_like(x)}
+        # the same equation declared with its one field g_0 only
+        g0_only = _semilinear("det", [0.8], 0.0, zero_g1.A, [zero_g1.g[0]])
+        assert g0_only.model == T.SemiLinear(0) and set(g0_only.g) == {0}
         path = sample_path(1.0, 16, 1, 3)
-        assert np.all(np.isfinite(integrate_erk(prob, 0.25, 4, path)))
-        assert np.all(np.isfinite(reference_solution(prob, 1.0, 16, path)))
+        for prob in (zero_g1, g0_only):
+            assert np.all(np.isfinite(integrate_erk(prob, 0.25, 4, path)))
+            assert np.all(np.isfinite(reference_solution(prob, 1.0, 16, path)))
+            report = ms_order_estimate(prob, [2 ** -2, 2 ** -3], 4, 1.0, 5, n_fine=64)
+            assert np.all(np.isfinite(report.rms_errors))
+            assert abs(report.slope - 2.0) < 0.1  # the midpoint rule on an ODE
 
 
 class TestReference:

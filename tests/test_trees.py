@@ -109,17 +109,6 @@ class TestCanonicalize:
             parse_tree("g(2,1,1)", model)  # nu_{1,2} = 0
 
 
-class _OldHash:
-    """Oracle for the tree hash: hash((label, children)), recomputed
-    recursively on every call."""
-
-    def __init__(self, tree: Tree):
-        self.tree = tree
-
-    def __hash__(self) -> int:
-        return hash((self.tree.label, tuple(map(_OldHash, self.tree.children))))
-
-
 def _raw_semilinear_trees():
     """Strategy: raw trees of the semi-linear family, children in any order
     and the time leaf spelled ``t`` or ``W0``."""
@@ -165,12 +154,6 @@ class TestInterning:
         assert same == (tree_key(a) == tree_key(b))
         assert same == (format_tree(a) == format_tree(b))
         assert (a == b) == same
-        for tree in (raw, other, a, b):
-            assert hash(tree) == hash(_OldHash(tree))
-
-    def test_hash_is_the_content_hash(self):
-        for tree in enumerate_trees(T.langevin_model(), HalfInt(6)):
-            assert hash(tree) == hash(_OldHash(tree))
 
     def test_copies_are_the_interned_tree(self):
         tree = parse_tree(EX2)
@@ -199,12 +182,12 @@ class TestInterning:
         table = label.trees[0]
         assert table[children]() is tree
         ref = weakref.ref(tree)
-        old_hash = hash(tree)
         del tree
         gc.collect()
         assert ref() is None
         assert children not in table
-        assert hash(Tree(label, children)) == old_hash
+        rebuilt = Tree(label, children)
+        assert table[children]() is rebuilt
 
     def test_late_forget_keeps_the_newer_entry(self):
         label = T.GeneralLabel(9, 8, 6)
@@ -257,10 +240,6 @@ class TestLabels:
         assert len({T.GLabel(1), T.WLabel(1), T.TLabel(), T.ALabel(), T.FLabel()}) == 5
 
     @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
-    def test_hash_is_the_field_tuple_hash(self, make, fields, text):
-        assert hash(make()) == hash(fields)
-
-    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
     def test_copies_are_the_interned_label(self, make, fields, text):
         label = make()
         assert pickle.loads(pickle.dumps(label)) is label
@@ -275,7 +254,6 @@ class TestLabels:
                 setattr(label, name, 0)
             with pytest.raises(AttributeError):
                 delattr(label, name)
-        assert hash(label) == hash(fields)
 
     @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
     def test_repr_is_unchanged(self, make, fields, text):
