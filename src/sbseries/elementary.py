@@ -69,6 +69,11 @@ class SDEProblem:
     # semi-linear flavor
     A: Callable | None = None
     g: dict = field(default_factory=dict)
+    # eval_bseries's differentials at the last state it saw: (the state's
+    # bytes and the coefficients, a private copy of the state, tree ->
+    # differential)
+    _differentials: tuple = field(default=(None, None, None), init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         normalize_interpretation(self.interpretation)  # kept as spelled, if known
@@ -222,23 +227,35 @@ def eval_bseries(problem: SDEProblem, series: BSeries, x: np.ndarray,
                  h: float, path: PathGrid) -> np.ndarray:
     """Evaluate the truncated series at state ``x`` over one step of size
     ``h``, reading the weight randomness from ``path`` (which must span at
-    least [0, h] on its grid) in the problem's interpretation."""
+    least [0, h] on its grid) in the problem's interpretation.
+
+    The elementary differentials depend on neither the path nor ``h``, so
+    the problem keeps those of the last state it was evaluated at, keyed by
+    the state's bytes and the coefficient functions and computed from a
+    private copy of the state: a call at the same state reuses them, the
+    caller may change its array in place afterwards, and a reassigned
+    ``A``, ``g`` or ``coeffs`` entry is seen.  A kept differential has the
+    bits it would have if it were computed again, so the result does not
+    depend on what was kept."""
     interp = problem.interpretation
     step_path = path.restrict(h)
     x = np.asarray(x, dtype=float)
+    key = (x.tobytes(), problem.A, *problem.g.items(), *problem.coeffs.items())
+    if problem._differentials[0] != key:
+        problem._differentials = (key, x.copy(), {})
+    _, state, memo = problem._differentials
     trees = series.trees()
     # one workspace for every weight; a zero weight evaluates to 0.0
     weights = eval_weights([series.empty_weight] + [series.weight(t) for t in trees],
                            step_path, interp)
     out = weights[0] * x
-    memo = {}
     for tree, weight in zip(trees, weights[1:]):
         scale = float(alpha(tree)) * weight
         if scale == 0.0:
             continue
         part = value_partition(tree.label)
         off = problem.block_offset(part)
-        value = _elementary(problem, tree, x, jets.derivative, memo)
+        value = _elementary(problem, tree, state, jets.derivative, memo)
         out[off:off + value.size] += scale * value
     return out
 

@@ -10,13 +10,18 @@ Identity tables are not caches and are not listed: the label intern tables
 and the per-label tree tables, where equality is object identity, and the
 parser's token table.  Clearing them would break that equality.
 
+Per-object caches are not listed either, because they die with their
+object: a problem keeps the elementary differentials of the last state
+:func:`sbseries.elementary.eval_bseries` evaluated it at.
+
 These caches and tables hold tens of thousands of long-lived trees and
 weights, and CPython's cyclic collector rescans them on every collection,
 though no call of the package makes a reference cycle: reference counting
 alone frees what a call drops.  :func:`collector_paused` therefore pauses the
-collector around the two places that build most of them: each command of
-``sbseries.cli.main`` and the decomposition sum behind
-``sbseries.series.compose`` and ``derivative_product``.
+collector around the places that build most of them: each command of
+``sbseries.cli.main``, the decomposition sum behind
+``sbseries.series.compose`` and ``derivative_product``, and
+``sbseries.serk.order_residuals``.
 """
 
 import contextlib

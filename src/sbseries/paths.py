@@ -18,6 +18,13 @@ nesting depth, one increment array and each color's Wiener steps, computed
 once per chunk however many integrals use them.  Fresh chunk-sized arrays
 would be handed back to the OS and faulted in again for every chunk.
 
+What does not depend on the path is computed once per call, with the same
+operations in the same order, so no bit changes: each row's seed tuple
+becomes its ``SeedSequence`` entropy words directly, as numpy would coerce
+the tuple; the powers of the times, and the trapezoid row of each integrand
+that is a power of s, are made once per evaluator instead of once per row
+and chunk.
+
 Evaluation of an integral atom walks the grid once: color 0 uses the
 trapezoidal rule in time, stochastic colors use left-endpoint sums for the
 Ito interpretation and trapezoidal integrand averaging for Stratonovich.
@@ -100,6 +107,14 @@ def _seed_tuple(seed) -> tuple:
     return base
 
 
+def _seed_words(seed: tuple) -> np.ndarray:
+    """The entropy words ``SeedSequence`` makes of a tuple of non-negative
+    ints: each int's little-endian 32-bit words, concatenated (0 gives one
+    word).  Passed as a uint32 array, they skip numpy's per-int coercion."""
+    return np.array([s >> k & 0xFFFFFFFF for s in seed
+                     for k in range(0, s.bit_length() or 1, 32)], np.uint32)
+
+
 # Paths per chunk.  With the per-call workspace, 8 and 16 took the same time
 # on the two `weights mc` benchmark jobs, 4 and 32 took 5-7% longer.
 _CHUNK = 8
@@ -167,7 +182,8 @@ class _WienerSampler:
         """Fill ``out`` (P, N + 1), P <= rows, row i from ``seeds[i]``."""
         z = self.normals[:len(seeds)]
         for row, seed in zip(z, seeds):
-            np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(out=row)
+            entropy = np.random.SeedSequence(_seed_words(seed))
+            np.random.default_rng(entropy).standard_normal(out=row)
         z *= self.scale
         out[:, 0] = 0.0
         if not self.dyadic:
@@ -213,11 +229,13 @@ class _Workspace:
     paths over one time grid, each allocated on first use and reused for
     every later chunk: one profile array per integral nesting depth, one
     increment array, arrays for powers of driver values, and each color's
-    Wiener steps, computed once per chunk.  The time steps are computed once."""
+    Wiener steps, computed once per chunk.  What no path changes is computed
+    once per workspace: the time steps, each power of the times and each
+    trapezoid row of a deterministic integrand."""
 
     def __init__(self, times: np.ndarray, rows: int, interp: str):
         self.times, self.rows, self.interp = times, rows, interp
-        self._arrays, self._dt = {}, None
+        self._arrays, self._dt, self._powers, self._trapezoids = {}, None, {}, {}
 
     def _scratch(self, key, n_cols: int) -> np.ndarray:
         """This chunk's rows of the (rows, n_cols) scratch array ``key``."""
@@ -251,7 +269,7 @@ class _Workspace:
         for expr in exprs:
             total = np.zeros(self.p)
             for coeff, mono in expr.terms:
-                _product(mono, end, self.times[-1:], w[..., -1:],
+                _product(mono, end, lambda k: self._time_power(k, True), w[..., -1:],
                          lambda: self._scratch("end power", 1), atom_end)
                 total += float(coeff) * end[:, 0]
             values.append(total)
@@ -261,31 +279,52 @@ class _Workspace:
         """The integral as a function of its upper limit, one row per path,
         in the profile array of ``depth`` (its integrand's first); nested
         integrals use the deeper ones.  An integrand that is one atom is
-        that atom's profile, in the same array, summed again in place."""
+        that atom's profile, in the same array, summed again in place.  A
+        deterministic integrand s^k has the same trapezoid row on every
+        path, which multiplies the driver steps with the same bits."""
         n_points = len(self.times)
         mono = atom.integrand
-        if not mono.hpow and not mono.dws and len(mono.ints) == 1 and mono.ints[0][1] == 1:
-            # the product would be 1.0 * profile, the same bits
-            f = self._atom_profile(mono.ints[0][0], depth)
-        else:
-            f = self._scratch(("profile", depth), n_points)
-            _product(mono, f, self.times, self.w,
-                     lambda: self._scratch("power", n_points),
-                     lambda inner: self._atom_profile(inner, depth + 1))
-        step = self._step(atom.color)
-        # in place, in the order of 0.5 * (f[:-1] + f[1:]) * step
         incr = self._scratch("increments", n_points - 1)
-        if atom.color and self.interp == ITO and not atom.integrand.is_deterministic:
-            np.multiply(f[:, :-1], step, out=incr)
-        else:
+        if mono.is_deterministic:
             # the calculi agree for deterministic integrands, so both use
             # the better trapezoidal average there (bitwise identical)
-            np.add(f[:, :-1], f[:, 1:], out=incr)
-            incr *= 0.5
-            incr *= step
+            f = self._scratch(("profile", depth), n_points)
+            np.multiply(self._trapezoid(mono.hpow), self._step(atom.color), out=incr)
+        else:
+            if not mono.hpow and not mono.dws and len(mono.ints) == 1 and mono.ints[0][1] == 1:
+                # the product would be 1.0 * profile, the same bits
+                f = self._atom_profile(mono.ints[0][0], depth)
+            else:
+                f = self._scratch(("profile", depth), n_points)
+                _product(mono, f, lambda k: self._time_power(k, False), self.w,
+                         lambda: self._scratch("power", n_points),
+                         lambda inner: self._atom_profile(inner, depth + 1))
+            step = self._step(atom.color)
+            # in place, in the order of 0.5 * (f[:-1] + f[1:]) * step
+            if atom.color and self.interp == ITO:
+                np.multiply(f[:, :-1], step, out=incr)
+            else:
+                np.add(f[:, :-1], f[:, 1:], out=incr)
+                incr *= 0.5
+                incr *= step
         f[:, 0] = 0.0  # f is spent: it takes the running sums
         np.cumsum(incr, axis=1, out=f[:, 1:])
         return f
+
+    def _time_power(self, k: int, end: bool) -> np.ndarray:
+        """times ** k on the grid, or on its last column, computed once."""
+        p = self._powers.get((k, end))
+        if p is None:
+            p = self._powers[k, end] = (self.times[-1:] if end else self.times) ** k
+        return p
+
+    def _trapezoid(self, k: int) -> np.ndarray:
+        """(p[:-1] + p[1:]) * 0.5 for p = times ** k, computed once."""
+        row = self._trapezoids.get(k)
+        if row is None:
+            p = self._time_power(k, False)
+            row = self._trapezoids[k] = (p[:-1] + p[1:]) * 0.5
+        return row
 
     def _step(self, color: int) -> np.ndarray:
         """The steps of the driver: the time steps, or the Wiener steps of
@@ -302,16 +341,19 @@ class _Workspace:
         return step
 
 
-def _product(mono: Mono, out: np.ndarray, times: np.ndarray, w: np.ndarray,
+def _product(mono: Mono, out: np.ndarray, time_power, w: np.ndarray,
              power, atom_profile) -> None:
     """Multiply the monomial's factors into ``out`` in order, on the columns
-    of ``times`` and ``w``.  ``power()`` returns scratch of the shape of
-    ``out`` for powers of ``w``; ``atom_profile(atom)`` returns an integral's
-    values on those columns in scratch the product may overwrite, and is
-    called only after the factors before it are in ``out``."""
-    out.fill(1.0)
+    of ``w``.  ``time_power(k)`` returns the times to the power k on those
+    columns, read-only; ``power()`` returns scratch of the shape of ``out``
+    for powers of ``w``; ``atom_profile(atom)`` returns an integral's values
+    on those columns in scratch the product may overwrite, and is called
+    only after the factors before it are in ``out``.  A product with a time
+    power starts from a copy of it, the bits of ones times it."""
     if mono.hpow:
-        out *= times ** mono.hpow
+        np.copyto(out, time_power(mono.hpow))
+    else:
+        out.fill(1.0)
     for m, p in mono.dws:
         if p == 1:
             out *= w[m - 1]

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from sbseries import expr as ex
 from sbseries.expr import WeightExpr, normalize_interpretation, parse_expr
-from sbseries.memo import cached
+from sbseries.memo import cached, collector_paused
 from sbseries.series import BSeries, exact_weight
 from sbseries.trees import (
     ALabel,
@@ -262,10 +262,11 @@ def residual_at(method: ERKMethodSpec, tau: Tree) -> OrderResidual:
     return _residual(_WeightComputer(method), tau)
 
 
+@collector_paused()
 def order_residuals(method: ERKMethodSpec, rho_max: HalfInt) -> list[OrderResidual]:
     """Exact-minus-numerical weights for every tree up to the bound,
-    in (order, canonical) order.  Raises :class:`CapUnsupported` beyond
-    the method's coefficient cap."""
+    in (order, canonical) order, with the cyclic collector paused.  Raises
+    :class:`CapUnsupported` beyond the method's coefficient cap."""
     _require_within_cap(method, rho_max)
     comp = _WeightComputer(method)
     return [_residual(comp, tau)

@@ -8,8 +8,10 @@ mixed central finite differences in place of :mod:`sbseries.jets`, the
 sorting tree enumeration and recursive-descent tree parser that the
 in-order ones replaced, the ``Fraction`` accumulator that the integer
 pair accumulator of :mod:`sbseries.expr` replaced, a term-by-term
-product with its own monomial product, and the ``isinstance``
-chains that the facts stored on each node label replaced.
+product with its own monomial product, the ``isinstance``
+chains that the facts stored on each node label replaced, and the Wiener
+row drawn level by level from a ``SeedSequence`` of the seed tuple itself,
+which the batched sampler and its entropy words replaced.
 """
 
 import bisect
@@ -459,3 +461,25 @@ def oracle_parse_tree(text: str, model=None) -> Tree:
     if parser.pos != len(parser.text):
         parser.error("trailing input")
     return canonicalize(tree, model)
+
+
+def oracle_wiener_row(seed: tuple, h: float, n_steps: int) -> np.ndarray:
+    """One Wiener path over [0, h] from ``SeedSequence(seed)``, numpy coercing
+    the seed tuple, drawn level by level as paths were sampled before they
+    were batched."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    w = np.zeros(n_steps + 1)
+    if n_steps & (n_steps - 1) == 0:
+        w[n_steps] = np.sqrt(h) * rng.standard_normal()
+        span = n_steps
+        while span > 1:
+            half = span // 2
+            scale = np.sqrt((span / n_steps) * h / 4.0)
+            mids = np.arange(half, n_steps, span)
+            z = rng.standard_normal(mids.size)
+            w[mids] = 0.5 * (w[mids - half] + w[mids + half]) + scale * z
+            span = half
+    else:
+        dw = np.sqrt(h / n_steps) * rng.standard_normal(n_steps)
+        w[1:] = np.cumsum(dw)
+    return w

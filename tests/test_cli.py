@@ -479,7 +479,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("flags", [
         ("--paths", "0"),
         ("--paths", "2", "--h-coarse", "2", "--h-fine", "2"),
-    ], ids=["paths-zero", "single-step-size"])
+        ("--paths", "2", "--h-coarse", "1", "--h-fine", "8"),
+    ], ids=["paths-zero", "single-step-size", "more-rungs-than-the-fine-grid-refines"])
     def test_converge_rejected_with_one_line_error(self, flags, capsys):
         code, text = run("converge", "--problem", "langevin", "--seed", "1",
                          "--n-fine", "64", *flags)
@@ -504,6 +505,7 @@ class TestInputValidation:
         (("weights", "mc", "--expr", "dW0") + MC_FLAGS,
          "increment atoms exist for stochastic colors only"),
         (("weights", "mc", "--expr", "h^h") + MC_FLAGS, "exponent must be an integer, got 'h'"),
+        (("weights", "mc", "--expr", "dW1)") + MC_FLAGS, "trailing tokens from ')'"),
         (("weights", "mc", "--expr", "dW1") + MC_FLAGS[:-1] + ("-1",),
          "a seed must be non-negative, got -1"),
         (("weights", "mc", "--expr", "h") + MC_FLAGS[:-1] + ("-1",),
@@ -511,7 +513,7 @@ class TestInputValidation:
         (("converge", "--problem", "scalar-semilinear", "--paths", "2", "--seed", "-5"),
          "a seed must be non-negative, got -5"),
     ], ids=["step-divides-horizon", "fine-grid-refines-step", "dw0", "symbolic-exponent",
-            "mc-negative-seed", "mc-negative-seed-no-paths", "converge-negative-seed"])
+            "trailing-tokens", "mc-negative-seed", "mc-negative-seed-no-paths", "converge-negative-seed"])
     def test_library_check_exits_two_with_its_error_line(self, argv, message, capsys):
         assert run(*argv) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"

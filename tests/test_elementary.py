@@ -368,22 +368,52 @@ class TestEvalBSeries:
         # one differential per distinct subtree changes no bit of the sum
         prob = get_problem(name)
         series = exact_solution_series(T.SemiLinear(1), HalfInt(4))
-        h, path = 0.25, sample_path(0.25, 64, 1, (5, 1))
-        step_path = path.restrict(h)
-        want = eval_weight(series.empty_weight, step_path, prob.interpretation) * prob.x0
-        for tree in series.trees():
-            weight = series.weight(tree)
-            if weight.is_zero:
-                continue
-            scale = float(T.alpha(tree)) * eval_weight(weight, step_path,
-                                                       prob.interpretation)
-            if scale == 0.0:
-                continue
-            off = prob.block_offset(value_partition(tree.label))
-            value = eval_elementary(prob, tree, prob.x0)
-            want[off:off + value.size] += scale * value
-        got = eval_bseries(prob, series, prob.x0, h, path)
-        assert got.tobytes() == want.tobytes()
+        path = sample_path(0.25, 64, 1, (5, 1))
+        got = eval_bseries(prob, series, prob.x0, 0.25, path)
+        assert got.tobytes() == _per_tree_sum(prob, series, prob.x0, 0.25, path).tobytes()
+
+    @pytest.mark.parametrize("case", ["fresh problem", "second call", "after another state",
+                                      "after the caller's state changed", "two problems",
+                                      "after a coefficient changed"])
+    def test_kept_differentials_change_no_bit(self, case):
+        # each call of ``check`` equals the sum of differentials each built
+        # from scratch
+        path = sample_path(0.25, 64, 1, (5, 3))
+        small, full = (exact_solution_series(T.langevin_model(), HalfInt(cap))
+                       for cap in (2, 4))
+        prob, other = get_problem("langevin-partitioned"), get_problem("langevin-vdep")
+        x = prob.x0 + 0.0625
+
+        def check(problem, state, series=full):
+            want = _per_tree_sum(problem, series, state.copy(), 0.25, path)
+            got = eval_bseries(problem, series, state, 0.25, path)
+            assert got.tobytes() == want.tobytes()
+
+        if case == "fresh problem":
+            check(prob, x)
+        elif case == "second call":
+            check(prob, x)
+            check(prob, x.copy())
+        elif case == "after another state":
+            check(prob, x)
+            check(prob, prob.x0)
+            check(prob, x)
+        elif case == "after the caller's state changed":
+            # the first call builds some differentials; the changed array
+            # must not reach the ones built later at the first state
+            check(prob, x, small)
+            first = x.copy()
+            x += 0.125
+            check(prob, first)
+            check(prob, x)
+        elif case == "two problems":
+            # the two problems share their initial state, not their fields
+            for problem in (prob, other, prob, other):
+                check(problem, problem.x0)
+        else:
+            check(prob, x)
+            prob.coeffs[1, 1, 1] = other.coeffs[1, 1, 1]
+            check(prob, x)
 
     def test_stored_zero_weight_is_skipped(self):
         # a tree stored with the weight ZERO adds nothing, not even the +0.0
@@ -394,6 +424,24 @@ class TestEvalBSeries:
                                   x, 0.25, path)
                      for weights in ({parse_tree("1"): E.ZERO}, {}))
         assert got.tobytes() == want.tobytes()
+
+
+def _per_tree_sum(prob, series, x, h, path):
+    """``eval_bseries`` as a sum over the trees, each differential built from
+    scratch by ``eval_elementary``."""
+    step_path = path.restrict(h)
+    want = eval_weight(series.empty_weight, step_path, prob.interpretation) * x
+    for tree in series.trees():
+        weight = series.weight(tree)
+        if weight.is_zero:
+            continue
+        scale = float(T.alpha(tree)) * eval_weight(weight, step_path, prob.interpretation)
+        if scale == 0.0:
+            continue
+        off = prob.block_offset(value_partition(tree.label))
+        value = eval_elementary(prob, tree, x)
+        want[off:off + value.size] += scale * value
+    return want
 
 
 def _truncation_slope(prob, series, numeric) -> float:

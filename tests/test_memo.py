@@ -10,6 +10,7 @@ has touched the registry.
 """
 
 import gc
+import sys
 
 import pytest
 from test_imports import run_python
@@ -114,6 +115,33 @@ class TestCollectorPaused:
             with memo.collector_paused():
                 assert not gc.isenabled()
                 raise KeyError("body")
+        assert gc.isenabled() is collector
+
+    def test_order_residuals_runs_no_collection(self, collector):
+        # from cold caches the 7/2 residuals ran dozens of collections
+        # before the call paused the collector.  What it allocates while
+        # paused still counts toward the first threshold, so one young
+        # collection may start as the collector comes back on, after the
+        # body has returned: only collections with the body's frame on the
+        # stack count
+        method, cap = serk.builtin_exponential_midpoint(), HalfInt(7)
+        body = getattr(serk.order_residuals, "__wrapped__", serk.order_residuals).__code__
+        memo.clear()
+        inside = []
+
+        def count(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not body:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                inside.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            serk.order_residuals(method, cap)
+        finally:
+            gc.callbacks.remove(count)
+        assert inside == []
         assert gc.isenabled() is collector
 
     def test_nested_use_stays_paused_until_the_outer_exits(self, collector):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import oracle_wiener_row
 
 from sbseries import expr as E
 from sbseries import paths as P
@@ -20,26 +21,6 @@ from sbseries.paths import (
     mc_moments,
     sample_path,
 )
-
-
-def _sample_wiener(rng: np.random.Generator, h: float, n_steps: int) -> np.ndarray:
-    """Reference sampler: one Wiener path drawn level by level, as paths were
-    sampled before they were batched."""
-    w = np.zeros(n_steps + 1)
-    if n_steps & (n_steps - 1) == 0:
-        w[n_steps] = np.sqrt(h) * rng.standard_normal()
-        span = n_steps
-        while span > 1:
-            half = span // 2
-            scale = np.sqrt((span / n_steps) * h / 4.0)
-            mids = np.arange(half, n_steps, span)
-            z = rng.standard_normal(mids.size)
-            w[mids] = 0.5 * (w[mids - half] + w[mids + half]) + scale * z
-            span = half
-    else:
-        dw = np.sqrt(h / n_steps) * rng.standard_normal(n_steps)
-        w[1:] = np.cumsum(dw)
-    return w
 
 
 def _full_eval_rows(expr, times, w, interp):
@@ -162,15 +143,26 @@ class TestSamplePath:
     def test_equals_level_by_level_oracle(self, h, n_steps, n_colors, seed, n_rows):
         path = sample_path(h, n_steps, n_colors, seed)
         for m in range(1, n_colors + 1):
-            rng = np.random.default_rng(np.random.SeedSequence(seed + (m,)))
-            assert np.array_equal(path.wiener(m), _sample_wiener(rng, h, n_steps))
+            assert np.array_equal(path.wiener(m), oracle_wiener_row(seed + (m,), h, n_steps))
         # many rows reuse one sampler over chunks, the last one ragged
         seeds = [seed + (i,) for i in range(n_rows)]
         rows = np.empty((n_rows, n_steps + 1))
         _sample_wiener_rows(rows, h, seeds)
         for row, row_seed in zip(rows, seeds):
-            rng = np.random.default_rng(np.random.SeedSequence(row_seed))
-            assert np.array_equal(row, _sample_wiener(rng, h, n_steps))
+            assert np.array_equal(row, oracle_wiener_row(row_seed, h, n_steps))
+
+    # each seed spans one, two or three 32-bit entropy words
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+    def test_seed_words_draw_what_the_seed_tuple_draws(self, seed):
+        seeds = [(seed,), (seed, 0, 1), (seed, 9, 2), (0, seed, 1), (3, 1, seed)]
+        rows = np.empty((len(seeds), 65))
+        _sample_wiener_rows(rows, 0.5, seeds)
+        for row, row_seed in zip(rows, seeds):
+            assert row.tobytes() == oracle_wiener_row(row_seed, 0.5, 64).tobytes()
+        path = sample_path(0.5, 64, 2, (seed, 4))
+        for m in (1, 2):
+            assert path.wiener(m).tobytes() == \
+                oracle_wiener_row((seed, 4, m), 0.5, 64).tobytes()
 
 
 class TestEvalWeight:
@@ -257,6 +249,22 @@ class TestEndpointEvaluation:
         times = np.linspace(0.0, 0.3, n_steps + 1)
         got = _Workspace(times, w.shape[1], interp).eval([expr], w)[0]
         assert got.tobytes() == _full_eval_rows(expr, times, w, interp).tobytes()
+
+    # integrals of powers of s take the workspace's trapezoid rows and time
+    # powers; the last one asks for the same power on the grid and at the end
+    @pytest.mark.parametrize("interp", ["ito", "stratonovich"])
+    def test_deterministic_integrands_equal_full_profile_evaluator(self, interp):
+        exprs = [parse_expr(text) for text in ["Int1[s^4]", "Int1[s^4]^2", "Int0[Int1[s^2],s]",
+                                               "Int2[s^3]", "h^2*Int0[Int1[s^2],s^2]"]]
+        path = sample_path(0.3, 64, 2, 17)
+        for expr in exprs:
+            want = _full_eval_rows(expr, path.times, path.values[1:, None, :], interp)
+            assert np.array(eval_weights([expr], path, interp)).tobytes() == want.tobytes()
+        # several weights in one workspace, on a chunk of paths
+        w = np.stack([sample_path(0.3, 64, 2, (17, i)).values[1:] for i in range(8)], axis=1)
+        got = _Workspace(path.times, 8, interp).eval(exprs, w)
+        for expr, value in zip(exprs, got):
+            assert value.tobytes() == _full_eval_rows(expr, path.times, w, interp).tobytes()
 
 
 class TestManyWeights:

@@ -681,8 +681,10 @@ def test_series_of_different_models_do_not_combine(operation):
     (lambda: parse_expr("(h]"), ExprParseError, "expected ')'"),
     (lambda: parse_expr("Int1 h"), ExprParseError, "expected '[' after Int"),
     (lambda: parse_expr("Int1[h)"), ExprParseError, "expected ']'"),
+    (lambda: parse_expr("dW1 dW1"), ExprParseError, "trailing tokens from 'dW1'"),
+    (lambda: parse_expr("dW1)"), ExprParseError, "trailing tokens from ')'"),
 ], ids=["negative-power", "negative-color", "unclosed-group", "int-without-bracket",
-        "unclosed-int"])
+        "unclosed-int", "trailing-term", "trailing-bracket"])
 def test_expression_error_class_and_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
