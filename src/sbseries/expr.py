@@ -31,25 +31,27 @@ on ints.  :func:`from_acc` builds the only ``Fraction`` of the sum, one
 normalized coefficient per nonzero term; :func:`integral`, ``scaled``,
 ``+`` and ``-`` go through the same accumulator.
 
-Every pure result is computed once: ``Mono`` and ``IntAtom`` set their
-hash and their sort key ``_key`` at construction, :func:`mono_mul` is
-memoized, the monomial and divisor of an integral of a monomial are
-memoized per (color, integrand), and the text of a monomial is built once
-per depth class (top level or inside an integrand).  Instances keep value
-semantics: fresh equal instances are equal, not identical; the memos hand
-out one instance per result.  The three memos are declared through
-:mod:`sbseries.memo` and listed in ``memo.CACHES`` with the package's other
-process-global caches.
+``Mono`` and ``IntAtom`` are interned (:class:`sbseries.memo.Interned`):
+the constructor returns the one instance with the field values given, so
+equal monomials are one object, and an accumulator or memo looks them up
+by identity.  Every pure result is computed once: each instance sets its
+sort key ``_key`` when it is interned, :func:`mono_mul` is memoized, the
+monomial and divisor of an integral of a monomial are memoized per
+(color, integrand), and the text of a monomial is built once per depth
+class (top level or inside an integrand).  The three memos are declared
+through :mod:`sbseries.memo` and listed in ``memo.CACHES`` with the
+package's other process-global caches; the identity tables are not, and
+``memo.clear()`` keeps them.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from sbseries.memo import cached
+from sbseries.memo import Interned, cached
 
 
 class ExprError(ValueError):
@@ -76,54 +78,39 @@ def normalize_interpretation(name: str) -> str:
     raise ValueError(f"unknown interpretation {name!r}")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class IntAtom:
+class _Keyed(Interned):
+    """Base of the interned expression types: the slot of the sort key
+    ``_key`` that every output order comes from, set by ``_derive``."""
+
+    __slots__ = ("_key",)
+
+
+class IntAtom(_Keyed):
     """Irreducible integral of a monomial integrand against driver ``color``.
     Its sort key ``_key`` is ``(color, integrand._key)``."""
 
-    color: int
-    integrand: "Mono"
-    _hash: int = field(init=False, repr=False)
-    _key: tuple = field(init=False, repr=False)
+    __slots__ = ("color", "integrand")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.color, self.integrand)))
+    def __new__(cls, color: int, integrand: "Mono") -> "IntAtom":
+        return cls._intern((color, integrand))
+
+    def _derive(self) -> None:
         object.__setattr__(self, "_key", (self.color, self.integrand._key))
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntAtom):
-            return NotImplemented
-        return self is other or (self._hash == other._hash and self.color == other.color
-                                 and self.integrand == other.integrand)
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Mono:
+class Mono(_Keyed):
     """Coefficient-free monomial: time power, increment powers, integral powers.
     Its sort key ``_key`` is ``(hpow, dws, ((atom._key, power), ..))``."""
 
-    hpow: int = 0
-    dws: tuple[tuple[int, int], ...] = ()
-    ints: tuple[tuple[IntAtom, int], ...] = ()
-    _hash: int = field(init=False, repr=False)
-    _key: tuple = field(init=False, repr=False)
+    __slots__ = ("hpow", "dws", "ints")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.hpow, self.dws, self.ints)))
+    def __new__(cls, hpow: int = 0, dws: tuple[tuple[int, int], ...] = (),
+                ints: tuple[tuple[IntAtom, int], ...] = ()) -> "Mono":
+        return cls._intern((hpow, dws, ints))
+
+    def _derive(self) -> None:
         object.__setattr__(self, "_key", (self.hpow, self.dws,
                                           tuple((a._key, p) for a, p in self.ints)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mono):
-            return NotImplemented
-        return self is other or (self._hash == other._hash and self.hpow == other.hpow
-                                 and self.dws == other.dws and self.ints == other.ints)
 
     @property
     def is_one(self) -> bool:
@@ -236,12 +223,22 @@ def _add_colors(mono: Mono, out: set[int]) -> None:
         _add_colors(atom.integrand, out)
 
 
+# the most term pairs one product may form, so that an input such as
+# (h+dW1+dW2)^160 fails at once instead of expanding for minutes; the
+# largest product of the tests, acceptance runs and benchmark jobs forms
+# under a thousand
+MAX_TERM_PAIRS = 200_000
+
+
 def accumulate(acc: dict[Mono, tuple[int, int]], factors,
                scale: int | Fraction = 1) -> None:
     """Add ``scale * f1 * .. * fk`` to the accumulator ``acc`` without
     normalizing; a zero factor adds nothing and multiplies nothing.  When
     every factor has one term, as every exact-series weight does, the
-    product is folded into one running (numerator, denominator, monomial)."""
+    product is folded into one running (numerator, denominator, monomial).
+    Otherwise it is expanded term by term, and a product that would form
+    more than ``MAX_TERM_PAIRS`` term pairs raises ExprError before it
+    forms them and leaves ``acc`` unchanged."""
     n, d, mono = scale.numerator, scale.denominator, ONE_MONO
     for f in factors:
         if len(f.terms) != 1:
@@ -254,8 +251,11 @@ def accumulate(acc: dict[Mono, tuple[int, int]], factors,
         return
     if any(f.is_zero for f in factors):
         return
-    terms = [(n, d, mono)]
+    terms, pairs = [(n, d, mono)], 0
     for f in factors:
+        pairs += len(terms) * len(f.terms)
+        if pairs > MAX_TERM_PAIRS:
+            raise ExprError(f"product too large to expand: more than {MAX_TERM_PAIRS:,} term pairs")
         terms = [(n * c.numerator, d * c.denominator, mono_mul(m1, m2))
                  for n, d, m1 in terms for c, m2 in f.terms]
     for n, d, mono in terms:

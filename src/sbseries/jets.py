@@ -87,8 +87,6 @@ def _chain(u: Jet, values: list, derivs: list) -> list[Jet]:
     for mask in u.c:
         full |= mask
     for s in range(1, full + 1):
-        if s & ~full:
-            continue
         low = s & -s
         parts = [(coef, s ^ t) for t, coef in u.c.items() if t & low and t & s == t]
         for f, (i, sign) in zip(out, derivs):

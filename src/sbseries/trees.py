@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from sbseries.memo import cached
+from sbseries.memo import Interned, cached
 
 
 class TreeError(ValueError):
@@ -108,13 +108,11 @@ class HalfInt:
 # ---------------------------------------------------------------------------
 
 
-class _Label:
-    """Base of the node labels.  Labels are interned: the constructor
-    returns the one label object with the class and field values given, so
-    equality is identity and the hash is the identity hash.  Setting an
-    attribute raises; copies and unpickled labels are the interned label.
+class _Label(Interned):
+    """Base of the node labels, which are interned (see
+    :class:`sbseries.memo.Interned`): equality is identity.
 
-    Every fact about a label is set once, when it is interned:
+    Every fact about a label is set once, by ``_derive``:
 
     * ``key`` -- its place in the total order: the class ``rank``, then the
       field values, padded to four entries;
@@ -133,50 +131,24 @@ class _Label:
     __slots__ = ("key", "color", "partition", "text", "trees")
     rank: int  # the order of the label classes in ``key``
 
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        cls._interned = {}  # field values -> the label
+    def _derive(self) -> None:
+        init = object.__setattr__
+        values = [getattr(self, name) for name in self.__slots__]
+        init(self, "key", (self.rank, *values, 0, 0, 0)[:4])
+        color, partition, text = self._facts()
+        init(self, "color", color)
+        init(self, "partition", partition)
+        init(self, "text", text)
+        table: dict[tuple[Tree, ...], _Ref] = {}
 
-    def __new__(cls):
-        return cls._intern(())
+        def forget(ref: _Ref) -> None:
+            held = table.pop(ref.key, None)
+            if held is not ref and held is not None:
+                # a new tree held the key before this callback ran
+                table[ref.key] = held
 
-    @classmethod
-    def _intern(cls, values: tuple):
-        label = cls._interned.get(values)
-        if label is None:
-            label = object.__new__(cls)
-            init = object.__setattr__
-            for name, value in zip(cls.__slots__, values):
-                init(label, name, value)
-            init(label, "key", (cls.rank, *values, 0, 0, 0)[:4])
-            color, partition, text = label._facts()
-            init(label, "color", color)
-            init(label, "partition", partition)
-            init(label, "text", text)
-            table: dict[tuple[Tree, ...], _Ref] = {}
-
-            def forget(ref: _Ref) -> None:
-                held = table.pop(ref.key, None)
-                if held is not ref and held is not None:
-                    # a new tree held the key before this callback ran
-                    table[ref.key] = held
-
-            kind = _EmptyTree if cls is EmptyLabel else Tree
-            init(label, "trees", (table, forget, 2 if color == 0 else 1, kind))
-            label = cls._interned.setdefault(values, label)
-        return label
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        kind = _EmptyTree if type(self) is EmptyLabel else Tree
+        init(self, "trees", (table, forget, 2 if color == 0 else 1, kind))
 
 
 class GeneralLabel(_Label):

@@ -232,6 +232,10 @@ class TestGamma:
         pair = SubtreePair(empty_tree(1), (parse_tree("1"),), Fraction(1))
         assert gamma(parse_tree("1"), pair) == 1
 
+    def test_empty_tree_is_its_own_decomposition(self):
+        pair = SubtreePair(T.EMPTY, (T.EMPTY,), Fraction(1))
+        assert gamma(T.EMPTY, pair) == 1
+
     def test_full_and_root_cut_are_one(self):
         for tau in enumerate_trees(T.langevin_model(), HalfInt(6)):
             pairs = {(p.subtree, p.remainder): p.coefficient for p in subtree_pairs(tau)}

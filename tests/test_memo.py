@@ -1,9 +1,9 @@
 """The memo registry: every process-global cache is listed in
 ``sbseries.memo.CACHES``, and ``memo.clear()`` empties them all while the
-label and tree intern tables keep their objects.  The collector pause:
-``memo.collector_paused()`` and the calls that use it restore the caller's
-collector state, and no call of the package leaves cyclic garbage, which
-only the paused collector could free.
+identity tables of labels, trees, monomials and atoms keep their objects.
+The collector pause: ``memo.collector_paused()`` and the calls that use it
+restore the caller's collector state, and no call of the package leaves
+cyclic garbage, which only the paused collector could free.
 
 Checks of which caches exist run in a fresh interpreter, where no test
 has touched the registry.
@@ -77,6 +77,8 @@ def test_every_cache_of_every_module_is_registered():
 def test_clear_empties_every_cache_and_keeps_interned_labels():
     label = GLabel(1)
     tree = parse_tree("[[1]0,1]1", SemiLinear(1))
+    atom = E.IntAtom(1, E.Mono(hpow=2))
+    before = E.parse_expr("h^2 + Int1[s^2]")
     subtree_pairs(tree)
     E.format_expr(exact_weight(tree))
     serk._probe_paths(1)
@@ -85,6 +87,12 @@ def test_clear_empties_every_cache_and_keeps_interned_labels():
     assert [c.cache_info().currsize for c in memo.CACHES] == [0] * len(memo.CACHES)
     assert GLabel(1) is label
     assert parse_tree("[[1]0,1]1", SemiLinear(1)) is tree
+    # monomials and atoms keep their identity, so an expression built after
+    # the clear merges with an equal one built before it
+    assert E.Mono(hpow=1) is E.H.terms[0][1]
+    assert E.IntAtom(1, E.Mono(hpow=2)) is atom
+    assert len((E.H + E.parse_expr("h")).terms) == 1
+    assert (before - E.parse_expr("Int1[s^2] + h*h")).is_zero
 
 
 @pytest.fixture(params=[True, False], ids=["on", "off"])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import label_facts, oracle_parse_tree, sorted_enumeration, validate_tree
 
+from sbseries import expr as E
 from sbseries import trees as T
 from sbseries.trees import (
     CapExceeded,
@@ -221,10 +222,18 @@ LABEL_CASES = [
     (lambda: T.EmptyLabel(2), (2,), "EmptyLabel(q=2)"),
 ]
 LABEL_IDS = ["general", "w", "t", "a", "g", "f", "empty"]
+# the expression types share the labels' interning base, so the generic
+# label tests take a monomial and an integral atom as well
+INTERNED_CASES = LABEL_CASES + [
+    (lambda: E.Mono(1, ((2, 1),)), (1, ((2, 1),), ()), "Mono(hpow=1, dws=((2, 1),), ints=())"),
+    (lambda: E.IntAtom(1, E.Mono(2)), (1, E.Mono(2)),
+     "IntAtom(color=1, integrand=Mono(hpow=2, dws=(), ints=()))"),
+]
+INTERNED_IDS = LABEL_IDS + ["mono", "int-atom"]
 
 
 class TestLabels:
-    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    @pytest.mark.parametrize("make,fields,text", INTERNED_CASES, ids=INTERNED_IDS)
     def test_equal_labels_are_one_object(self, make, fields, text):
         assert make() is make()
         assert make() == make()
@@ -239,23 +248,23 @@ class TestLabels:
         assert T.GLabel(1) != T.GLabel(2)
         assert len({T.GLabel(1), T.WLabel(1), T.TLabel(), T.ALabel(), T.FLabel()}) == 5
 
-    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    @pytest.mark.parametrize("make,fields,text", INTERNED_CASES, ids=INTERNED_IDS)
     def test_copies_are_the_interned_label(self, make, fields, text):
         label = make()
         assert pickle.loads(pickle.dumps(label)) is label
         assert copy.copy(label) is label
         assert copy.deepcopy(label) is label
 
-    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    @pytest.mark.parametrize("make,fields,text", INTERNED_CASES, ids=INTERNED_IDS)
     def test_setting_an_attribute_raises(self, make, fields, text):
         label = make()
-        for name in (*label.__slots__, "_hash", "other"):
+        for name in (*label.__slots__, "_key", "_hash", "other"):
             with pytest.raises(AttributeError):
                 setattr(label, name, 0)
             with pytest.raises(AttributeError):
                 delattr(label, name)
 
-    @pytest.mark.parametrize("make,fields,text", LABEL_CASES, ids=LABEL_IDS)
+    @pytest.mark.parametrize("make,fields,text", INTERNED_CASES, ids=INTERNED_IDS)
     def test_repr_is_unchanged(self, make, fields, text):
         assert repr(make()) == text
 
