@@ -146,18 +146,15 @@ def cmd_series(args, out) -> None:
 
 
 def cmd_erk(args, out) -> None:
-    from sbseries.serk import order_residuals, residual_is_pathwise_zero, resolve_method
+    from sbseries.serk import order_residuals, residuals_are_pathwise_zero, resolve_method
 
     method = resolve_method(args.method)
     residuals = order_residuals(method, _order_cap(args.cap))
-    rows = []
-    for r in residuals:
-        text = str(r.residual)
-        if not r.residual.is_zero and not args.no_probe:
-            if residual_is_pathwise_zero(r.residual, method.interpretation):
-                text = "0"
-        rows.append([format_tree(r.tree), str(r.tree_order),
-                     str(r.exact_weight), str(r.numeric_weight), text])
+    zero = ([r.residual.is_zero for r in residuals] if args.no_probe else
+            residuals_are_pathwise_zero([r.residual for r in residuals], method.interpretation))
+    rows = [[format_tree(r.tree), str(r.tree_order), str(r.exact_weight),
+             str(r.numeric_weight), "0" if z else str(r.residual)]
+            for r, z in zip(residuals, zero)]
     _write_rows(out, ["tree", "rho", "exact", "numeric", "residual"], rows)
 
 

@@ -29,7 +29,16 @@ monomial: products multiply the pairs, and a sum over two different
 denominators is taken over their lcm, so the coefficient arithmetic runs
 on ints.  :func:`from_acc` builds the only ``Fraction`` of the sum, one
 normalized coefficient per nonzero term; :func:`integral`, ``scaled``,
-``+`` and ``-`` go through the same accumulator.
+``+``, ``-`` and the sums of :func:`parse_expr` go through the same
+accumulator.  A one-term weight folds to (numerator, denominator, monomial)
+(:func:`fold`), and a product of folded factors is one running triple
+(:func:`add_folded`); a caller that reads the same weights many times, as
+the series operations do, folds each once.
+
+The work of expanding products is bounded: one product forms at most
+``MAX_TERM_PAIRS`` term pairs, and the products of one :func:`parse_expr`
+call at most ``MAX_PARSE_PAIRS`` together (counting those with a factor of
+several terms), so that a text of a few kilobytes cannot expand for minutes.
 
 ``Mono`` and ``IntAtom`` are interned (:class:`sbseries.memo.Interned`):
 the constructor returns the one instance with the field values given, so
@@ -47,6 +56,7 @@ package's other process-global caches; the identity tables are not, and
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +153,21 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
                 tuple(sorted(ints.items(), key=lambda ap: ap[0]._key)))
 
 
+def power(base: WeightExpr, n: int, mul=operator.mul) -> WeightExpr:
+    """``base ** n`` by squaring, each product formed by ``mul``; it is
+    ``WeightExpr.__pow__``."""
+    if n < 0:
+        raise ExprError("negative powers are not defined")
+    out = ONE
+    while n:  # exponentiation by squaring: exact, so any grouping agrees
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
+
+
 @dataclass(frozen=True)
 class WeightExpr:
     """Normalized sum of (rational, monomial) terms."""
@@ -197,17 +222,7 @@ class WeightExpr:
         accumulate(acc, (self,), c)
         return from_acc(acc)
 
-    def __pow__(self, n: int) -> "WeightExpr":
-        if n < 0:
-            raise ExprError("negative powers are not defined")
-        out, base = ONE, self
-        while n:  # exponentiation by squaring: exact, so any grouping agrees
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+    __pow__ = power
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -228,6 +243,11 @@ def _add_colors(mono: Mono, out: set[int]) -> None:
 # largest product of the tests, acceptance runs and benchmark jobs forms
 # under a thousand
 MAX_TERM_PAIRS = 200_000
+# the most term pairs the products of one parse may form together, so that
+# a chain such as (h+dW1+dW2)*(h+dW1+dW2)*.., each product under the bound
+# above, fails at once too; a parse in the tests, acceptance runs, benchmark
+# jobs or method files forms at most 2, as in 2*(h+dW1)
+MAX_PARSE_PAIRS = 50_000
 
 
 def accumulate(acc: dict[Mono, tuple[int, int]], factors,
@@ -235,23 +255,17 @@ def accumulate(acc: dict[Mono, tuple[int, int]], factors,
     """Add ``scale * f1 * .. * fk`` to the accumulator ``acc`` without
     normalizing; a zero factor adds nothing and multiplies nothing.  When
     every factor has one term, as every exact-series weight does, the
-    product is folded into one running (numerator, denominator, monomial).
-    Otherwise it is expanded term by term, and a product that would form
-    more than ``MAX_TERM_PAIRS`` term pairs raises ExprError before it
-    forms them and leaves ``acc`` unchanged."""
-    n, d, mono = scale.numerator, scale.denominator, ONE_MONO
-    for f in factors:
-        if len(f.terms) != 1:
-            break
-    else:
-        for f in factors:
-            (c, m), = f.terms
-            n, d, mono = n * c.numerator, d * c.denominator, mono_mul(mono, m)
-        _add_pair(acc, mono, n, d)
+    product is folded by :func:`add_folded`.  Otherwise it is expanded term
+    by term, and a product that would form more than ``MAX_TERM_PAIRS``
+    term pairs raises ExprError before it forms them and leaves ``acc``
+    unchanged."""
+    folds = list(map(fold, factors))
+    if None not in folds:
+        add_folded(acc, folds, scale.numerator, scale.denominator)
         return
     if any(f.is_zero for f in factors):
         return
-    terms, pairs = [(n, d, mono)], 0
+    terms, pairs = [(scale.numerator, scale.denominator, ONE_MONO)], 0
     for f in factors:
         pairs += len(terms) * len(f.terms)
         if pairs > MAX_TERM_PAIRS:
@@ -260,6 +274,25 @@ def accumulate(acc: dict[Mono, tuple[int, int]], factors,
                  for n, d, m1 in terms for c, m2 in f.terms]
     for n, d, mono in terms:
         _add_pair(acc, mono, n, d)
+
+
+def fold(expr: WeightExpr) -> tuple[int, int, Mono] | None:
+    """The one term of ``expr`` as (numerator, denominator, monomial), or
+    None when ``expr`` is zero or has several terms."""
+    if len(expr.terms) != 1:
+        return None
+    (c, mono), = expr.terms
+    return (*c.as_integer_ratio(), mono)
+
+
+def add_folded(acc: dict[Mono, tuple[int, int]], folds, n: int = 1, d: int = 1) -> None:
+    """Add ``n/d`` times the product of the one-term factors ``folds``, each
+    a :func:`fold`, to ``acc``: the coefficients multiply as ints and the
+    monomials through :func:`mono_mul`, starting from the unit."""
+    mono = ONE_MONO
+    for fn, fd, fm in folds:
+        n, d, mono = n * fn, d * fd, mono_mul(mono, fm)
+    _add_pair(acc, mono, n, d)
 
 
 def _add_pair(acc: dict[Mono, tuple[int, int]], mono: Mono, n: int, d: int) -> None:
@@ -406,6 +439,18 @@ class _ExprParser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.pairs = 0
+
+    def mul(self, a: WeightExpr, b: WeightExpr) -> WeightExpr:
+        """``a * b``, its term pairs counted against ``MAX_PARSE_PAIRS`` unless
+        both factors have one term; a product over ``MAX_TERM_PAIRS`` raises
+        its own error."""
+        pairs = len(a.terms) * len(b.terms)
+        self.pairs += pairs if 1 < pairs <= MAX_TERM_PAIRS else 0
+        if self.pairs > MAX_PARSE_PAIRS:
+            raise ExprError(f"expression too large to expand: more than "
+                            f"{MAX_PARSE_PAIRS:,} term pairs")
+        return a * b
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -418,20 +463,21 @@ class _ExprParser:
         return tok
 
     def parse_expr(self) -> WeightExpr:
-        first_sign = Fraction(1)
-        if self.peek() in ("+", "-"):
-            first_sign = Fraction(-1) if self.take() == "-" else Fraction(1)
-        acc = self.parse_term().scaled(first_sign)
-        while self.peek() in ("+", "-"):
-            sign = Fraction(-1) if self.take() == "-" else Fraction(1)
-            acc = acc + self.parse_term().scaled(sign)
-        return acc
+        # one accumulator for all the terms, normalized once: a sum of n
+        # terms costs time linear in n, not quadratic
+        acc: dict[Mono, tuple[int, int]] = {}
+        op = self.take() if self.peek() in ("+", "-") else "+"
+        while op:
+            for c, mono in self.parse_term().terms:
+                _add_pair(acc, mono, c.numerator if op == "+" else -c.numerator, c.denominator)
+            op = self.take() if self.peek() in ("+", "-") else None
+        return from_acc(acc)
 
     def parse_term(self) -> WeightExpr:
         out = self.parse_power()
         while self.peek() == "*":
             self.take()
-            out = out * self.parse_power()
+            out = self.mul(out, self.parse_power())
         return out
 
     def parse_power(self) -> WeightExpr:
@@ -441,7 +487,7 @@ class _ExprParser:
             tok = self.take()
             if not tok.isdigit():
                 raise ExprParseError(f"exponent must be an integer, got {tok!r}")
-            return base ** int(tok)
+            return power(base, int(tok), self.mul)
         return base
 
     def parse_factor(self) -> WeightExpr:
@@ -459,13 +505,13 @@ class _ExprParser:
             color = int(tok[3:])
             if self.take() != "[":
                 raise ExprParseError("expected '[' after Int")
-            factors = [self.parse_expr()]
+            integrand = self.parse_expr()  # the product of the factors
             while self.peek() == ",":
                 self.take()
-                factors.append(self.parse_expr())
+                integrand = self.mul(integrand, self.parse_expr())
             if self.take() != "]":
                 raise ExprParseError("expected ']'")
-            return integral(color, factors)
+            return integral(color, [integrand])
         if re.fullmatch(r"\d+(/\d+)?", tok):
             try:
                 return rational(Fraction(tok))

@@ -4,8 +4,11 @@ function-of-a-series expansion.
 
 Composition and the derivative product are one decomposition sum over
 different pair sets (all subtree/remainder pairs, or the single-remainder
-ones); the function expansion walks the same multisets of trees as
-:func:`sbseries.trees.enumerate_trees`.
+ones).  The sum reads each operand weight once per call, in the folded form
+(numerator, denominator, monomial) of :func:`sbseries.expr.fold`, so a row
+whose factors all have one term, as every exact-series weight has,
+multiplies on ints.  The function expansion walks the same multisets of
+trees as :func:`sbseries.trees.enumerate_trees`.
 
 A B-series here is the data (model, order cap, weight map); the series it
 denotes is the sum over trees of alpha(tree) * weight(tree) * elementary
@@ -149,21 +152,41 @@ def derivative_product(phi_x: BSeries, phi_y: BSeries) -> BSeries:
                               ex.ZERO)
 
 
+class _Folds(dict):
+    """The weights of one series by tree, each read and folded once
+    (:func:`sbseries.expr.fold`: None for a zero or several-term weight)."""
+
+    def __init__(self, series: BSeries):
+        self.weight = series.weight
+
+    def __missing__(self, tree: Tree):
+        return self.setdefault(tree, ex.fold(self.weight(tree)))
+
+
 @collector_paused()
 def _decomposition_sum(phi_x: BSeries, phi_y: BSeries,
                        pairs: Callable[[Tree], Iterable[tuple[Tree, tuple[Tree, ...], int]]],
                        empty_weight: WeightExpr) -> BSeries:
     """For every tree up to the smaller cap, the sum over the rows
     (theta, omega, gamma) of ``pairs(tree)`` of gamma * phi_y(theta) *
-    product of phi_x over omega; runs with the cyclic collector paused."""
+    product of phi_x over omega; runs with the cyclic collector paused.
+
+    Each operand's weights are read and folded once per call (once in all
+    when ``phi_x is phi_y``), and a row whose factors all have one term
+    multiplies as ints through :func:`sbseries.expr.add_folded`; a row with
+    a zero or several-term factor goes through :func:`sbseries.expr.accumulate`."""
     cap = min(phi_x.order_cap, phi_y.order_cap)
+    xs = _Folds(phi_x)
+    ys = xs if phi_y is phi_x else _Folds(phi_y)
     out: dict[Tree, WeightExpr] = {}
     for tree in _series_domain(phi_x, phi_y, cap):
         acc: dict[ex.Mono, tuple[int, int]] = {}
         for theta, omega, g in pairs(tree):
-            factors = [phi_y.weight(theta)]
-            factors.extend(phi_x.weight(delta) for delta in omega)
-            ex.accumulate(acc, factors, g)
+            folds = [ys[theta], *map(xs.__getitem__, omega)]
+            if None not in folds:
+                ex.add_folded(acc, folds, g)
+            else:
+                ex.accumulate(acc, [phi_y.weight(theta), *map(phi_x.weight, omega)], g)
         total = ex.from_acc(acc)
         if not total.is_zero:
             out[tree] = total

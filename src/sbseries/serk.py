@@ -12,6 +12,10 @@ uniquely into an A-tree prefix and a coefficient-rooted remainder, whose
 children recurse through the stages.  The split is found by walking down
 the A-chain: every A-node keeps its time leaves in the prefix and passes
 to its one other child, until a coefficient node roots the remainder.
+
+A residual that is not symbolically zero can still vanish pathwise; the
+probe (:func:`residuals_are_pathwise_zero`) decides that on fixed probe
+paths, for all rows of a residual table in one pass over the paths.
 """
 
 from __future__ import annotations
@@ -448,22 +452,42 @@ def _probe_paths(n_colors: int) -> tuple[PathGrid, ...]:
     return paths
 
 
-def residual_is_pathwise_zero(residual: WeightExpr, interp: str = "stratonovich") -> bool:
-    """Certify that a residual vanishes as a random variable under the given
-    interpretation by evaluating it on a fixed set of probe paths.
+def residuals_are_pathwise_zero(residuals, interp: str = "stratonovich") -> list[bool]:
+    """Certify, for each residual, that it vanishes as a random variable
+    under the given interpretation by evaluating it on a fixed set of probe
+    paths: True where no probe value exceeds the tolerance in magnitude.
 
     Symbolically distinct weights can agree pathwise (the quadrature rules
     reproduce the relevant calculus identities exactly on any grid), so a
     zero certificate here is machine-precision, not statistical: genuinely
     nonzero residuals of the orders treated here sit many orders of
     magnitude above the tolerance at h = 1/2.
-    """
-    if residual.is_zero:
-        return True
-    from sbseries.paths import eval_weight
 
-    colors = max(residual.colors(), default=0)
-    for path in _probe_paths(max(colors, 1)):
-        if abs(eval_weight(residual, path, interp)) > _PROBE_TOL:
-            return False
-    return True
+    A symbolic zero is certified as it is.  The others are read on the
+    probe paths with as many drivers as their highest color (at least one),
+    one group per driver count: path by path, the residuals of a group not
+    yet decided are evaluated in one :func:`sbseries.paths.eval_weights`
+    workspace, and those whose value exceeds the tolerance drop out, until
+    none are left or every path has been read.
+    """
+    from sbseries.paths import eval_weights
+
+    out = [r.is_zero for r in residuals]
+    groups: dict[int, list[int]] = {}  # driver count -> residual indices
+    for k, r in enumerate(residuals):
+        if not out[k]:
+            groups.setdefault(max(r.colors() | {1}), []).append(k)
+    for colors, undecided in groups.items():
+        for path in _probe_paths(colors):
+            values = eval_weights([residuals[k] for k in undecided], path, interp)
+            undecided = [k for k, v in zip(undecided, values) if not abs(v) > _PROBE_TOL]
+            if not undecided:
+                break
+        for k in undecided:
+            out[k] = True
+    return out
+
+
+def residual_is_pathwise_zero(residual: WeightExpr, interp: str = "stratonovich") -> bool:
+    """:func:`residuals_are_pathwise_zero` of one residual."""
+    return residuals_are_pathwise_zero([residual], interp)[0]

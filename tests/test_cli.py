@@ -508,6 +508,8 @@ class TestInputValidation:
         (("weights", "mc", "--expr", "dW1)") + MC_FLAGS, "trailing tokens from ')'"),
         (("weights", "mc", "--expr", "(h+dW1+dW2)^160") + MC_FLAGS,
          "product too large to expand: more than 200,000 term pairs"),
+        (("weights", "mc", "--expr", "*".join(["(h+dW1+dW2)"] * 150)) + MC_FLAGS,
+         "expression too large to expand: more than 50,000 term pairs"),
         (("weights", "mc", "--expr", "dW1") + MC_FLAGS[:-1] + ("-1",),
          "a seed must be non-negative, got -1"),
         (("weights", "mc", "--expr", "h") + MC_FLAGS[:-1] + ("-1",),
@@ -515,7 +517,7 @@ class TestInputValidation:
         (("converge", "--problem", "scalar-semilinear", "--paths", "2", "--seed", "-5"),
          "a seed must be non-negative, got -5"),
     ], ids=["step-divides-horizon", "fine-grid-refines-step", "dw0", "symbolic-exponent",
-            "trailing-tokens", "product-too-large", "mc-negative-seed",
+            "trailing-tokens", "product-too-large", "chain-too-large", "mc-negative-seed",
             "mc-negative-seed-no-paths", "converge-negative-seed"])
     def test_library_check_exits_two_with_its_error_line(self, argv, message, capsys):
         assert run(*argv) == (2, "")

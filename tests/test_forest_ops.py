@@ -9,6 +9,7 @@ from sbseries import expr as E
 from sbseries import trees as T
 from sbseries.forest_ops import PairNotInST, SubtreePair, gamma, split_pairs, subtree_pairs
 from sbseries.series import BSeries, compose, derivative_product, exact_solution_series
+from sbseries.serk import builtin_exponential_midpoint, erk_weights, order_residuals
 from sbseries.trees import (
     HalfInt,
     Tree,
@@ -98,13 +99,15 @@ def canonicalizing_st_table(tau: Tree) -> list:
     return [(theta, omega, g) for (theta, omega), g in items]
 
 
-def oracle_decomposition_sum(phi_x: BSeries, phi_y: BSeries, single: bool) -> dict:
-    """For every stored tree of phi_x, the sum over the rows (theta, omega,
-    g) of :func:`canonicalizing_st_table` (only those with one remainder
-    tree when ``single``) of g * phi_y(theta) * product of phi_x over
-    omega, expanded by the ``Fraction`` oracle; zero sums are left out."""
+def oracle_decomposition_sum(phi_x: BSeries, phi_y: BSeries, single: bool,
+                             trees=None) -> dict:
+    """For every tree of ``trees`` (by default every stored tree of phi_x),
+    the sum over the rows (theta, omega, g) of :func:`canonicalizing_st_table`
+    (only those with one remainder tree when ``single``) of g * phi_y(theta)
+    * product of phi_x over omega, expanded by the ``Fraction`` oracle; zero
+    sums are left out."""
     out = {}
-    for tau in phi_x.weights:
+    for tau in phi_x.weights if trees is None else trees:
         total: dict = {}
         for theta, omega, g in canonicalizing_st_table(tau):
             if single and len(omega) != 1:
@@ -219,6 +222,65 @@ class TestDecompositionSums:
         incr = BSeries(model, phi.order_cap, dict(phi.weights), E.ZERO)
         assert (derivative_product(incr, phi).weights
                 == oracle_decomposition_sum(incr, phi, True))
+
+    @pytest.fixture(scope="class")
+    def stage(self):
+        # the midpoint rule's stage weights plus its residuals, exact minus
+        # numerical weights: 80 of the 96 weights have several terms
+        method, cap = builtin_exponential_midpoint(), HalfInt(5)
+        _, (stage,) = erk_weights(method, cap)
+        weights = dict(stage.weights)
+        for r in order_residuals(method, cap):
+            weights[r.tree] = stage.weight(r.tree) + r.residual
+        assert (sum(len(w.terms) > 1 for w in weights.values()), len(weights)) == (80, 96)
+        return BSeries(stage.model, cap, weights)
+
+    @staticmethod
+    def domain(model, cap):
+        return enumerate_trees(model, cap) + list(model.adjoined_leaves())
+
+    def test_several_term_operands_equal_the_oracle_table_sum(self, stage):
+        # one fold table when phi_x is phi_y, two when not, either operand
+        # with several-term weights
+        phi = exact_solution_series(stage.model, stage.order_cap)
+        trees = self.domain(stage.model, stage.order_cap)
+        for x, y in [(stage, stage), (stage, phi), (phi, stage)]:
+            assert compose(x, y).weights == oracle_decomposition_sum(x, y, False, trees)
+            incr = BSeries(x.model, x.order_cap, dict(x.weights), E.ZERO)
+            assert (derivative_product(incr, y).weights
+                    == oracle_decomposition_sum(incr, y, True, trees))
+
+    def test_stored_zero_weights_equal_the_oracle_table_sum(self, stage):
+        # a stored ZERO is a zero factor, in either operand
+        model, cap = stage.model, HalfInt(4)
+        phi = exact_solution_series(model, cap)
+        zeroed = BSeries(model, cap, {t: E.ZERO if k % 3 == 0 else w
+                                      for k, (t, w) in enumerate(phi.weights.items())})
+        assert sum(w.is_zero for w in zeroed.weights.values()) > 10
+        trees = self.domain(model, cap)
+        for x, y in [(zeroed, zeroed), (zeroed, phi), (phi, zeroed)]:
+            assert compose(x, y).weights == oracle_decomposition_sum(x, y, False, trees)
+
+    def test_single_node_rows_read_the_empty_weights(self):
+        # a single node's rows are (empty, {node}) and (node, {empty}):
+        # compose reads phi_x(empty) = 1 and the derivative product
+        # phi_x(empty) = 0; phi_y(empty) has two terms
+        model = T.SemiLinear(1)
+        cap = HalfInt(2)
+        leaf, t_leaf = parse_tree("1"), model.adjoined_leaves()[0]
+        y = BSeries(model, cap, {leaf: E.dw(1).scaled(3)}, E.ONE + E.H)
+        x_weights = {leaf: E.H.scaled(2), t_leaf: E.H}
+        x = BSeries(model, cap, x_weights)
+        composed = compose(x, y).weights
+        assert composed[leaf] == (E.ONE + E.H) * E.H.scaled(2) + E.dw(1).scaled(3)
+        assert composed[t_leaf] == (E.ONE + E.H) * E.H
+        incr = BSeries(model, cap, x_weights, E.ZERO)
+        product = derivative_product(incr, y).weights
+        assert product[leaf] == (E.ONE + E.H) * E.H.scaled(2)
+        trees = [leaf, t_leaf]
+        assert {t: composed[t] for t in trees} == oracle_decomposition_sum(x, y, False, trees)
+        assert ({t: product[t] for t in trees}
+                == oracle_decomposition_sum(incr, y, True, trees))
 
 
 class TestGamma:

@@ -220,6 +220,31 @@ class TestAccumulator:
             parse_expr("(h+dW1+dW2)^160")
         assert time.perf_counter() - start < 1.0
 
+    def test_long_chain_of_many_term_factors_raises_at_once(self):
+        # each product of 150 factors (h+dW1+dW2) forms under 200,000
+        # pairs, but the chain would expand to 11,476 terms, which took
+        # 20 s; the bound stops it after about 0.3 s (1.4 s under a line
+        # tracer)
+        start = time.perf_counter()
+        with pytest.raises(E.ExprError, match=r"^expression too large to expand: "
+                                              r"more than 50,000 term pairs$"):
+            parse_expr("*".join(["(h+dW1+dW2)"] * 150))
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("text, pairs", [
+        ("(h+dW1)*(h+dW2)*h", 2 * 2 + 4),
+        ("(h+dW1)^3", 2 + 2 * 2 + 3 * 2),  # 1 * base, base * base, out * base
+        ("Int1[h+dW1, h+dW2, dW1]*h", 2 * 2 + 4 + 4),
+        ("h*h*dW1^9*Int1[s]^2 + (h+dW1)*2", 2),  # one-term products count nothing
+    ], ids=["product", "power", "integrand", "one-term"])
+    def test_parse_counts_the_pairs_of_its_products(self, monkeypatch, text, pairs):
+        want = parse_expr(text)
+        monkeypatch.setattr(E, "MAX_PARSE_PAIRS", pairs)
+        assert parse_expr(text) == want
+        monkeypatch.setattr(E, "MAX_PARSE_PAIRS", pairs - 1)
+        with pytest.raises(E.ExprError, match=f"more than {pairs - 1} term pairs$"):
+            parse_expr(text)
+
     def test_zero_factor_adds_nothing(self):
         acc = {}
         E.accumulate(acc, (E.H, E.ZERO, E.dw(1)))

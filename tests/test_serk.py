@@ -36,6 +36,7 @@ from sbseries.serk import (
     order_residuals,
     residual_at,
     residual_is_pathwise_zero,
+    residuals_are_pathwise_zero,
     resolve_method,
     semilinear_trees,
 )
@@ -422,14 +423,30 @@ def _probe_oracle(residual: E.WeightExpr, interp: str) -> bool:
 class TestProbePaths:
     @pytest.mark.parametrize("interp, certified", [("stratonovich", 1), ("ito", 0)])
     def test_decisions_equal_the_sampling_oracle(self, midpoint, interp, certified):
+        # one residual per call, and all of them in one call
         rows = order_residuals(midpoint, HalfInt(7))
         assert len(rows) == 970
         got = [residual_is_pathwise_zero(r.residual, interp) for r in rows]
         assert got == [_probe_oracle(r.residual, interp) for r in rows]
+        assert residuals_are_pathwise_zero([r.residual for r in rows], interp) == got
         # 10 symbolic zeros; under Stratonovich the residual of [1]1,
         # Int1[dW1] - 1/2*dW1^2, is certified as well, under Ito it is not
         assert sum(r.residual.is_zero for r in rows) == 10
         assert sum(got) == 10 + certified
+
+    @pytest.mark.parametrize("interp, certified", [
+        ("stratonovich", [True, True, True, False, True]),
+        ("ito", [False, False, False, False, True]),
+    ])
+    def test_mixed_colors_equal_the_sampling_oracle(self, interp, certified):
+        # one- and two-color residuals in one call are each read on the
+        # paths of their own color count
+        residuals = [parse_expr(text) for text in [
+            "Int1[dW1] - 1/2*dW1^2", "Int2[dW2] - 1/2*dW2^2",
+            "Int1[dW2] + Int2[dW1] - dW1*dW2", "dW2"]] + [E.ZERO]
+        got = residuals_are_pathwise_zero(residuals, interp)
+        assert got == [_probe_oracle(r, interp) for r in residuals] == certified
+        assert [residual_is_pathwise_zero(r, interp) for r in residuals] == certified
 
     def test_cached_paths_are_read_only(self):
         paths = serk._probe_paths(1)
