@@ -23,6 +23,12 @@ distinct label, and each label holds every fact about itself, set once
 when it is interned: its order key, color, partition and bracket token,
 and the intern table of its trees.
 
+A census, the trees of a model up to an order, is counted before it is
+built: :func:`count_trees` gives its size per order without building a
+tree, so :func:`iter_trees` refuses a census over its cap before the
+first tree.  It then yields the trees one by one and keeps only those
+below the top order, the ones that later trees take as children.
+
 All operations expect canonical trees (children sorted by the total order
 below) and :func:`canonicalize` produces them.
 Tree order ``rho`` is a half-integer: deterministic nodes count 1,
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -535,34 +542,81 @@ def model_labels(model: TreeModel) -> frozenset[NodeLabel]:
 # ---------------------------------------------------------------------------
 
 
+def count_trees(model: TreeModel, rho_max: HalfInt, cap: int | None = None) -> list[int]:
+    """The number of trees :func:`iter_trees` yields at each 2*rho from 0 to
+    ``rho_max.twice``, counted without building one.  The list ends early,
+    at the half-order where the running total passes ``cap``.
+
+    At half-order b, a label of weight w roots one tree per multiset of pool
+    items whose weights sum to b - w: the coefficient M(b - w) of the Euler
+    transform prod_k (1 - x^k)^(-c_k), where c_k counts the pool items of
+    weight k, and n M(n) = sum_j s(j) M(n - j) with s(j) = sum_{d | j} d c_d
+    (Otter 1948; Butcher 2008, ch. 3).  An A-node's children are time
+    leaves and at most one other item, so its count is one sum."""
+    labels = model.node_labels()  # a label's own share of 2*rho is trees[2]
+    roots = Counter(lb.trees[2] for lb in labels if not isinstance(lb, ALabel))
+    a_nodes = len(labels) - roots.total()
+    leaves = Counter(leaf._rho2 for leaf in model.adjoined_leaves())
+    # per weight: trees, pool items, divisor sums s and multisets M
+    counts, items, s, m = [0], [0], [0], [1]
+    for b in range(1, rho_max.twice + 1):
+        n = sum(k * m[b - w] for w, k in roots.items() if w <= b)
+        # an A-node and the time leaf weigh 2: the children of an A-node are
+        # time leaves and one pool item of the remaining parity, the time
+        # leaf itself standing for time leaves alone, or none at b == 2
+        if b >= 2:
+            n += a_nodes * (sum(items[b - 2::-2]) + (b == 2))
+        counts.append(n)
+        items.append(n + leaves[b])
+        s.append(sum(d * items[d] for d in range(1, b + 1) if b % d == 0))
+        m.append(sum(s[j] * m[b - j] for j in range(1, b + 1)) // b)
+        if cap is not None and sum(counts) > cap:
+            break
+    return counts
+
+
+def iter_trees(model: TreeModel, rho_max: HalfInt, cap: int = DEFAULT_ENUMERATION_CAP):
+    """The trees of :func:`enumerate_trees`, in its order, as a generator.
+
+    The census is counted first (:func:`count_trees`), so
+    :class:`CapExceeded` is raised by this call, before any tree is built.
+    Trees of the top order are yielded and never held, as no tree of the
+    census has one as a child: a caller that drops each tree keeps only the
+    lower orders alive."""
+    if sum(count_trees(model, rho_max, cap)) > cap:
+        raise CapExceeded(f"more than {cap} trees below order {rho_max}")
+    return _built_trees(model, rho_max.twice)
+
+
 def enumerate_trees(model: TreeModel, rho_max: HalfInt,
                     cap: int = DEFAULT_ENUMERATION_CAP) -> list[Tree]:
     """All distinct canonical trees of the model with rho <= rho_max,
     excluding the empty tree and the child-only time/Wiener leaves,
     in ``tree_key`` order: by rho, then root label, then children.
+    The list of :func:`iter_trees`.
 
-    The trees are built in that order, with no sorting.  Half-order ``b``
-    takes the node labels in the order of their ``key``, and for each label
-    the child tuples in the order :func:`_weighted_multisets` yields them:
-    lexicographic in their positions in the pool of child candidates.
-    The pool is in ``tree_key`` order, because each half-order appends
-    its adjoined leaves (t and W_i, whose labels sort before every node
-    label) and then its trees.  So positions compare as keys do, and as
-    two child tuples of equal weight are never prefixes of one another,
-    their positions compare as their key tuples do.
-
-    Raises :class:`CapExceeded` if more than ``cap`` trees would be produced.
+    Raises :class:`CapExceeded`, before any tree is built, if more than
+    ``cap`` trees would be produced.
     """
-    budget = rho_max.twice
-    if budget < 1:
-        return []
+    return list(iter_trees(model, rho_max, cap))
+
+
+def _built_trees(model: TreeModel, budget: int):
+    """The trees with 2*rho <= budget, built in ``tree_key`` order, with no
+    sorting.  Half-order ``b`` takes the node labels in the order of their
+    ``key``, and for each label the child tuples in the order
+    :func:`_weighted_multisets` yields them: lexicographic in their
+    positions in the pool of child candidates.  The pool is in ``tree_key``
+    order, because each half-order appends its adjoined leaves (t and W_i,
+    whose labels sort before every node label) and then its trees.  So
+    positions compare as keys do, and as two child tuples of equal weight
+    are never prefixes of one another, their positions compare as their key
+    tuples do.  The trees of the top order join no pool."""
     leaves = [Tree(label) for label in sorted(model.node_labels(), key=lambda lb: lb.key)]
     adjoined = sorted(model.adjoined_leaves(), key=lambda leaf: leaf.label.key)
     pool: list[Tree] = []  # child candidates, in tree_key order
-    out: list[Tree] = []
     for b in range(1, budget + 1):
         pool += [leaf for leaf in adjoined if rho2(leaf) == b]
-        start = len(out)
         for leaf in leaves:
             label, rem = leaf.label, b - rho2(leaf)
             if rem < 0:
@@ -572,11 +626,12 @@ def enumerate_trees(model: TreeModel, rho_max: HalfInt,
             else:
                 combos = _weighted_multisets(pool, rem)
             for combo in combos:
-                out.append(Tree(label, combo))
-                if len(out) > cap:
-                    raise CapExceeded(f"more than {cap} trees below order {rho_max}")
-        pool += out[start:]
-    return out
+                tree = Tree(label, combo)
+                # it outweighs every budget of this order, whose multisets
+                # stop before it in the pool
+                if b < budget:
+                    pool.append(tree)
+                yield tree
 
 
 def _weighted_multisets(pool: list[Tree], budget: int):
@@ -697,7 +752,8 @@ def _read(text: str) -> tuple:
             token = _TOKEN_RE.match(text, pos)
             if token is None:
                 ch = text[pos:pos + 1]
-                shift, msg = _TOKEN_ERRORS.get(ch, (0, f"unexpected character {ch!r}"))
+                msg = f"unexpected character {ch!r}" if ch else "unexpected end of input"
+                shift, msg = _TOKEN_ERRORS.get(ch, (0, msg))
                 _syntax_error(text, pos + shift, msg)
             pos = token.end()
             node = (_token_label(token.group()), children)

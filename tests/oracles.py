@@ -452,7 +452,7 @@ class RecursiveParser:
         if len(ch) == 1 and ch in "0123456789":
             self.pos += 1
             return GLabel(int(ch))
-        self.error(f"unexpected character {ch!r}")
+        self.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
 
 def oracle_parse_tree(text: str, model=None) -> Tree:

@@ -20,7 +20,7 @@ def load_tool():
 # ``all_correct`` summary fields, and its ``parent_iqr`` takes the quartiles
 # by the inclusive rule, not ``statistics.quantiles(n=4)``'s default
 @pytest.mark.parametrize("tag", ["pr13", "pr14", "pr16", "pr19", "pr21", "pr22", "pr23", "pr24",
-                                 "pr25", "pr26", "pr27", "pr28"])
+                                 "pr25", "pr26", "pr27", "pr28", "pr29"])
 def test_summary_reproduces_a_committed_record(tag):
     record = json.loads((ROOT / f"BENCH_{tag}.json").read_text())
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]

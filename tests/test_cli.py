@@ -1,14 +1,19 @@
 """Command-line interface: outputs, round trips, determinism, exit codes."""
 
+import csv
 import hashlib
 import io
+import time
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_imports import run_python
 
 from sbseries import cli
+from sbseries import trees as T
 from sbseries.cli import main
 from sbseries.paths import ColorMissing
 from sbseries.trees import parse_tree
@@ -32,13 +37,74 @@ class TestTrees:
         assert trees == {"1", "0", "A", "[1]1"}
 
     def test_enum_round_trips(self):
-        import csv
         code, text = run("trees", "enum", "--model", "semilinear",
                          "--M", "1", "--cap", "2")
         assert code == 0
         rows = list(csv.reader(io.StringIO(text)))
         for tree_str, _, _ in rows[1:]:
             assert str(parse_tree(tree_str)) == tree_str
+
+    def test_enum_streams_its_top_order(self):
+        # at every write, the live trees of the model are the 11,381 below
+        # the top order, the time leaf and the tree of the row, where the
+        # whole census of 40,394 used to be; a fresh interpreter, so that no
+        # other test holds trees
+        code = """if True:
+            import io
+            from sbseries import cli, trees as T
+            model = T.SemiLinear(1)
+            labels = [*model.node_labels(), *(t.label for t in model.adjoined_leaves())]
+            peak, writes = 0, 0
+            class Sink(io.StringIO):
+                def write(self, text):
+                    global peak, writes
+                    peak = max(peak, sum(len(label.trees[0]) for label in labels))
+                    writes += 1
+                    return super().write(text)
+            argv = ["trees", "enum", "--model", "semilinear", "--M", "1", "--cap", "5"]
+            print(cli.main(argv, out=Sink()), writes, peak)
+        """
+        status, writes, peak = map(int, run_python(code).split())
+        assert (status, writes) == (0, 40_395)
+        assert peak <= 11_383
+
+    @pytest.mark.parametrize("argv, order", [
+        (("trees", "enum", "--model", "semilinear", "--M", "1", "--cap", "7"), "7"),
+        (("series", "exact", "--model", "semilinear", "--M", "3", "--cap", "9/2"), "9/2"),
+    ], ids=["trees-enum", "series-exact"])
+    def test_over_cap_writes_nothing_and_exits_at_once(self, argv, order, capsys):
+        start = time.perf_counter()
+        assert run(*argv) == (2, "")
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"error: more than 1000000 trees below order {order}\n"
+
+    def test_count_lists_each_order(self):
+        assert run("trees", "count", "--model", "semilinear", "--M", "1", "--cap", "5") == (0, (
+            "rho,count\n1/2,1\n1,3\n3/2,7\n2,21\n5/2,63\n3,202\n7/2,673\n"
+            "4,2305\n9/2,8106\n5,29013\n"))
+
+    @pytest.mark.parametrize("flags", [
+        ("--model", "semilinear", "--M", "2"),
+        ("--model", "general", "--model-preset", "langevin"),
+        ("--model", "nonautonomous", "--M", "1", "--l", "2"),
+    ], ids=["semilinear-2", "langevin", "nonautonomous"])
+    def test_count_equals_the_enumerated_rows(self, flags, monkeypatch):
+        _, text = run("trees", "enum", *flags, "--cap", "3")
+        rows = Counter(row[1] for row in list(csv.reader(io.StringIO(text)))[1:])
+        monkeypatch.setattr(T, "_built_trees", None)  # counting builds no tree
+        code, text = run("trees", "count", *flags, "--cap", "3")
+        assert code == 0
+        assert text.splitlines()[1:] == [f"{r},{rows[r]}" for r in
+                                         ("1/2", "1", "3/2", "2", "5/2", "3")]
+
+    def test_count_above_its_order_bound_is_two(self, capsys):
+        code, text = run("trees", "count", "--cap", "200")
+        assert (code, text.count("\n")) == (0, 401)
+        start = time.perf_counter()
+        assert run("trees", "count", "--cap", "99999999999999999999/2") == (2, "")
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error: --cap must be at most 200, got '99999999999999999999/2'\n")
 
     def test_info_reference_values(self):
         code, text = run("trees", "info", "[[[t,t]A,0]1,t]A")
@@ -399,12 +465,13 @@ class TestExitCodes:
          "general model requires --model-preset langevin "
          "(table-driven models are library-level)"),
         (("trees", "info", "[t]()"), None, "the empty tree cannot have children"),
+        (("trees", "info", "[1,"), None, "unexpected end of input at position 3 in '[1,'"),
         (("trees", "info", "1"), RecursionError("maximum recursion depth exceeded"),
          "input nested too deeply"),
         (("weights", "mc", "--expr", "dW1") + MC_FLAGS,
          ColorMissing("path carries colors 1..1, not 2"), "path carries colors 1..1, not 2"),
-    ], ids=["general-without-preset", "empty-tree-with-children", "recursion",
-            "color-missing"])
+    ], ids=["general-without-preset", "empty-tree-with-children", "end-of-input",
+            "recursion", "color-missing"])
     def test_failure_is_two_with_its_error_line(self, argv, error, message, monkeypatch,
                                                 capsys):
         # an injected error is raised by the command's handler
@@ -574,12 +641,14 @@ MODEL_SIZES = st.sampled_from(["-2", "-1", "0", "1", "2", "x"])
 def test_fuzzed_argv_exits_zero_two_or_three(cap, expr, paths, h, converge,
                                              tree, small_cap, model_sizes):
     assert run("trees", "enum", "--cap", cap)[0] in (0, 2, 3)
+    assert run("trees", "count", "--cap", cap)[0] in (0, 2, 3)
     colors, leaves = model_sizes
     for model in (("semilinear",), ("general", "--model-preset", "langevin"),
                   ("nonautonomous",)):
-        code, _ = run("trees", "enum", "--cap", "1", "--model", *model,
-                      "--M", colors, "--l", leaves)
-        assert code in (0, 2, 3)
+        for command in ("enum", "count"):
+            code, _ = run("trees", command, "--cap", "1", "--model", *model,
+                          "--M", colors, "--l", leaves)
+            assert code in (0, 2, 3)
     for argv in (("trees", "info", tree), ("trees", "split", tree),
                  ("trees", "split", tree, "--full"), ("split", tree)):
         assert run(*argv)[0] in (0, 2, 3)

@@ -492,6 +492,46 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20
 
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+    def test_count_equals_the_enumeration_per_order(self, model):
+        cap = HalfInt(8)
+        sizes = [0] * (cap.twice + 1)
+        for tree in enumerate_trees(model, cap):
+            sizes[T.rho2(tree)] += 1
+        assert T.count_trees(model, cap) == sizes
+
+    def test_count_of_one_label_is_the_rooted_tree_numbers(self):
+        # OEIS A000081 at orders 1..8
+        model = T.GeneralPartitioned.from_table(Q=1, M=0, table={(0, 1): 1})
+        counts = T.count_trees(model, HalfInt(16))
+        assert counts[2::2] == [1, 1, 2, 4, 9, 20, 48, 115]
+        assert counts[1::2] == [0] * 8
+
+    def test_count_stops_once_the_total_passes_the_cap(self):
+        counts = T.count_trees(T.SemiLinear(1), HalfInt(2_000_000), cap=10)
+        assert counts == [0, 1, 3, 7]
+
+    def test_count_builds_no_tree(self, monkeypatch):
+        def build(cls, *args):
+            raise AssertionError("a tree was built")
+
+        model = T.langevin_model()
+        monkeypatch.setattr(T.Tree, "__new__", build)
+        assert sum(T.count_trees(model, HalfInt(13))) == 6_112_224
+
+    def test_cap_is_checked_before_any_tree_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(T, "_built_trees", lambda *args: built.append(args))
+        with pytest.raises(CapExceeded, match="more than 1000000 trees below order 13/2"):
+            T.iter_trees(T.SemiLinear(1), HalfInt(13))
+        assert built == []
+
+    def test_cap_admits_a_census_of_its_size(self):
+        model, order = T.SemiLinear(1), HalfInt(5)
+        assert len(enumerate_trees(model, order, cap=95)) == 95
+        with pytest.raises(CapExceeded):
+            enumerate_trees(model, order, cap=94)
+
     def test_time_leaf_with_children_is_not_a_member(self):
         # [[0]t]A: the time leaf is leaf-only
         raw = Tree(T.ALabel(), (Tree(T.TLabel(), (Tree(T.GLabel(0)),)),))
@@ -524,6 +564,14 @@ class TestSerialization:
         tree = parse_tree(EX4)
         assert format_tree(tree) == "[t,[0,[t,t]A]1]A"
         assert parse_tree(format_tree(tree)) == tree
+
+    @pytest.mark.parametrize("text, pos", [("[1]", 3), ("[1,", 3), ("[", 1), ("", 0)])
+    def test_end_of_input_is_named(self, text, pos):
+        want = f"unexpected end of input at position {pos} in {text!r}"
+        for parse in (parse_tree, oracle_parse_tree):
+            with pytest.raises(T.ParseError) as err:
+                parse(text)
+            assert str(err.value) == want
 
     @given(st.text(max_size=12))
     @settings(max_examples=200, deadline=None)
