@@ -41,9 +41,9 @@ from sbseries.trees import (
 def _model_from_flags(args) -> T.TreeModel:
     # each color and Wiener index adds a label or a leaf before the
     # enumeration cap can act
-    cap = T.DEFAULT_ENUMERATION_CAP
-    if not (0 <= args.M <= cap and 0 <= args.l <= cap):
-        raise ValueError(f"--M and --l must be between 0 and {cap}, got {args.M} and {args.l}")
+    if not (0 <= args.M <= MODEL_SIZE_BOUND and 0 <= args.l <= MODEL_SIZE_BOUND):
+        raise ValueError(f"--M and --l must be between 0 and {MODEL_SIZE_BOUND}, "
+                         f"got {args.M} and {args.l}")
     if args.model == "semilinear":
         if args.M > T.MAX_G_COLOR:
             raise ValueError(f"--M must be at most {T.MAX_G_COLOR} for the semilinear "
@@ -84,6 +84,11 @@ def _order_cap(text: str, bound: HalfInt | None = None) -> HalfInt:
 # M = l = 1,000 and 0.56 s with M = l = 100,000 (whose labels alone take
 # 1.7 s to build, for `trees enum` as well)
 COUNT_ORDER_BOUND = HalfInt(400)
+# the largest --M and --l: `trees count --model nonautonomous --cap 200`
+# takes 0.28 s with M = l = 1,000, 0.46 s with 10,000, and 2.2 s and 206 MB
+# with 100,000, most of it building the labels and leaves, which every
+# `trees` command builds first (22 s and 1.87 GB with 1,000,000)
+MODEL_SIZE_BOUND = 10_000
 
 
 def _semilinear_problem(text: str) -> str:

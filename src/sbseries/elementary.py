@@ -25,7 +25,6 @@ which pass a central-difference oracle in its place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,34 +49,31 @@ from sbseries.trees import (
 )
 
 
-@dataclass
 class SDEProblem:
     """A concrete SDE test problem.
 
     ``dims`` are the per-partition state dimensions and ``x0`` the flat
     initial state (blocks concatenated in partition order; for the
-    semi-linear flavor the last block is the initial time).
+    semi-linear flavor the last block is the initial time).  A partitioned
+    problem gives its coefficients in ``coeffs``, keyed (q, v, m); a
+    semi-linear one gives its linear part ``A`` and its coefficients ``g``,
+    keyed by color.
     """
 
-    name: str
-    model: TreeModel
-    dims: tuple[int, ...]
-    x0: np.ndarray
-    interpretation: str = "stratonovich"
-    # partitioned flavor
-    coeffs: dict = field(default_factory=dict)
-    # semi-linear flavor
-    A: Callable | None = None
-    g: dict = field(default_factory=dict)
-    # eval_bseries's differentials at the last state it saw: (the state's
-    # bytes and the coefficients, a private copy of the state, tree ->
-    # differential)
-    _differentials: tuple = field(default=(None, None, None), init=False,
-                                  repr=False, compare=False)
-
-    def __post_init__(self):
-        normalize_interpretation(self.interpretation)  # kept as spelled, if known
-        self.x0 = np.asarray(self.x0, dtype=float)
+    def __init__(self, name: str, model: TreeModel, dims: tuple[int, ...], x0: np.ndarray,
+                 interpretation: str = "stratonovich", coeffs: dict | None = None,
+                 A: Callable | None = None, g: dict | None = None):
+        self.name, self.model, self.dims = name, model, dims
+        self.interpretation = interpretation
+        self.coeffs = {} if coeffs is None else coeffs
+        self.A = A
+        self.g = {} if g is None else g
+        # eval_bseries's differentials at the last state it saw: (the state's
+        # bytes and the coefficients, a private copy of the state, tree ->
+        # differential)
+        self._differentials = (None, None, None)
+        normalize_interpretation(interpretation)  # kept as spelled, if known
+        self.x0 = np.asarray(x0, dtype=float)
         if self.x0.shape != (sum(self.dims),):
             raise ValueError("x0 must be the flat concatenation of the blocks")
 

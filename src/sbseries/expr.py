@@ -58,10 +58,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from sbseries.memo import Interned, cached
+from sbseries.memo import Frozen, Interned, cached
 
 
 class ExprError(ValueError):
@@ -168,11 +167,23 @@ def power(base: WeightExpr, n: int, mul=operator.mul) -> WeightExpr:
     return out
 
 
-@dataclass(frozen=True)
-class WeightExpr:
-    """Normalized sum of (rational, monomial) terms."""
+class WeightExpr(Frozen):
+    """Normalized sum of (rational, monomial) terms, an immutable value that
+    compares and hashes as its terms.  It is not interned: interning would
+    hash every coefficient of every expression built."""
 
-    terms: tuple[tuple[Fraction, Mono], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Fraction, Mono], ...] = ()) -> None:
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightExpr:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     # -- queries ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ order; :func:`subtree_pairs` presents them sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -40,17 +40,15 @@ class PairNotInST(TreeError):
     """The supplied pair is not a decomposition of the given tree."""
 
 
-@dataclass(frozen=True)
-class SubtreePair:
-    """One decomposition (theta, omega) with its multiplicity gamma.
+class SubtreePair(namedtuple("SubtreePair", "subtree remainder coefficient")):
+    """One decomposition: the ``subtree`` theta, the ``remainder`` omega and
+    the multiplicity gamma, a Fraction, as ``coefficient``.
 
     ``remainder`` is a canonically sorted tuple (a multiset); it contains
     an empty tree only in the single-node base case.
     """
 
-    subtree: Tree
-    remainder: tuple[Tree, ...]
-    coefficient: Fraction
+    __slots__ = ()
 
 
 @cached

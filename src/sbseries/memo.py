@@ -1,5 +1,5 @@
-"""The process-global memo caches, in one registry, and the base of the
-interned value types.
+"""The process-global memo caches, in one registry, and the bases of the
+immutable and the interned value types.
 
 Every memoized pure function of the package is declared with
 :func:`cached` where it is defined, and so is listed in :data:`CACHES`.
@@ -9,11 +9,11 @@ every cache, for tests that count misses from a cold start.
 
 Identity tables are not caches and are not listed: the tables of
 :class:`Interned`, which hold the one instance of each node label,
-monomial and integral atom; the per-label tree tables; and the parser's
-token table.  Equality of these objects is identity, so clearing a table
-would make an object built afterwards differ from an equal one built
-before: equal terms would stop merging and equal trees would stop
-matching.
+half-integer, tree model, monomial and integral atom; the per-label tree
+tables; and the parser's token table.  Equality of these objects is
+identity, so clearing a table would make an object built afterwards differ
+from an equal one built before: equal terms would stop merging and equal
+trees would stop matching.
 
 Per-object caches are not listed either, because they die with their
 object: a problem keeps the elementary differentials of the last state
@@ -43,19 +43,42 @@ def cached(fn):
     return memo
 
 
-class Interned:
-    """Base of the hash-consed value types: the node labels of
-    ``sbseries.trees`` and the monomials and integral atoms of
-    ``sbseries.expr``.
+class Frozen:
+    """Base of the immutable slotted value types, which name their fields in
+    their own ``__slots__``.  Setting or deleting an attribute raises; copies
+    and unpickled instances are built by the constructor from the fields;
+    the repr is ``Class(field=value, ...)``.  A class sets its fields once,
+    through ``object.__setattr__``, and defines its own equality."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Interned(Frozen):
+    """Base of the hash-consed value types: the node labels, half-integers
+    and tree models of ``sbseries.trees``, and the monomials and integral
+    atoms of ``sbseries.expr``.
 
     A class names its fields in its own ``__slots__``; its constructor
     passes their values to :meth:`_intern`, which returns the one instance
     of the class with those values, kept in the class's own identity table.
     So equality is identity and the hash is the identity hash.  ``_derive``
     sets, once per instance, the facts the class computes from its fields,
-    in slots that a base class declares.  Setting or deleting an attribute
-    raises; copies and unpickled instances are the interned instance; the
-    repr is ``Class(field=value, ...)``.
+    in slots that a base class declares.  As for every :class:`Frozen`
+    type, setting or deleting an attribute raises, and the repr is
+    ``Class(field=value, ...)``; copies and unpickled instances are the
+    interned instance.
     """
 
     __slots__ = ()
@@ -80,18 +103,6 @@ class Interned:
 
     def _derive(self) -> None:
         """Set the facts computed from the fields: none by default."""
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 def clear() -> None:

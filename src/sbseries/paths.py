@@ -40,7 +40,7 @@ strong errors of :func:`sbseries.sim.ms_order_estimate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -66,14 +66,12 @@ class PathTooShort(PathError):
     """The path does not span the requested horizon."""
 
 
-@dataclass(frozen=True)
-class PathGrid:
-    """Cumulative driver values on a uniform grid: row 0 holds the times
+class PathGrid(namedtuple("PathGrid", "h n_steps values")):
+    """Cumulative driver values on a uniform grid of ``n_steps`` steps over
+    [0, h]: ``values`` has shape (M + 1, n_steps + 1), row 0 holds the times
     t_k, row m the Wiener value W_m(t_k)."""
 
-    h: float
-    n_steps: int
-    values: np.ndarray  # shape (M + 1, n_steps + 1)
+    __slots__ = ()
 
     @property
     def n_colors(self) -> int:
@@ -374,13 +372,10 @@ def _product(mono: Mono, out: np.ndarray, time_power, w: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MCStats:
+class MCStats(namedtuple("MCStats", "count mean variance")):
     """Sample statistics of one evaluated quantity."""
 
-    count: int
-    mean: float
-    variance: float
+    __slots__ = ()
 
     @classmethod
     def of(cls, values: np.ndarray) -> "MCStats":

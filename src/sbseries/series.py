@@ -21,7 +21,7 @@ leaf keys but are not members of the enumerated tree families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Iterable
 
 from sbseries import expr as ex
@@ -50,18 +50,17 @@ class EmptyWeightNotZero(TreeError):
     """An operation requires the empty-tree weight to be identically 0."""
 
 
-@dataclass
-class BSeries:
-    """Finite tree-indexed weight map, truncated at ``order_cap``.
+class BSeries(namedtuple("BSeries", "model order_cap weights empty_weight",
+                         defaults=(ex.ONE,))):
+    """Finite tree-indexed weight map ``weights`` (tree -> WeightExpr) of a
+    tree model, truncated at ``order_cap``, with the weight of the empty
+    tree apart.
 
-    Treat instances as immutable after construction; they are shared
-    freely and hashed weights are cached on the trees.
+    Treat the weight map as immutable after construction; series are
+    shared freely and hashed weights are cached on the trees.
     """
 
-    model: TreeModel
-    order_cap: HalfInt
-    weights: dict[Tree, WeightExpr] = field(default_factory=dict)
-    empty_weight: WeightExpr = ex.ONE
+    __slots__ = ()
 
     def weight(self, tree: Tree) -> WeightExpr:
         if tree.is_empty:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -86,7 +86,6 @@ def semilinear_trees(M: int, rho_max: HalfInt,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ERKMethodSpec:
     """Stage count, abscissae, and coefficient series of one method.
 
@@ -94,21 +93,16 @@ class ERKMethodSpec:
     ``g_m`` of stage j inside stage i, ``z0`` propagates the state into the
     step output, and ``z[m][i]`` weights ``g_m`` of stage i in the output.
     All are B-series over the A-trees whose values are polynomials in h and
-    the increments.
+    the increments.  The constructor checks their shapes.
     """
 
-    name: str
-    stages: int
-    c: tuple[Fraction, ...]
-    n_colors: int
-    cap: HalfInt
-    Z0: tuple[BSeries, ...]
-    Z: dict[int, tuple[tuple[BSeries, ...], ...]]
-    z0: BSeries
-    z: dict[int, tuple[BSeries, ...]]
-    interpretation: str = "stratonovich"
-
-    def __post_init__(self):
+    def __init__(self, name: str, stages: int, c: tuple[Fraction, ...], n_colors: int,
+                 cap: HalfInt, Z0: tuple[BSeries, ...],
+                 Z: dict[int, tuple[tuple[BSeries, ...], ...]], z0: BSeries,
+                 z: dict[int, tuple[BSeries, ...]], interpretation: str = "stratonovich"):
+        self.name, self.stages, self.c, self.n_colors, self.cap = name, stages, c, n_colors, cap
+        self.Z0, self.Z, self.z0, self.z = Z0, Z, z0, z
+        self.interpretation = interpretation
         if not isinstance(self.name, str):
             raise ValueError(f"a method name must be a string, got {self.name!r}")
         n = self.stages
@@ -146,15 +140,12 @@ class ERKMethodSpec:
             yield from self.z[m]
 
 
-@dataclass(frozen=True)
-class OrderResidual:
-    """Exact vs numerical weight of one tree."""
+class OrderResidual(namedtuple("OrderResidual", "tree exact_weight numeric_weight "
+                                                 "residual tree_order")):
+    """Exact vs numerical weight of one tree, their difference and the
+    tree's order."""
 
-    tree: Tree
-    exact_weight: WeightExpr
-    numeric_weight: WeightExpr
-    residual: WeightExpr
-    tree_order: HalfInt
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ broadcast over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -43,15 +43,11 @@ class StageDivergence(SimulationError):
     too large for the problem."""
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Root-mean-square strong errors over a dyadic step ladder and the
-    fitted order."""
+class ConvergenceReport(namedtuple("ConvergenceReport", "h_values rms_errors stderrs slope")):
+    """Root-mean-square strong errors over a dyadic step ladder, with their
+    standard errors, and the fitted order."""
 
-    h_values: tuple[float, ...]
-    rms_errors: tuple[float, ...]
-    stderrs: tuple[float, ...]
-    slope: float
+    __slots__ = ()
 
     def rows(self) -> list[tuple[float, float, float]]:
         return list(zip(self.h_values, self.rms_errors, self.stderrs))

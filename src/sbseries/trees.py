@@ -21,7 +21,8 @@ hold weak references: a tree that nothing else references is freed and
 leaves its table.  Node labels are interned as well, one object per
 distinct label, and each label holds every fact about itself, set once
 when it is interned: its order key, color, partition and bracket token,
-and the intern table of its trees.
+and the intern table of its trees.  So are the half-integers and the tree
+models.
 
 A census, the trees of a model up to an order, is counted before it is
 built: :func:`count_trees` gives its size per order without building a
@@ -40,8 +41,8 @@ from __future__ import annotations
 import re
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from operator import attrgetter
 
 from sbseries.memo import Interned, cached
@@ -83,11 +84,20 @@ class SimulationError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """Exact half-integer, stored as twice its value."""
+@total_ordering
+class HalfInt(Interned):
+    """Exact half-integer, stored as twice its value.  Interned (see
+    :class:`sbseries.memo.Interned`), and ordered by value."""
 
-    twice: int
+    __slots__ = ("twice",)
+
+    def __new__(cls, twice: int) -> "HalfInt":
+        return cls._intern((twice,))
+
+    def __lt__(self, other):
+        if type(other) is not HalfInt:
+            return NotImplemented
+        return self.twice < other.twice
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -448,13 +458,15 @@ def alpha(tree: Tree) -> Fraction:
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class GeneralPartitioned:
-    """Q partitions, M diffusion colors, nu[(m, q)] variants per (color, partition)."""
+class GeneralPartitioned(Interned):
+    """Q partitions, M diffusion colors, nu[(m, q)] variants per (color,
+    partition), the table's items as a sorted tuple.  Tree models are
+    interned (see :class:`sbseries.memo.Interned`)."""
 
-    Q: int
-    M: int
-    nu: tuple[tuple[tuple[int, int], int], ...]  # ((m, q) -> count) as items
+    __slots__ = ("Q", "M", "nu")
+
+    def __new__(cls, Q: int, M: int, nu: tuple) -> "GeneralPartitioned":
+        return cls._intern((Q, M, nu))
 
     @classmethod
     def from_table(cls, Q: int, M: int, table: dict[tuple[int, int], int]) -> "GeneralPartitioned":
@@ -479,13 +491,14 @@ class GeneralPartitioned:
         return []
 
 
-@dataclass(frozen=True)
-class NonAutonomous:
-    """Vertically split family with time/Wiener leaves W_0 .. W_l."""
+class NonAutonomous(Interned):
+    """Vertically split family with time/Wiener leaves W_0 .. W_l and nu[m]
+    variants per color m = 0..M."""
 
-    M: int
-    l: int
-    nu: tuple[int, ...]  # variants per color m = 0..M
+    __slots__ = ("M", "l", "nu")
+
+    def __new__(cls, M: int, l: int, nu: tuple) -> "NonAutonomous":
+        return cls._intern((M, l, nu))
 
     @classmethod
     def from_table(cls, M: int, l: int, variants: dict[int, int]) -> "NonAutonomous":
@@ -503,11 +516,13 @@ class NonAutonomous:
         return [T_LEAF] + [Tree(WLabel(i)) for i in range(1, self.l + 1)]
 
 
-@dataclass(frozen=True)
-class SemiLinear:
+class SemiLinear(Interned):
     """Semi-linear family: g-nodes of color 0..M, the A-node, the time leaf."""
 
-    M: int
+    __slots__ = ("M",)
+
+    def __new__(cls, M: int) -> "SemiLinear":
+        return cls._intern((M,))
 
     def node_labels(self) -> list[NodeLabel]:
         return [GLabel(m) for m in range(self.M + 1)] + [ALabel()]

@@ -510,8 +510,9 @@ class TestInputValidation:
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", [("trees", "enum"), ("series", "exact")],
-                             ids=["trees-enum", "series-exact"])
+    @pytest.mark.parametrize("command", [("trees", "enum"), ("series", "exact"),
+                                         ("trees", "count")],
+                             ids=["trees-enum", "series-exact", "trees-count"])
     @pytest.mark.parametrize("flag", ["--M", "--l"])
     def test_nonautonomous_size_above_the_cap_builds_no_model(self, command, flag,
                                                               monkeypatch, capsys):
@@ -527,11 +528,11 @@ class TestInputValidation:
 
         monkeypatch.setattr(T.NonAutonomous, "from_table", from_table)
         code, text = run(*command, "--model", "nonautonomous",
-                         flag, str(T.DEFAULT_ENUMERATION_CAP + 1), "--cap", "1/2")
+                         flag, str(cli.MODEL_SIZE_BOUND + 1), "--cap", "1/2")
         err = capsys.readouterr().err
         assert code == 2
         assert text == ""
-        assert err.startswith("error: --M and --l must be between 0 and 1000000, got ")
+        assert err.startswith("error: --M and --l must be between 0 and 10000, got ")
         assert built == []
 
     @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])

@@ -1,5 +1,6 @@
 """The import surface: the package and the symbolic commands load neither
-numpy nor scipy, and every exported name resolves on first access.
+numpy nor scipy, nor the class generator ``dataclasses`` and the ``inspect``
+it imports, and every exported name resolves on first access.
 
 Each import check runs in a fresh interpreter, as a CLI call does.
 """
@@ -29,7 +30,15 @@ EXPORTED = set("""
     split_pairs subtree_pairs __version__
 """.split())
 
-HEAVY = "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+
+def loaded(names: str) -> str:
+    """Code that prints which of the top-level modules ``names`` are loaded."""
+    return f"print(sorted({{m.split('.')[0] for m in sys.modules}} & set({names.split()!r})))"
+
+
+HEAVY = loaded("numpy scipy")
+# numpy loads inspect itself, so a call that loads numpy checks dataclasses alone
+GENERATED, GENERATED_BESIDE_NUMPY = loaded("dataclasses inspect"), loaded("dataclasses")
 
 
 def run_python(code: str) -> str:
@@ -49,7 +58,7 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
-    assert run_python(f"import sys, sbseries.cli\n{HEAVY}") == "[]\n"
+    assert run_python(f"import sys, sbseries.cli\n{HEAVY}\n{GENERATED}") == "[]\n[]\n"
 
 
 # CLI calls run one after another in one interpreter, each paired with the
@@ -67,11 +76,10 @@ COMMANDS = [
 
 
 def test_symbolic_commands_load_neither_numpy_nor_scipy_and_weights_no_scipy():
-    out = run_python("import io, sys\nfrom sbseries import cli\n"
-                     f"for argv in {[argv for argv, _ in COMMANDS]!r}:\n"
-                     "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
-                     f"    {HEAVY}\n")
-    assert out.splitlines() == [str(heavy) for _, heavy in COMMANDS]
+    out = run_python("import io, sys\nfrom sbseries import cli\n" + "".join(
+        f"assert cli.main({argv!r}, out=io.StringIO()) == 0, {argv!r}\n{HEAVY}\n"
+        f"{GENERATED_BESIDE_NUMPY if heavy else GENERATED}\n" for argv, heavy in COMMANDS))
+    assert out.splitlines() == [line for _, heavy in COMMANDS for line in (str(heavy), "[]")]
 
 
 def test_every_exported_name_imports_in_a_fresh_interpreter():

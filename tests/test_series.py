@@ -1,6 +1,5 @@
 """Weight expressions and B-series operations."""
 
-import dataclasses
 import hashlib
 import math
 import re
@@ -338,6 +337,14 @@ class TestValueTypes:
         assert hash(self._atom()) == hash(self._atom())
         assert a != E.Mono(1, ((2, 1),), ((self._atom(), 1),))
         assert self._atom() != E.IntAtom(0, E.Mono(2, ((1, 1),)))
+
+    def test_weights_compare_by_value_and_only_with_weights(self):
+        # not interned: equal weights built apart are equal objects
+        a, b = E.parse_expr("1/2*h + dW1"), E.parse_expr("dW1 + 1/2*h")
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != E.parse_expr("1/2*h") and E.ZERO != ()
+        assert E.ONE != 1
 
 
 # Uncached oracle: the text of a monomial computed from scratch on every
@@ -678,7 +685,7 @@ class TestPinnedSeries:
     def test_derivative_product_digest(self):
         model = T.NonAutonomous.from_table(M=1, l=1, variants={0: 1, 1: 1})
         phi = exact_solution_series(model, HalfInt(6))
-        incr = dataclasses.replace(phi, empty_weight=E.ZERO)
+        incr = BSeries(phi.model, phi.order_cap, phi.weights, E.ZERO)
         out = derivative_product(incr, phi)
         assert len(out.weights) == 465
         assert _series_digest(out) == (

@@ -4,6 +4,7 @@ import copy
 import gc
 import itertools
 import math
+import operator
 import pickle
 import random
 import tracemalloc
@@ -18,6 +19,7 @@ from oracles import label_facts, oracle_parse_tree, sorted_enumeration, validate
 
 from sbseries import expr as E
 from sbseries import trees as T
+from sbseries.forest_ops import SubtreePair
 from sbseries.trees import (
     CapExceeded,
     HalfInt,
@@ -67,6 +69,18 @@ class TestHalfInt:
     def test_rejects_non_half(self):
         with pytest.raises(ValueError):
             HalfInt.parse("1/3")
+
+    def test_order_is_by_value_and_with_half_integers_only(self):
+        assert sorted([HalfInt(5), HalfInt(-1), HalfInt(2), HalfInt(5)]) == [
+            HalfInt(-1), HalfInt(2), HalfInt(5), HalfInt(5)]
+        assert HalfInt(1) < HalfInt(2) <= HalfInt(2) < HalfInt(3) >= HalfInt(3) > HalfInt(0)
+        assert not HalfInt(2) < HalfInt(2)
+        assert HalfInt(2) != 2 and HalfInt(2) != T.SemiLinear(2)
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(HalfInt(1), 1)
+            with pytest.raises(TypeError):
+                compare(Fraction(1, 2), HalfInt(1))
 
 
 class TestCanonicalize:
@@ -211,7 +225,7 @@ class TestInterning:
         assert children not in table
 
 
-# every label class with field values and the dataclass repr it keeps
+# every label class with field values and the repr it keeps
 LABEL_CASES = [
     (lambda: T.GeneralLabel(1, 2, 0), (1, 2, 0), "GeneralLabel(q=1, v=2, m=0)"),
     (lambda: T.WLabel(2), (2,), "WLabel(i=2)"),
@@ -222,14 +236,35 @@ LABEL_CASES = [
     (lambda: T.EmptyLabel(2), (2,), "EmptyLabel(q=2)"),
 ]
 LABEL_IDS = ["general", "w", "t", "a", "g", "f", "empty"]
-# the expression types share the labels' interning base, so the generic
-# label tests take a monomial and an integral atom as well
+# the expression types, the half-integers and the tree models share the
+# labels' interning base, so the generic label tests take them as well
 INTERNED_CASES = LABEL_CASES + [
     (lambda: E.Mono(1, ((2, 1),)), (1, ((2, 1),), ()), "Mono(hpow=1, dws=((2, 1),), ints=())"),
     (lambda: E.IntAtom(1, E.Mono(2)), (1, E.Mono(2)),
      "IntAtom(color=1, integrand=Mono(hpow=2, dws=(), ints=()))"),
+    (lambda: HalfInt(7), (7,), "HalfInt(twice=7)"),
+    (lambda: T.SemiLinear(2), (2,), "SemiLinear(M=2)"),
+    (lambda: T.NonAutonomous.from_table(M=1, l=2, variants={0: 2, 1: 1}), (1, 2, (2, 1)),
+     "NonAutonomous(M=1, l=2, nu=(2, 1))"),
+    (T.langevin_model, (2, 1, (((0, 1), 2), ((0, 2), 1), ((1, 1), 1), ((1, 2), 0))),
+     "GeneralPartitioned(Q=2, M=1, nu=(((0, 1), 2), ((0, 2), 1), ((1, 1), 1), ((1, 2), 0)))"),
 ]
-INTERNED_IDS = LABEL_IDS + ["mono", "int-atom"]
+INTERNED_IDS = LABEL_IDS + ["mono", "int-atom", "half-int", "semilinear", "nonautonomous",
+                            "general-partitioned"]
+# immutable values that are not interned: a weight and a decomposition
+VALUE_CASES = [
+    (lambda: E.parse_expr("h"), (((Fraction(1), E.Mono(1)),),),
+     "WeightExpr(terms=((Fraction(1, 1), Mono(hpow=1, dws=(), ints=())),))"),
+    (lambda: SubtreePair(T.EMPTY, (T.T_LEAF,), Fraction(1)), (T.EMPTY, (T.T_LEAF,), Fraction(1)),
+     "SubtreePair(subtree=Tree(label=EmptyLabel(q=1), children=()), "
+     "remainder=(Tree(label=TLabel(), children=()),), coefficient=Fraction(1, 1))"),
+]
+VALUE_IDS = ["weight", "subtree-pair"]
+
+
+def field_values(value) -> tuple:
+    """The fields of a slotted value or of a named tuple, in their order."""
+    return tuple(getattr(value, name) for name in getattr(value, "_fields", value.__slots__))
 
 
 class TestLabels:
@@ -255,18 +290,30 @@ class TestLabels:
         assert copy.copy(label) is label
         assert copy.deepcopy(label) is label
 
-    @pytest.mark.parametrize("make,fields,text", INTERNED_CASES, ids=INTERNED_IDS)
+    @pytest.mark.parametrize("make,fields,text", VALUE_CASES, ids=VALUE_IDS)
+    def test_copies_of_a_value_are_equal_values(self, make, fields, text):
+        value = make()
+        assert make() == value and hash(make()) == hash(value)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value)
+            assert field_values(copied) == fields
+
+    @pytest.mark.parametrize("make,fields,text", INTERNED_CASES + VALUE_CASES,
+                             ids=INTERNED_IDS + VALUE_IDS)
     def test_setting_an_attribute_raises(self, make, fields, text):
         label = make()
-        for name in (*label.__slots__, "_key", "_hash", "other"):
+        for name in (*getattr(label, "_fields", label.__slots__), "_key", "_hash", "other"):
             with pytest.raises(AttributeError):
                 setattr(label, name, 0)
             with pytest.raises(AttributeError):
                 delattr(label, name)
 
-    @pytest.mark.parametrize("make,fields,text", INTERNED_CASES, ids=INTERNED_IDS)
+    @pytest.mark.parametrize("make,fields,text", INTERNED_CASES + VALUE_CASES,
+                             ids=INTERNED_IDS + VALUE_IDS)
     def test_repr_is_unchanged(self, make, fields, text):
         assert repr(make()) == text
+        assert field_values(make()) == fields
 
     def test_facts_match_the_class_by_class_oracle(self):
         labels = {make() for make, _, _ in LABEL_CASES}
